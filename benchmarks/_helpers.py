@@ -5,15 +5,17 @@ from __future__ import annotations
 
 def timed_figure_series(benchmark, exp_id, quality="fast", intensities=None,
                         jobs=None):
-    """Generate a figure once under the benchmark clock, with point timings.
+    """Generate a figure once under the benchmark clock, with unit timings.
 
-    Drives :func:`repro.experiments.figure_series` through a dedicated
-    uncached :class:`repro.runner.SweepRunner` so every point is really
-    computed, then attaches the per-point wall times reported by the
-    workers, the total runtime, the point count and the worker count to
-    ``benchmark.extra_info`` — pytest-benchmark carries ``extra_info`` into
-    the ``BENCH_*.json`` payload, so sweep cost is inspectable per point,
-    not just as one opaque total.
+    Drives :func:`repro.experiments.figure_series` — on the default engine,
+    the one ``repro run`` ships — through a dedicated uncached
+    :class:`repro.runner.SweepRunner` so every point is really computed,
+    then attaches the per-unit wall times reported by the workers (one
+    unit per simulated curve, one per analytic point), the total runtime,
+    the point count and the worker count to ``benchmark.extra_info`` —
+    pytest-benchmark carries ``extra_info`` into the ``BENCH_*.json``
+    payload, so sweep cost is inspectable per unit, not just as one
+    opaque total.
     """
     from time import perf_counter
 
@@ -30,10 +32,10 @@ def timed_figure_series(benchmark, exp_id, quality="fast", intensities=None,
 
     series, total = benchmark.pedantic(generate, rounds=1, iterations=1)
     outcomes = runner.last_outcomes
-    benchmark.extra_info["per_point_wall_time_s"] = [
+    benchmark.extra_info["per_unit_wall_time_s"] = [
         round(outcome.wall_time, 6) for outcome in outcomes]
     benchmark.extra_info["total_runtime_s"] = round(total, 6)
-    benchmark.extra_info["points"] = len(outcomes)
+    benchmark.extra_info["points"] = runner.last_report.total
     benchmark.extra_info["jobs"] = runner.effective_jobs
     return series
 

@@ -29,7 +29,7 @@ from repro.analysis.approximations import saturation_intensity
 from repro.analysis.sweep import workload_at
 from repro.config import SystemConfig
 from repro.core.system import simulate
-from repro.sim.batched import batched_replication_delays
+from repro.sim.batched import batched_delays
 from repro.sim.rng import spawn_seed
 
 #: The 16x16 Omega network of the Figure 12/13 delay curves.
@@ -61,9 +61,9 @@ def _setup():
 def _run_batched(config, workload, seeds):
     """One lockstep wave over every replication; (delays, seconds)."""
     start = perf_counter()
-    delays = batched_replication_delays(
-        config, workload, horizon=HORIZON,
-        warmup=HORIZON * WARMUP_FRACTION, seeds=seeds)
+    [delays] = batched_delays(
+        config, [workload], horizon=HORIZON,
+        warmup=HORIZON * WARMUP_FRACTION, seed_groups=[seeds])
     return delays, perf_counter() - start
 
 

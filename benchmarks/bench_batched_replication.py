@@ -27,7 +27,7 @@ from time import perf_counter
 
 from repro.config import SystemConfig
 from repro.core.system import simulate
-from repro.sim.batched import batched_replication_delays
+from repro.sim.batched import batched_delays
 from repro.workload.arrivals import Workload
 
 #: The acceptance workload: heavy traffic (80% of the 1.6 tasks/time
@@ -62,8 +62,8 @@ def _seeds():
 def _run_batched():
     """All replications in one lockstep wave; (delays, seconds)."""
     start = perf_counter()
-    delays = batched_replication_delays(
-        CONFIG, _workload(), horizon=HORIZON, warmup=WARMUP, seeds=_seeds())
+    [delays] = batched_delays(CONFIG, [_workload()], horizon=HORIZON,
+                              warmup=WARMUP, seed_groups=[_seeds()])
     return delays, perf_counter() - start
 
 

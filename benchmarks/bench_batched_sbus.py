@@ -28,7 +28,7 @@ from repro.analysis.approximations import saturation_intensity
 from repro.analysis.sweep import workload_at
 from repro.config import SystemConfig
 from repro.core.system import simulate
-from repro.sim.batched import batched_replication_delays
+from repro.sim.batched import batched_delays
 from repro.sim.rng import spawn_seed
 
 #: Sixteen processors contending for one shared bus, two resources.
@@ -60,9 +60,9 @@ def _setup():
 def _run_batched(config, workload, seeds):
     """One lockstep wave over every replication; (delays, seconds)."""
     start = perf_counter()
-    delays = batched_replication_delays(
-        config, workload, horizon=HORIZON,
-        warmup=HORIZON * WARMUP_FRACTION, seeds=seeds)
+    [delays] = batched_delays(
+        config, [workload], horizon=HORIZON,
+        warmup=HORIZON * WARMUP_FRACTION, seed_groups=[seeds])
     return delays, perf_counter() - start
 
 

@@ -3,14 +3,14 @@
 fig7 (crossbars) and fig12 (Omega networks) both plot the
 ``16/1x16x16 XBAR/2`` reference curve at mu ratio 0.1, and figure work
 units are deliberately figure-blind (digest = triplet, mu ratio,
-intensity, horizon, engine, spawned seed) — so running both figures as
-one family hands the supervisor genuinely equal-digest units.  This
+intensities, horizon, engine, master seed) — so running both figures as
+one family hands the supervisor genuinely equal-digest curve units.  This
 benchmark runs the family twice from cold caches, dedup on and dedup
 off, and pins the acceptance property:
 
-* each unique digest executes exactly once under dedup (``computed`` ==
-  unique digests, ``deduped`` == the duplicates, and the cache holds
-  exactly one entry per unique digest), and
+* each unique point executes exactly once under dedup (``computed`` ==
+  unique point digests, ``deduped`` == the duplicate points, and the
+  cache holds exactly one entry per unique point), and
 * the assembled outcome values are byte-identical
   (``pickle.dumps``) to the dedup-off run — dedup changes work done,
   never results.
@@ -34,7 +34,7 @@ INTENSITIES = [0.3] if SMOKE else [0.3, 0.5, 0.7]
 
 def _family_units():
     _specs, _grid, units = figure_family_work_units(
-        FAMILY, quality="fast", intensities=INTENSITIES, engine="batched")
+        FAMILY, quality="fast", intensities=INTENSITIES)
     return units
 
 
@@ -48,8 +48,10 @@ def _run(units, cache_dir, dedup):
 
 def test_family_dedup_executes_each_digest_once(benchmark, tmp_path):
     units = _family_units()
-    unique = len({unit.config_digest for unit in units})
-    duplicates = len(units) - unique
+    points = [point.config_digest for unit in units
+              for point in unit.points()]
+    unique = len(set(points))
+    duplicates = len(points) - unique
     assert duplicates >= len(INTENSITIES), \
         "family lost its shared curve — dedup bench has nothing to measure"
 
@@ -60,13 +62,14 @@ def test_family_dedup_executes_each_digest_once(benchmark, tmp_path):
         rounds=1, iterations=1)
 
     report = runner.last_report
-    # Exactly-once execution: every unique digest computed once, every
+    # Exactly-once execution: every unique point computed once, every
     # duplicate followed its leader, nothing slipped through.
     assert report.computed == unique
     assert report.deduped == duplicates
-    assert sum(1 for outcome in outcomes if outcome.deduped) == duplicates
+    assert sum(len(outcome.unit.points()) for outcome in outcomes
+               if outcome.deduped) == duplicates
     assert runner.cache.stats().entries == unique
-    assert base_runner.last_report.computed == len(units)
+    assert base_runner.last_report.computed == len(points)
 
     # Byte-identity to dedup-off, outcome by outcome.
     assert [pickle.dumps(outcome.value) for outcome in outcomes] == \
@@ -75,10 +78,11 @@ def test_family_dedup_executes_each_digest_once(benchmark, tmp_path):
     benchmark.extra_info.update({
         "family": list(FAMILY),
         "units": len(units),
-        "unique_digests": unique,
+        "points": len(points),
+        "unique_points": unique,
         "deduped": report.deduped,
         "smoke": SMOKE,
         "dedup_on_s": round(dedup_time, 6),
         "dedup_off_s": round(base_time, 6),
-        "work_saved_fraction": round(duplicates / len(units), 4),
+        "work_saved_fraction": round(duplicates / len(points), 4),
     })

@@ -34,10 +34,7 @@ from repro.analysis.sweep import (
     workload_at,
 )
 from repro.config import SystemConfig
-from repro.sim.batched import (
-    batched_replication_delays,
-    megabatch_figure_delays,
-)
+from repro.sim.batched import batched_delays
 from repro.sim.rng import spawn_seed
 
 #: The headline multiple-shared-bus curve of Figure 7.
@@ -75,7 +72,7 @@ def _run_megabatch(config, points):
     """The whole curve as one 2-D batch; (delays, seconds)."""
     per_replication = HORIZON / BATCHED_POINT_REPLICATIONS
     start = perf_counter()
-    delays = megabatch_figure_delays(
+    delays = batched_delays(
         config, [workload for _, workload, _ in points],
         horizon=per_replication,
         warmup=per_replication * WARMUP_FRACTION,
@@ -88,9 +85,9 @@ def _run_per_point(config, points):
     per_replication = HORIZON / BATCHED_POINT_REPLICATIONS
     start = perf_counter()
     delays = [
-        batched_replication_delays(
-            config, workload, horizon=per_replication,
-            warmup=per_replication * WARMUP_FRACTION, seeds=seeds)
+        batched_delays(
+            config, [workload], horizon=per_replication,
+            warmup=per_replication * WARMUP_FRACTION, seed_groups=[seeds])[0]
         for _, workload, seeds in points
     ]
     return delays, perf_counter() - start

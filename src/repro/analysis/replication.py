@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.runner import SweepRunner
 
+from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES
 from repro.config import SystemConfig
 from repro.core.system import simulate
 from repro.errors import AnalysisError, ConfigurationError
@@ -151,17 +152,15 @@ def _replication_delays(config: Union[SystemConfig, str], workload: Workload,
                         horizon: float, warmup: float, seeds: List[int],
                         engine: str) -> List[float]:
     """Per-seed mean delays via the requested engine (scalar fallback)."""
-    if engine == "batched":
-        from repro.sim.batched import batched_replication_delays, supports_batched
+    from repro.sim.batched import batched_delays, batched_unsupported_reason
 
-        if supports_batched(config, workload):
-            return batched_replication_delays(config, workload,
-                                              horizon=horizon, warmup=warmup,
-                                              seeds=seeds)
-    elif engine != "scalar":
+    if engine not in ENGINES:
         raise ConfigurationError(
-            f"unknown simulation engine {engine!r}; "
-            f"expected 'scalar' or 'batched'")
+            f"unknown simulation engine {engine!r}; expected one of {ENGINES}")
+    if engine == "batched" and batched_unsupported_reason(
+            config, workload) is None:
+        return batched_delays(config, [workload], horizon=horizon,
+                              warmup=warmup, seed_groups=[seeds])[0]
     return [simulate(config, workload, horizon=horizon, warmup=warmup,
                      seed=seed).mean_queueing_delay
             for seed in seeds]
@@ -175,7 +174,7 @@ def compare_with_replications(first: Union[SystemConfig, str],
                               replications: int = 10,
                               base_seed: int = 100,
                               crn: bool = True,
-                              engine: str = "scalar"
+                              engine: str = DEFAULT_ENGINE
                               ) -> Tuple[float, float, bool]:
     """Replicated comparison of two configurations.
 
@@ -192,11 +191,11 @@ def compare_with_replications(first: Union[SystemConfig, str],
     one on the bench workload).  ``crn=False`` runs the second system on
     disjoint seeds and reports the two-sample Welch interval.
 
-    ``engine="batched"`` computes each configuration's replication wave
-    with the lockstep engine of :mod:`repro.sim.batched` when the model is
-    in its scope (per-replication results are bit-identical to the scalar
-    engine, so ``crn`` pairing is unaffected); out-of-scope models fall
-    back to scalar runs.
+    ``engine="batched"`` (the default) computes each configuration's
+    replication wave with the lockstep engine of :mod:`repro.sim.batched`
+    when the model is in its scope (per-replication results are
+    bit-identical to the scalar engine, so ``crn`` pairing is
+    unaffected); out-of-scope models fall back to scalar runs.
     """
     if replications < 2:
         raise ConfigurationError("need at least 2 paired replications")

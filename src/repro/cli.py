@@ -62,16 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default: REPRO_JOBS or 1)")
     run.add_argument("--seed", type=int, default=1,
                      help="master seed for per-point replications")
-    run.add_argument("--engine", default="auto",
-                     choices=["auto", "scalar", "batched", "megabatch"],
-                     help="simulation engine for simulated points: 'auto' "
-                          "(the default) routes each curve to the fastest "
-                          "supported engine — whole curves as one 2-D "
-                          "mega-batch, per-point lockstep batched "
-                          "replications, then the scalar event loop — and "
-                          "prints one fallback note per gated curve; the "
-                          "named engines force one path (engine choice is "
-                          "cache-digest material)")
+    from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES
+
+    run.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
+                     help="simulation engine for simulated points: "
+                          "'batched' (the default, as in the library) "
+                          "advances each curve as one lockstep batch and "
+                          "runs points outside its scope on the scalar "
+                          "event loop, with one note per such curve; "
+                          "'scalar' forces the event loop (engine choice "
+                          "is cache-digest material)")
     run.add_argument("--cache-dir", default=None,
                      help="result cache directory "
                           "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -248,18 +248,22 @@ def _command_run(args) -> int:
         print("error: --resume needs the cache; it cannot be combined "
               "with --no-cache", file=sys.stderr)
         return 2
-    if args.engine in ("auto", "batched", "megabatch"):
+    if args.engine == "batched":
         # One line per curve that will fall back to the scalar engine,
-        # naming the gate property that blocks it.
-        from repro.analysis.sweep import megabatch_curve_reason
+        # naming the gate property that blocks it.  Figure workloads vary
+        # only in rate along a curve, so one probe decides the whole curve.
+        from repro.analysis.sweep import workload_at
         from repro.config import SystemConfig
+        from repro.sim.batched import batched_unsupported_reason
 
         spec = FIGURE_SPECS[args.exp_id]
         for label, triplet in spec.curves:
             config = SystemConfig.parse(triplet)
             if config.network_type == "SBUS":
                 continue  # exact chain, no simulation engine involved
-            reason = megabatch_curve_reason(config, spec.mu_ratio)
+            reason = batched_unsupported_reason(
+                config, workload_at(0.5, spec.mu_ratio,
+                                    processors=config.processors))
             if reason is not None:
                 print(f"note: {triplet} ({label}) falls back to the "
                       f"scalar engine: the batched engine does not "
@@ -288,13 +292,11 @@ def _command_run(args) -> int:
         from repro.experiments.render import render_series
         print()
         print(render_series(series, title=title))
-    outcomes = runner.last_outcomes
-    hits = sum(1 for outcome in outcomes if outcome.cached)
-    print()
-    print(f"{len(outcomes)} points in {elapsed:.2f}s "
-          f"({runner.effective_jobs} job(s), {hits} cache hit(s), "
-          f"cache {'off' if cache is None else cache.root})")
     report = runner.last_report
+    print()
+    print(f"{report.total} points in {elapsed:.2f}s "
+          f"({runner.effective_jobs} job(s), {report.cache_hits} cache "
+          f"hit(s), cache {'off' if cache is None else cache.root})")
     if not report.clean or report.resumed or report.deduped:
         print(report.format())
     if profiler is not None:

@@ -21,7 +21,7 @@ from repro.analysis.selection import (
     qualitative_recommendation,
     recommend,
 )
-from repro.analysis.sweep import Series, workload_at
+from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES, Series, workload_at
 from repro.config import SystemConfig
 from repro.core.scheduler import (
     centralized_multistage,
@@ -104,46 +104,32 @@ def intensity_grid(step: float, start: float = 0.1, stop: float = 1.2) -> List[f
 def figure_work_units(exp_id: str, quality: str = "fast",
                       intensities: Optional[Sequence[float]] = None,
                       seed: int = 1, solver: str = "dense",
-                      engine: str = "scalar"):
+                      engine: str = DEFAULT_ENGINE):
     """Decompose a delay figure into independent work units.
 
-    Returns ``(spec, grid, units)`` where ``units`` holds one
-    :class:`~repro.runner.workunit.WorkUnit` per (curve, intensity) point,
-    in curve-major order.  Simulated points each get an independent seed
-    derived from the master ``seed`` via :func:`repro.sim.rng.spawn_seed`
-    keyed on the configuration triplet and the intensity, so every point is
-    its own replication instead of reusing one seed across the whole
-    figure.  Analytic (SBUS) points carry seed 0 — the exact chain draws no
-    randomness, and a fixed seed lets cached points be shared across master
-    seeds.
+    Returns ``(spec, grid, units)`` with units in curve-major order.
 
-    ``solver`` tags analytic units with a backend ("dense" per-point
-    reference solves — the default, independent of execution order — or
-    "sweep" for the parametric fast path).  The tag is digest material, so
+    Analytic (SBUS) curves become one ``analytic-point`` unit per
+    intensity under either engine — the exact chain is both the reference
+    and the fastest path.  They carry seed 0 (the chain draws no
+    randomness, and a fixed seed lets cached points be shared across
+    master seeds) and a ``solver`` backend tag: "dense" per-point
+    reference solves, the default and independent of execution order, or
+    "sweep" for the parametric fast path.  The tag is digest material, so
     the result cache never serves one backend's points for the other.
-    Likewise ``engine`` ("scalar", "batched", "megabatch", or "auto")
-    selects the simulation engine of every simulated point and rides in
-    the unit params, so scalar and batched results are digest-separated
-    too.
 
-    ``engine="megabatch"`` collapses each simulated curve that passes the
-    batchability gate into ONE ``megabatch-figure`` unit carrying the
-    whole intensity grid — the 2-D engine advances every (point,
-    replication) of the curve in lockstep, and the unit's value is the
-    full list of :class:`~repro.analysis.sweep.SweepPoint`\\ s, identical
-    to what per-point ``engine="batched"`` units produce.  Gate-failing
-    curves fall back to per-point units with ``engine="batched"`` (whose
-    digests are shared with a plain ``--engine batched`` run).
-    ``engine="auto"`` is the same routing — megabatch where the curve
-    passes the gate, batched per-point units otherwise — producing units
-    digest-identical to a ``megabatch`` run, so the two share cache
-    entries.  SBUS curves are exact Markov-chain units under every
-    engine: the analytic solver is both the reference and the fastest
-    path, so no simulation engine ever touches them.
+    Simulated curves become ``megabatch-figure`` units carrying the
+    master ``seed``, the ``engine`` and their intensities; the point at
+    intensity ``x`` runs with ``spawn_seed(seed, triplet, x)``, its own
+    replication rather than one seed reused across the figure.  The
+    batched engine advances a whole curve at once, so each curve is one
+    unit; the scalar loop gains nothing from sharing a call, so each of
+    its points is a one-point curve that a worker pool can spread.  The
+    runner caches either shape point by point (see
+    :meth:`~repro.runner.WorkUnit.points`), under digests that cover the
+    engine, so scalar and batched points never serve for each other.
     """
-    from repro.analysis.sweep import ENGINES, megabatch_curve_reason
     from repro.runner import WorkUnit
-    from repro.sim.rng import spawn_seed
 
     spec = FIGURE_SPECS.get(exp_id)
     if spec is None:
@@ -157,10 +143,10 @@ def figure_work_units(exp_id: str, quality: str = "fast",
             f"unknown engine {engine!r}; expected one of {ENGINES}")
     step, horizon = QUALITY_PRESETS[quality]
     grid = list(intensities) if intensities is not None else intensity_grid(step)
+    runs = [grid] if engine == "batched" else [[x] for x in grid]
     units = []
-    for label, triplet in spec.curves:
-        config = SystemConfig.parse(triplet)
-        if config.network_type == "SBUS":
+    for _label, triplet in spec.curves:
+        if SystemConfig.parse(triplet).network_type == "SBUS":
             for intensity in grid:
                 units.append(WorkUnit("analytic-point", 0, {
                     "config": triplet,
@@ -168,27 +154,14 @@ def figure_work_units(exp_id: str, quality: str = "fast",
                     "intensity": intensity,
                 }, backend=solver))
             continue
-        if (engine in ("megabatch", "auto") and grid
-                and megabatch_curve_reason(config, spec.mu_ratio) is None):
-            units.append(WorkUnit("megabatch-figure", seed, {
-                "config": triplet,
-                "mu_ratio": spec.mu_ratio,
-                "intensities": grid,
-                "horizon": horizon,
-            }))
-            continue
-        point_engine = ("batched" if engine in ("megabatch", "auto")
-                        else engine)
-        for intensity in grid:
-            units.append(WorkUnit(
-                "sweep-point",
-                spawn_seed(seed, triplet, intensity),
-                {
+        for run in runs:
+            if run:
+                units.append(WorkUnit("megabatch-figure", seed, {
                     "config": triplet,
                     "mu_ratio": spec.mu_ratio,
-                    "intensity": intensity,
+                    "intensities": run,
                     "horizon": horizon,
-                    "engine": point_engine,
+                    "engine": engine,
                 }))
     return spec, grid, units
 
@@ -196,15 +169,15 @@ def figure_work_units(exp_id: str, quality: str = "fast",
 def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
                              intensities: Optional[Sequence[float]] = None,
                              seed: int = 1, solver: str = "dense",
-                             engine: str = "scalar"):
+                             engine: str = DEFAULT_ENGINE):
     """Work units for several figures as one batch, duplicates included.
 
     Returns ``(specs, grid, units)``: the per-figure specs, the shared
     intensity grid, and the concatenation of every figure's units in
     figure-major order.  Unit identity is deliberately *not* figure-aware
-    — digest material is the configuration triplet, mu ratio, intensity,
-    horizon, engine, and a seed spawned from ``(seed, triplet,
-    intensity)`` — so curves shared between figures (fig7 and fig12 both
+    — digest material is the configuration triplet, mu ratio,
+    intensities, horizon, engine, and master seed — so curves shared
+    between figures (fig7 and fig12 both
     plot the ``16/1x16x16 XBAR/2`` reference at the same mu ratio) emerge
     as *equal-digest units*, which the supervisor's in-flight dedup
     executes once and one warm cache serves to every figure.  This is the
@@ -231,7 +204,8 @@ def figure_series(exp_id: str, quality: str = "fast",
                   intensities: Optional[Sequence[float]] = None,
                   seed: int = 1, jobs: Optional[int] = None,
                   runner=None, solver: str = "dense",
-                  engine: str = "scalar", resume: bool = False) -> List[Series]:
+                  engine: str = DEFAULT_ENGINE,
+                  resume: bool = False) -> List[Series]:
     """Materialize every curve of a delay figure.
 
     Points are independent seeded work units executed through a
@@ -264,22 +238,20 @@ def figure_series(exp_id: str, quality: str = "fast",
                 "replayed from it, so a cache-less runner has nothing to "
                 "resume from")
         runner.resume = True
-    values = runner.run_values(units)
-    series = []
-    cursor = 0
-    for label, triplet in spec.curves:
-        config = SystemConfig.parse(triplet)
-        # A curve is either one megabatch-figure unit (value: the whole
-        # point list) or len(grid) per-point units, in unit order.
-        if (cursor < len(units)
-                and units[cursor].evaluator_id == "megabatch-figure"):
-            curve_points = list(values[cursor])
-            cursor += 1
+    # Analytic units hold one point, simulated units a list of them; every
+    # curve covers the whole grid, so the flat point list splits evenly.
+    points: List = []
+    for value in runner.run_values(units):
+        if isinstance(value, list):
+            points.extend(value)
         else:
-            curve_points = values[cursor:cursor + len(grid)]
-            cursor += len(grid)
+            points.append(value)
+    series = []
+    for number, (label, triplet) in enumerate(spec.curves):
+        config = SystemConfig.parse(triplet)
         method = ("markov-chain" if config.network_type == "SBUS"
                   else "event-simulation")
+        curve_points = points[number * len(grid):(number + 1) * len(grid)]
         series.append(Series(label=label, config=config,
                              mu_ratio=spec.mu_ratio,
                              points=tuple(curve_points), method=method))

@@ -229,7 +229,7 @@ class PicklableWorkers(LintRule):
     ``<pool>.map(fn, ...)`` calls — where the receiver's name mentions
     ``pool`` or ``executor`` — whose callable argument is a lambda or a
     nested function.  Workers belong at module level (see
-    ``repro.runner.pool._execute_payload``).
+    ``repro.runner.evaluators.execute_payload``).
     """
 
     code = "SIM005"

@@ -9,14 +9,11 @@ and returns a picklable result.
 
 Registered evaluators:
 
-* ``sweep-point``        — one event-simulation figure point (``SweepPoint``);
+* ``megabatch-figure``   — the simulated points of one figure curve on
+  either engine (``list[SweepPoint]``, intensity order); a single point
+  is a one-point curve;
 * ``analytic-point``     — one exact Markov-chain figure point (``SweepPoint``);
-* ``replication-delay``  — one replication's mean queueing delay (``float``);
-* ``replication-delay-batched`` — a whole wave of replications advanced in
-  lockstep by the batched engine (``list[float]``, seed order);
-* ``megabatch-figure``   — a whole figure curve as one 2-D mega-batch
-  (``list[SweepPoint]``, intensity order), bit-identical per point to the
-  ``sweep-point`` units it replaces.
+* ``replication-delay``  — one replication's mean queueing delay (``float``).
 """
 
 from __future__ import annotations
@@ -123,23 +120,36 @@ def _worker_context():
     return _WORKER_CONTEXT
 
 
-@evaluator("sweep-point", reads=("config", "mu_ratio", "intensity",
-                                 "horizon", "warmup_fraction",
-                                 "arbitration", "saturation_guard",
-                                 "engine"))
-def sweep_point(seed: int, params: Mapping[str, Any],
-                backend: str = DEFAULT_BACKEND):
-    """One simulated delay point; params mirror ``simulated_point``."""
-    from repro.analysis.sweep import simulated_point
+@evaluator("megabatch-figure", reads=("config", "mu_ratio", "intensities",
+                                      "horizon", "warmup_fraction",
+                                      "arbitration", "saturation_guard",
+                                      "engine"))
+def figure_curve(seed: int, params: Mapping[str, Any],
+                 backend: str = DEFAULT_BACKEND) -> list:
+    """Simulated points of one figure curve, in intensity order.
 
-    return simulated_point(
-        params["config"], params["mu_ratio"], params["intensity"],
+    ``seed`` is the figure's master seed and the point at intensity ``x``
+    runs with ``spawn_seed(seed, config, x)``, so a point's value does not
+    depend on which other intensities share the unit: a curve unit equals
+    its one-point units bit for bit, which is what lets the runner cache
+    it point by point.  ``engine`` selects the scalar loop or the batched
+    engine (see :func:`repro.analysis.sweep.simulated_points`).  The id is
+    kept for the end-to-end benchmark, whose per-layer metrics are keyed
+    on it.
+    """
+    from repro.analysis.sweep import simulated_points
+    from repro.sim.rng import spawn_seed
+
+    triplet = params["config"]
+    intensities = list(params["intensities"])
+    return simulated_points(
+        triplet, params["mu_ratio"], intensities,
+        [spawn_seed(seed, triplet, intensity) for intensity in intensities],
         horizon=params["horizon"],
         warmup_fraction=params.get("warmup_fraction", 0.1),
-        seed=seed,
         arbitration=params.get("arbitration", "priority"),
         saturation_guard=params.get("saturation_guard", 0.98),
-        engine=params.get("engine", "scalar"))
+        engine=params["engine"])
 
 
 @evaluator("analytic-point", reads=("config", "mu_ratio", "intensity"))
@@ -178,68 +188,3 @@ def replication_delay(seed: int, params: Mapping[str, Any],
                       warmup=params["warmup"], seed=seed,
                       arbitration=params.get("arbitration", "priority"))
     return result.mean_queueing_delay
-
-
-@evaluator("replication-delay-batched",
-           reads=("config", "arrival_rate", "transmission_rate",
-                  "service_rate", "replications", "horizon", "warmup",
-                  "arbitration"))
-def replication_delay_batched(seed: int, params: Mapping[str, Any],
-                              backend: str = DEFAULT_BACKEND) -> list:
-    """Mean delays of ``params["replications"]`` lockstep replications.
-
-    ``seed`` is the base seed; replication ``i`` runs with ``seed + i``,
-    so the returned list is element-for-element what ``replication-delay``
-    units with those seeds would produce (the batched engine's lockstep
-    invariant) — just computed several times faster by advancing the whole
-    wave at once.
-    """
-    from repro.sim.batched import batched_replication_delays
-    from repro.workload.arrivals import Workload
-
-    workload = Workload(arrival_rate=params["arrival_rate"],
-                        transmission_rate=params["transmission_rate"],
-                        service_rate=params["service_rate"])
-    seeds = [seed + index for index in range(int(params["replications"]))]
-    return batched_replication_delays(
-        params["config"], workload, horizon=params["horizon"],
-        warmup=params["warmup"], seeds=seeds,
-        arbitration=params.get("arbitration", "priority"))
-
-
-@evaluator("megabatch-figure", reads=("config", "mu_ratio", "intensities",
-                                      "horizon", "warmup_fraction",
-                                      "arbitration", "saturation_guard"))
-def megabatch_figure(seed: int, params: Mapping[str, Any],
-                     backend: str = DEFAULT_BACKEND) -> list:
-    """A whole figure curve of sweep points as one 2-D mega-batch.
-
-    ``seed`` is the figure's master seed; each point derives the same
-    ``spawn_seed(seed, config, intensity)`` seed the per-point
-    ``sweep-point`` units of that figure carry, so the returned points
-    equal a per-point ``engine="batched"`` run bit for bit — the curve's
-    (point, replication) grid just advances in one lockstep batch.  The
-    per-point loop is kept as a fallback so a curve that slips past the
-    gate probe still evaluates (point by point, scalar where needed)
-    rather than failing the sweep.
-    """
-    from repro.analysis.sweep import megabatch_sweep_points, simulated_point
-    from repro.sim.rng import spawn_seed
-
-    triplet = params["config"]
-    intensities = list(params["intensities"])
-    point_seeds = [spawn_seed(seed, triplet, intensity)
-                   for intensity in intensities]
-    shared = dict(
-        horizon=params["horizon"],
-        warmup_fraction=params.get("warmup_fraction", 0.1),
-        arbitration=params.get("arbitration", "priority"),
-        saturation_guard=params.get("saturation_guard", 0.98))
-    points = megabatch_sweep_points(
-        triplet, params["mu_ratio"], intensities,
-        point_seeds=point_seeds, **shared)
-    if points is not None:
-        return points
-    return [simulated_point(triplet, params["mu_ratio"], intensity,
-                            seed=point_seed, engine="batched", **shared)
-            for intensity, point_seed in zip(intensities, point_seeds)]

@@ -63,11 +63,7 @@ from repro.errors import ConfigurationError
 from repro.faults.retry import RetryPolicy, backoff_stream
 from repro.runner.chaos import ChaosPolicy
 from repro.runner.evaluators import execute_payload
-from repro.runner.executors import (
-    ExecutorBackend,
-    ProcessPoolBackend,
-    terminate_pool,
-)
+from repro.runner.executors import ExecutorBackend, ProcessPoolBackend
 from repro.runner.workunit import WorkUnit
 
 #: How the supervisor builds its default transport for ``workers`` slots.
@@ -151,7 +147,12 @@ def degrade_unit(unit: WorkUnit) -> Optional[Tuple[str, WorkUnit]]:
 
 @dataclass
 class RunReport:
-    """Fault-tolerance provenance of one ``SweepRunner.run`` call."""
+    """Fault-tolerance provenance of one ``SweepRunner.run`` call.
+
+    ``total``, ``computed``, ``cache_hits``, ``deduped`` and ``resumed``
+    count points: a curve unit contributes one per intensity (see
+    :meth:`~repro.runner.workunit.WorkUnit.points`).
+    """
 
     total: int = 0
     computed: int = 0
@@ -173,7 +174,7 @@ class RunReport:
                     or self.failures)
 
     def format(self) -> str:
-        summary = (f"{self.total} unit(s): {self.computed} computed, "
+        summary = (f"{self.total} point(s): {self.computed} computed, "
                    f"{self.cache_hits} cache hit(s)")
         if self.total:
             summary += f" ({100.0 * self.cache_hits / self.total:.1f}% hit rate)"
@@ -272,11 +273,11 @@ class Supervisor:
             digest = unit.config_digest
             if digest in followers:
                 followers[digest].append((index, unit))
-                report.deduped += 1
+                report.deduped += len(unit.points())
             else:
                 followers[digest] = []
                 leaders.append((index, unit))
-        if not report.deduped:
+        if len(leaders) == len(pending):
             return list(pending), on_complete
 
         def hook(index: int, outcome) -> None:
@@ -306,7 +307,7 @@ class Supervisor:
             if error is None:
                 return UnitOutcome(unit=unit, value=value, wall_time=wall,
                                    attempts=tries, degraded=degradations,
-                                   computed_digest=current.config_digest)
+                                   computed_unit=current)
             if attempt < self.policy.max_attempts:
                 delay = self.policy.delay_for(current.config_digest, attempt)
                 attempt += 1
@@ -495,7 +496,7 @@ class Supervisor:
         return UnitOutcome(unit=flight.original, value=value, wall_time=wall,
                            attempts=flight.tries,
                            degraded=flight.degradations,
-                           computed_digest=flight.unit.config_digest)
+                           computed_unit=flight.unit)
 
     def _handle_failure(self, flight: _Flight, error: str, wall: float,
                         now: float, ready: Deque[_Flight],
@@ -543,7 +544,3 @@ class Supervisor:
             unit=flight.original, value=None, wall_time=wall, error=error,
             attempts=flight.tries, degraded=flight.degradations))
 
-
-#: The hard-teardown helper moved to :mod:`repro.runner.executors` with
-#: the transport seam; the old private name keeps importers working.
-_terminate_executor = terminate_pool

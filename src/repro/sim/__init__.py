@@ -7,13 +7,12 @@ Public surface:
 * :class:`Process` — generator-based processes;
 * :class:`RandomStreams` / :class:`RngStream` — reproducible named random
   streams (the only sanctioned randomness in the package, rule SIM001);
-* the batched lockstep engines — per-point replications
-  (:class:`BatchedReplicationEngine`, :func:`batched_replication_delays`)
-  and the 2-D points-times-replications mega-batch
-  (:class:`MegaBatchEngine`, :func:`megabatch_figure_delays`) — with
-  their bit-identical vectorized streams (:class:`BatchedStreams`) and
-  the batchability gate (:func:`supports_batched`,
-  :func:`batched_unsupported_reason`);
+* the batched lockstep engine — the points-times-replications
+  mega-batch (:class:`MegaBatchEngine`, front door
+  :func:`batched_delays`; one point's replications are a one-point
+  call) — with its bit-identical vectorized streams
+  (:class:`BatchedStreams`) and the batchability gate
+  (:func:`batched_unsupported_reason`);
 * :class:`TieSanitizer` — the simultaneous-event race detector
   (checkpoint/replay of same-timestamp ties, see :mod:`repro.sim.sanitizer`);
 * statistics collectors: :class:`TallyStat`, :class:`TimeWeightedStat`,
@@ -22,15 +21,11 @@ Public surface:
 """
 
 from repro.sim.batched import (
-    BatchedReplicationEngine,
-    BatchedReplicationResult,
     MegaBatchEngine,
     MegaBatchResult,
     VariateTable,
-    batched_replication_delays,
+    batched_delays,
     batched_unsupported_reason,
-    megabatch_figure_delays,
-    supports_batched,
 )
 from repro.sim.environment import EmptySchedule, Environment
 from repro.sim.events import (
@@ -87,15 +82,11 @@ __all__ = [
     "BatchedStreams",
     "mt19937_generator",
     "uniform_block_source",
-    "BatchedReplicationEngine",
-    "BatchedReplicationResult",
     "MegaBatchEngine",
     "MegaBatchResult",
     "VariateTable",
-    "batched_replication_delays",
+    "batched_delays",
     "batched_unsupported_reason",
-    "megabatch_figure_delays",
-    "supports_batched",
     "TieSanitizer",
     "RaceFinding",
     "RaceConditionDetected",

@@ -43,8 +43,9 @@ scalars in the variate tables.  Because rows never interact, the merged
 run is the per-point runs interleaved — same draws, same float
 operations, same order within each row — while the outer Python loop runs
 ``max`` instead of ``sum`` of the per-point event counts, which is where
-the throughput multiplier over :class:`BatchedReplicationEngine` (itself
-a one-point mega-batch) comes from.
+the throughput multiplier over running the points one at a time comes
+from.  One point's replications are a one-point mega-batch, and
+:func:`batched_delays` is the one front door for both.
 
 **The lockstep invariant.**  Row ``k`` of a batched run is
 *bit-identical* to ``simulate(config, workload_of_row_k, horizon, warmup,
@@ -297,31 +298,15 @@ class VariateTable:
 
 
 @dataclass(frozen=True)
-class BatchedReplicationResult:
-    """Per-replication delay estimates of one batched run.
-
-    ``mean_delays[k]`` equals the ``mean_queueing_delay`` of the scalar
-    engine run with ``seeds[k]`` (NaN when no task was dispatched inside
-    the measurement window); ``delay_counts`` and ``completed`` carry the
-    matching sample and service-completion counts.
-    """
-
-    seeds: Tuple[int, ...]
-    mean_delays: Tuple[float, ...]
-    delay_counts: Tuple[int, ...]
-    completed: Tuple[int, ...]
-    simulated_time: float
-    measurement_start: float
-
-
-@dataclass(frozen=True)
 class MegaBatchResult:
     """Per-(point, replication) delay estimates of one mega-batch run.
 
     Outer index is the sweep point, inner index the replication within
     that point's seed group; ``mean_delays[i][k]`` equals the scalar
     engine's ``mean_queueing_delay`` for point ``i`` with seed
-    ``seed_groups[i][k]``.
+    ``seed_groups[i][k]`` (NaN when no task was dispatched inside the
+    measurement window); ``delay_counts`` and ``completed`` carry the
+    matching sample and service-completion counts.
     """
 
     seed_groups: Tuple[Tuple[int, ...], ...]
@@ -428,8 +413,8 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
     """Why this model cannot run on the batched path, or None when it can.
 
     The returned string names the *first* blocking property — the one the
-    CLI surfaces when ``--engine batched|megabatch`` falls back to the
-    scalar engine.  The gate, in order:
+    CLI surfaces when a curve falls back to the scalar engine.  The gate,
+    in order:
 
     * a fabric family with a dispatch kernel in ``FABRIC_CAPABILITIES``
       (all five grammar network types have one);
@@ -1001,83 +986,20 @@ class MegaBatchEngine:
             self._bus_busy[k, int(port_index[index])] = 1
 
 
-class BatchedReplicationEngine(MegaBatchEngine):
-    """``R`` replications of one ``(config, workload)`` point in lockstep.
+def batched_delays(config: Union[SystemConfig, str],
+                   workloads: Sequence[Workload], horizon: float,
+                   warmup: float, seed_groups: Sequence[Sequence[int]],
+                   arbitration: str = "priority") -> List[List[float]]:
+    """Front door: mean queueing delay of every (point, replication) row.
 
-    The one-point specialization of :class:`MegaBatchEngine` — a single
-    seed group, a single workload, and the flat
-    :class:`BatchedReplicationResult` the replication tooling consumes.
-
-    >>> from repro import SystemConfig, Workload
-    >>> from repro.sim.batched import BatchedReplicationEngine
-    >>> engine = BatchedReplicationEngine(
-    ...     SystemConfig.parse("16/1x16x8 XBAR/2"),
-    ...     Workload(0.05, 1.0, 0.1), seeds=range(100, 108))
-    >>> result = engine.run(horizon=2000.0, warmup=200.0)
-
-    May be run once per instance, like the scalar system.
-    """
-
-    def __init__(self, config: Union[SystemConfig, str], workload: Workload,
-                 seeds: Sequence[int], arbitration: str = "priority",
-                 crossover: Optional[int] = None):
-        seed_list = [int(seed) for seed in seeds]
-        if not seed_list:
-            raise ConfigurationError("batched engine needs at least one seed")
-        super().__init__(config, [workload], [seed_list],
-                         arbitration=arbitration, crossover=crossover)
-        self.workload = workload
-        self.seeds: Tuple[int, ...] = tuple(seed_list)
-
-    def run(self, horizon: float,  # type: ignore[override]
-            warmup: float = 0.0) -> BatchedReplicationResult:
-        """Advance every replication to ``horizon``; discard ``warmup``."""
-        result = super().run(horizon=horizon, warmup=warmup)
-        return BatchedReplicationResult(
-            seeds=self.seeds,
-            mean_delays=result.mean_delays[0],
-            delay_counts=result.delay_counts[0],
-            completed=result.completed[0],
-            simulated_time=result.simulated_time,
-            measurement_start=result.measurement_start)
-
-
-def batched_replication_delays(config: Union[SystemConfig, str],
-                               workload: Workload, horizon: float,
-                               warmup: float, seeds: Sequence[int],
-                               arbitration: str = "priority") -> List[float]:
-    """Front door: per-replication mean queueing delays, seed for seed.
-
-    ``batched_replication_delays(c, w, h, u, seeds)[k]`` equals
-    ``simulate(c, w, horizon=h, warmup=u, seed=seeds[k]).mean_queueing_delay``
-    to the last bit — the lockstep invariant this module exists to keep.
-    """
-    engine = BatchedReplicationEngine(config, workload, seeds,
-                                      arbitration=arbitration)
-    return list(engine.run(horizon=horizon, warmup=warmup).mean_delays)
-
-
-def megabatch_figure_delays(config: Union[SystemConfig, str],
-                            workloads: Sequence[Workload], horizon: float,
-                            warmup: float,
-                            seed_groups: Sequence[Sequence[int]],
-                            arbitration: str = "priority"
-                            ) -> List[List[float]]:
-    """Front door: a whole figure curve as one 2-D mega-batch.
-
-    ``megabatch_figure_delays(c, ws, h, u, groups)[i][k]`` equals
-    ``batched_replication_delays(c, ws[i], h, u, groups[i])[k]`` — and
-    therefore the scalar engine with seed ``groups[i][k]`` — to the last
-    bit, while advancing every point of the curve in the same lockstep
-    arrays.
+    ``batched_delays(c, ws, h, u, groups)[i][k]`` equals
+    ``simulate(c, ws[i], horizon=h, warmup=u,
+    seed=groups[i][k]).mean_queueing_delay`` to the last bit — the
+    lockstep invariant this module exists to keep — whether the points
+    share one call or run one at a time; the replications of a single
+    point are ``batched_delays(c, [w], h, u, [seeds])[0]``.
     """
     engine = MegaBatchEngine(config, workloads, seed_groups,
                              arbitration=arbitration)
     result = engine.run(horizon=horizon, warmup=warmup)
     return [list(delays) for delays in result.mean_delays]
-
-
-def supports_batched(config: Union[SystemConfig, str], workload: Workload,
-                     arbitration: str = "priority") -> bool:
-    """Whether the batched engines can run this model (see module scope)."""
-    return batched_unsupported_reason(config, workload, arbitration) is None

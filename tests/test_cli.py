@@ -77,14 +77,17 @@ class TestCli:
                      "--horizon", "1000"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_run_auto_engine_prints_no_fallback_note(self, capsys):
-        """Every registered figure family batches now: the default auto
+    def test_run_default_engine_prints_no_fallback_note(self, capsys):
+        """Every registered figure family batches now: the default batched
         engine finds nothing to gate (fig4 is pure analytic, so this
-        stays cheap while still walking the fallback-note path)."""
-        assert main(["run", "fig4", "--engine", "auto", "--no-cache",
-                     "--quality", "fast"]) == 0
+        stays cheap while still walking the fallback-note path), and the
+        retired engine names are refused."""
+        assert main(["run", "fig4", "--no-cache", "--quality", "fast"]) == 0
         captured = capsys.readouterr()
         assert "falls back" not in captured.err
+        for retired in ("auto", "megabatch"):
+            with pytest.raises(SystemExit):
+                main(["run", "fig4", "--engine", retired, "--no-cache"])
 
 
 class TestRender:

@@ -278,14 +278,14 @@ class TestSim007DigestDrift:
 
     def test_injected_drift_in_real_registry_caught(self, tmp_path):
         """The issue's seeded injection: drop one declared key from the
-        real sweep-point registration and SIM007 must fire."""
+        real figure-curve registration and SIM007 must fire."""
         original = Path("src/repro/runner/evaluators.py").read_text()
-        tainted = original.replace('"intensity",\n', "", 1)
+        tainted = original.replace('"intensities",\n', "", 1)
         assert tainted != original
         write_tree(tmp_path, {"runner/__init__.py": ""})
         (tmp_path / "runner" / "evaluators.py").write_text(tainted)
         findings = run_lint(tmp_path).findings
-        assert any(f.code == "SIM007" and "intensity" in f.message
+        assert any(f.code == "SIM007" and "intensities" in f.message
                    for f in findings)
 
 

@@ -20,6 +20,7 @@ from repro.runner import (
     SweepRunner,
     UnitOutcome,
     WorkUnit,
+    degrade_unit,
     resolve_jobs,
     work_unit_digest,
 )
@@ -41,6 +42,17 @@ def _square(seed, params, backend="dense"):
 
 def _square_units(count, seed=0):
     return [WorkUnit("test-square", seed, {"x": x}) for x in range(count)]
+
+
+@evaluator("test-curve")
+def _curve(seed, params, backend="dense"):
+    # Logs which intensities each execution computed; "broken" makes the
+    # batched rung fail so a curve walks the degradation ladder.
+    with open(params["log"], "a", encoding="utf-8") as handle:
+        handle.write(f"{params['intensities']}\n")
+    if params.get("broken") and params.get("engine") == "batched":
+        raise ValueError("batched path deliberately broken")
+    return [seed + x for x in params["intensities"]]
 
 
 class TestWorkUnit:
@@ -256,13 +268,23 @@ class TestResultCache:
         assert not again[0].cached and not again[0].ok
 
 
+def _simulated_point_seeds(units):
+    """``(seed, (triplet, intensity))`` of every simulated figure point."""
+    return [(spawn_seed(unit.seed, unit.params["config"], intensity),
+             (unit.params["config"], intensity))
+            for unit in units if unit.evaluator_id == "megabatch-figure"
+            for intensity in unit.params["intensities"]]
+
+
 class TestFigureParity:
     def test_work_units_have_independent_seeds(self):
         _spec, _grid, units = figure_work_units("fig7", quality="fast",
                                                 intensities=[0.3, 0.6])
-        simulated = [u for u in units if u.evaluator_id == "sweep-point"]
-        assert len(simulated) == len({u.seed for u in simulated})
-        assert len({u.config_digest for u in units}) == len(units)
+        seeds = [seed for seed, _key in _simulated_point_seeds(units)]
+        assert len(seeds) == len(set(seeds)) == 8
+        digests = [point.config_digest for unit in units
+                   for point in unit.points()]
+        assert len(set(digests)) == len(digests) == 8
 
     def test_spawn_seed_is_key_determined(self):
         assert spawn_seed(1, "a", 0.3) == spawn_seed(1, "a", 0.3)
@@ -278,11 +300,8 @@ class TestFigureParity:
             for quality in ("fast", "normal"):
                 _spec, _grid, units = figure_work_units(exp_id,
                                                         quality=quality)
-                for unit in units:
-                    if unit.evaluator_id != "sweep-point":
-                        continue
-                    key = (unit.params["config"], unit.params["intensity"])
-                    previous = seen.setdefault(unit.seed, key)
+                for seed, key in _simulated_point_seeds(units):
+                    previous = seen.setdefault(seed, key)
                     # The same (curve, intensity) pair legitimately reuses
                     # its seed across qualities; distinct pairs must not.
                     assert previous == key, (
@@ -290,107 +309,120 @@ class TestFigureParity:
         assert len(seen) > 50
 
     def test_engine_tag_separates_cache_identities(self):
-        """Scalar and batched sweep points never share a digest, on
-        crossbar and multistage figures alike."""
-        for exp_id in ("fig7", "fig8", "fig12", "fig13"):
-            _spec, _grid, scalar_units = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="scalar")
-            _spec, _grid, batched_units = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="batched")
-            scalar_digests = {u.config_digest for u in scalar_units}
-            batched_digests = {u.config_digest for u in batched_units}
-            assert not scalar_digests & batched_digests
-        with pytest.raises(ConfigurationError):
-            figure_work_units("fig7", engine="warp")
-
-    def test_megabatch_units_never_cross_other_engines(self):
-        """Megabatch curve units share no digest with scalar or batched
-        point units (a megabatch cache entry is a whole curve)."""
+        """Scalar and batched points never share a digest, on crossbar
+        and multistage figures alike, and retired engine names fail."""
         for exp_id in ("fig7", "fig8", "fig12", "fig13"):
             digests = {}
-            for engine in ("scalar", "batched", "megabatch"):
+            for engine in ("scalar", "batched"):
                 _spec, _grid, units = figure_work_units(
                     exp_id, intensities=[0.3, 0.6], engine=engine)
-                digests[engine] = {u.config_digest for u in units}
-            assert not digests["megabatch"] & digests["scalar"]
-            assert not digests["megabatch"] & digests["batched"]
-        # Every simulated figure family is mega-batch eligible now: all
-        # of fig7's XBAR curves and all of fig12's Omega + crossbar
-        # curves become one curve-level unit each.
+                digests[engine] = {point.config_digest for unit in units
+                                   for point in unit.points()}
+            assert not digests["scalar"] & digests["batched"]
+        for engine in ("warp", "megabatch", "auto"):
+            with pytest.raises(ConfigurationError):
+                figure_work_units("fig7", engine=engine)
+
+    def test_megabatch_units_never_cross_other_engines(self):
+        """Each batched curve is one ``megabatch-figure`` unit cached as
+        its one-point curves: a point requested alone has the digest it
+        has inside the curve, and no scalar point shares it."""
         for exp_id in ("fig7", "fig12"):
-            spec, _grid, units = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="megabatch")
-            assert [u.evaluator_id for u in units] == (
+            spec, _grid, curves = figure_work_units(
+                exp_id, intensities=[0.3, 0.6], engine="batched")
+            assert [u.evaluator_id for u in curves] == (
                 ["megabatch-figure"] * len(spec.curves))
+            _spec, _grid, alone = figure_work_units(
+                exp_id, intensities=[0.6], engine="batched")
+            _spec, _grid, scalar = figure_work_units(
+                exp_id, intensities=[0.3, 0.6], engine="scalar")
+            assert len(scalar) == 2 * len(spec.curves)
+            curve_points = {point.config_digest for unit in curves
+                            for point in unit.points()}
+            assert {u.config_digest for u in alone} < curve_points
+            assert not curve_points & {u.config_digest for u in scalar}
 
     def test_every_simulated_figure_family_is_megabatch_eligible(self):
-        """The closed fabric gate: no simulated figure falls back when
-        asked for the mega-batch engine (SBUS figures stay analytic)."""
+        """The closed fabric gate: no simulated figure curve falls back
+        to the scalar loop (SBUS figures stay analytic)."""
+        from repro.analysis.sweep import workload_at
+        from repro.config import SystemConfig
         from repro.experiments import FIGURE_SPECS
+        from repro.sim.batched import batched_unsupported_reason
 
         simulated = 0
         for exp_id, spec in FIGURE_SPECS.items():
-            _spec, _grid, units = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="megabatch")
-            kinds = {u.evaluator_id for u in units}
-            assert "sweep-point" not in kinds, (
-                f"{exp_id} still falls back to per-point units")
-            if "megabatch-figure" in kinds:
+            for _label, triplet in spec.curves:
+                config = SystemConfig.parse(triplet)
+                if config.network_type == "SBUS":
+                    continue
+                workload = workload_at(0.5, spec.mu_ratio,
+                                       processors=config.processors)
+                assert batched_unsupported_reason(config, workload) is None, (
+                    f"{exp_id} {triplet} falls back to the scalar loop")
                 simulated += 1
-        assert simulated >= 4  # figs 7, 8, 12, 13 at least
+        assert simulated >= 16  # four curves in each of figs 7, 8, 12, 13
 
-    def test_auto_engine_shares_megabatch_digests(self):
-        """``auto`` routes to the same units (and cache entries) as an
-        explicit megabatch request — the routing is digest-invisible."""
-        for exp_id in ("fig7", "fig12", "fig4"):
-            _spec, _grid, mega_units = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="megabatch")
-            _spec, _grid, auto_units = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="auto")
-            assert [u.config_digest for u in auto_units] == [
-                u.config_digest for u in mega_units]
+    def test_library_default_engine_is_the_cli_default(self):
+        """Library and ``repro run`` share one default engine, so the
+        benches run the path the CLI ships."""
+        import inspect
+
+        from repro.analysis.replication import compare_with_replications
+        from repro.analysis.sweep import DEFAULT_ENGINE, simulated_series
+        from repro.cli import build_parser
+        from repro.experiments import figure_family_work_units
+
+        assert DEFAULT_ENGINE == "batched"
+        assert build_parser().parse_args(["run", "fig7"]).engine == (
+            DEFAULT_ENGINE)
+        for function in (figure_series, figure_work_units,
+                         figure_family_work_units, simulated_series,
+                         compare_with_replications):
+            parameter = inspect.signature(function).parameters["engine"]
+            assert parameter.default == DEFAULT_ENGINE, function.__name__
 
     def test_schema_bump_separates_fabric_gate_digests(self, monkeypatch):
-        """Widening the gate to SBUS/multistage fabrics bumped the cache
-        schema, so pre-gate entries can never serve for the new kernels."""
+        """Schema bumps (the fabric gate at 6, the engine collapse at 7)
+        separate digests, so an older schema's entries can never serve."""
         from repro.runner import workunit
 
-        assert workunit.CACHE_SCHEMA_VERSION >= 6
+        assert workunit.CACHE_SCHEMA_VERSION >= 7
         assert (f"schema{workunit.CACHE_SCHEMA_VERSION}"
                 in workunit.code_version())
         params = {"config": "16/1x16x16 OMEGA/2", "mu_ratio": 0.1,
-                  "intensity": 0.3, "engine": "batched"}
-        current = work_unit_digest("sweep-point", 3, params)
-        monkeypatch.setattr(workunit, "CACHE_SCHEMA_VERSION", 5)
-        assert work_unit_digest("sweep-point", 3, params) != current
+                  "intensities": [0.3], "engine": "batched"}
+        current = work_unit_digest("megabatch-figure", 3, params)
+        for older in (5, 6):
+            monkeypatch.setattr(workunit, "CACHE_SCHEMA_VERSION", older)
+            assert work_unit_digest("megabatch-figure", 3, params) != current
 
     def test_megabatch_evaluator_matches_per_point_units(self):
-        """The megabatch-figure unit value == its sweep-point units."""
+        """A curve unit's value equals its one-point units' values bit for
+        bit — the property per-point caching rests on — saturated points
+        included."""
         from repro.runner.evaluators import get_evaluator
 
-        intensities = [0.3, 0.6]
-        master_seed = 9
+        curve = get_evaluator("megabatch-figure")
         params = {"config": "16/1x16x8 XBAR/2", "mu_ratio": 0.1,
-                  "intensities": intensities, "horizon": 1_000.0}
-        curve = get_evaluator("megabatch-figure")(master_seed, params)
-        sweep = get_evaluator("sweep-point")
-        for intensity, point in zip(intensities, curve):
-            expected = sweep(
-                spawn_seed(master_seed, params["config"], intensity),
-                {"config": params["config"], "mu_ratio": 0.1,
-                 "intensity": intensity, "horizon": 1_000.0,
-                 "engine": "batched"})
-            assert point == expected
+                  "horizon": 1_000.0, "engine": "batched"}
+        together = curve(9, {**params, "intensities": [0.2, 0.4, 5.0]})
+        alone = [point for intensity in (0.2, 0.4, 5.0)
+                 for point in curve(9, {**params,
+                                        "intensities": [intensity]})]
+        assert together == alone
+        assert [point.normalized_delay is None for point in together] == [
+            False, False, True]
 
     def test_engine_flows_from_params_to_simulated_point(self):
-        """A batched-tagged unit runs the batched engine (distinct value)."""
+        """The unit's engine tag selects the engine (distinct values)."""
         from repro.runner.evaluators import get_evaluator
 
+        curve = get_evaluator("megabatch-figure")
         params = {"config": "16/1x16x8 XBAR/2", "mu_ratio": 0.1,
-                  "intensity": 0.4, "horizon": 1_000.0}
-        sweep = get_evaluator("sweep-point")
-        scalar_point = sweep(9, params)
-        batched_point = sweep(9, {**params, "engine": "batched"})
+                  "intensities": [0.4], "horizon": 1_000.0}
+        [scalar_point] = curve(9, {**params, "engine": "scalar"})
+        [batched_point] = curve(9, {**params, "engine": "batched"})
         assert scalar_point.normalized_delay is not None
         assert batched_point.normalized_delay is not None
         assert batched_point.normalized_delay != scalar_point.normalized_delay
@@ -440,6 +472,58 @@ class TestFigureParity:
         figure_series("fig4", quality="fast", intensities=grid,
                       runner=runner, solver="sweep")
         assert not any(o.cached for o in runner.last_outcomes)
+
+
+class TestPerPointCache:
+    """Curve units are probed, stored and journaled as one-point curves."""
+
+    @staticmethod
+    def _curve(log, intensities, **params):
+        return WorkUnit("test-curve", 5, {"intensities": intensities,
+                                          "log": str(log), **params})
+
+    def test_curve_points_are_one_point_curves(self, tmp_path):
+        log = tmp_path / "executions.log"
+        curve = self._curve(log, [1, 2, 3])
+        assert [point.config_digest for point in curve.points()] == [
+            self._curve(log, [x]).config_digest for x in (1, 2, 3)]
+        assert curve.narrowed([2, 0]).params["intensities"] == [3, 1]
+        single = self._curve(log, [2])
+        assert single.points() == (single,)
+        plain = WorkUnit("test-square", 0, {"x": 1})
+        assert plain.points() == (plain,)
+
+    def test_partial_overlap_computes_only_missing_points(self, tmp_path):
+        log = tmp_path / "executions.log"
+        cache = ResultCache(tmp_path / "cache")
+        SweepRunner(jobs=1, cache=cache).run([self._curve(log, [1, 2])])
+        runner = SweepRunner(jobs=1, cache=cache)
+        [outcome] = runner.run([self._curve(log, [0, 1, 2, 3])])
+        assert outcome.value == [5, 6, 7, 8] and not outcome.cached
+        assert log.read_text().splitlines() == ["[1, 2]", "[0, 3]"]
+        report = runner.last_report
+        assert (report.total, report.cache_hits, report.computed) == (4, 2, 2)
+        assert cache.stats().entries == 4
+        # Any single point is now served whole from the cache.
+        [alone] = SweepRunner(jobs=1, cache=cache).run(
+            [self._curve(log, [3])])
+        assert alone.cached and alone.value == [8]
+
+    def test_degraded_curve_caches_points_under_computed_digests(
+            self, tmp_path):
+        unit = self._curve(tmp_path / "executions.log", [1, 2],
+                           engine="batched", broken=True)
+        _label, scalar = degrade_unit(unit)
+        cache = ResultCache(tmp_path / "cache")
+        runner = SweepRunner(jobs=1, cache=cache,
+                             supervisor=SupervisorPolicy(max_attempts=1))
+        [outcome] = runner.run([unit])
+        assert outcome.value == [6, 7]
+        assert outcome.degraded == ("engine:batched->scalar",)
+        assert all(cache.get(point.config_digest)[0]
+                   for point in scalar.points())
+        assert not any(cache.get(point.config_digest)[0]
+                       for point in unit.points())
 
 
 class TestReplicationWaves:

@@ -1,4 +1,4 @@
-"""Tests for the lockstep batched replication engine.
+"""Tests for the lockstep batched engine.
 
 The engine's single load-bearing property is *bit-identity*: replication k
 of a batched run must equal the scalar engine run with the same seed, to
@@ -18,18 +18,25 @@ from repro.core.system import simulate
 from repro.errors import ConfigurationError
 from repro.faults.models import CellFault, FaultConfig, FaultSchedule
 from repro.sim import (
-    BatchedReplicationEngine,
     MegaBatchEngine,
     VariateTable,
-    batched_replication_delays,
+    batched_delays,
     batched_unsupported_reason,
-    megabatch_figure_delays,
     spawn_seed,
-    supports_batched,
     uniform_block_source,
 )
 from repro.sim.rng import RngStream
 from repro.workload.arrivals import Workload, sample_time
+
+
+def _point_delays(config, workload, seeds, horizon, warmup):
+    """One point's replications: a one-point call of the front door."""
+    return batched_delays(config, [workload], horizon=horizon,
+                          warmup=warmup, seed_groups=[seeds])[0]
+
+
+def _supported(config, workload, **kwargs):
+    return batched_unsupported_reason(config, workload, **kwargs) is None
 
 
 def _random_cases(count, master_seed=7):
@@ -99,8 +106,7 @@ def _check_lockstep_grid(cases, seed_base):
     for index, (config, workload) in enumerate(cases):
         seeds = [seed_base + index * 10 + k for k in range(4)]
         horizon, warmup = 400.0, 50.0
-        batched = batched_replication_delays(
-            config, workload, horizon=horizon, warmup=warmup, seeds=seeds)
+        batched = _point_delays(config, workload, seeds, horizon, warmup)
         for k, seed in enumerate(seeds):
             scalar = simulate(config, workload, horizon=horizon,
                               warmup=warmup,
@@ -127,12 +133,12 @@ class TestLockstepBitIdentity:
     def test_result_carries_counts_and_window(self):
         config = SystemConfig.parse("4/1x4x2 XBAR/2")
         workload = Workload(0.05, 1.0, 0.1)
-        engine = BatchedReplicationEngine(config, workload, seeds=[1, 2, 3])
+        engine = MegaBatchEngine(config, [workload], seed_groups=[[1, 2, 3]])
         result = engine.run(horizon=500.0, warmup=50.0)
-        assert result.seeds == (1, 2, 3)
-        assert len(result.mean_delays) == 3
-        assert all(count >= 0 for count in result.delay_counts)
-        assert all(done > 0 for done in result.completed)
+        assert result.seed_groups == ((1, 2, 3),)
+        assert len(result.mean_delays[0]) == 3
+        assert all(count >= 0 for count in result.delay_counts[0])
+        assert all(done > 0 for done in result.completed[0])
         assert result.simulated_time == 500.0
         assert result.measurement_start == 50.0
         with pytest.raises(ConfigurationError):
@@ -142,27 +148,28 @@ class TestLockstepBitIdentity:
         workload = Workload(0.05, 1.0, 0.1)
         # Every fabric family in the grammar has a dispatch kernel now;
         # what gates a model is a *property*, never the fabric alone.
-        assert supports_batched("16/1x16x8 XBAR/2", workload)
-        assert supports_batched("16/1x16x16 OMEGA/2", workload)
-        assert supports_batched("16/4x4x4 CUBE/1", workload)
-        assert supports_batched("8/1x8x8 BASELINE/2", workload)
-        assert supports_batched("16/16x1x1 SBUS/2", workload)
-        assert not supports_batched("16/16x1x1 SBUS/inf", workload)
-        assert not supports_batched("16/1x16x8 XBAR/2", workload,
-                                    arbitration="random")
+        assert _supported("16/1x16x8 XBAR/2", workload)
+        assert _supported("16/1x16x16 OMEGA/2", workload)
+        assert _supported("16/4x4x4 CUBE/1", workload)
+        assert _supported("8/1x8x8 BASELINE/2", workload)
+        assert _supported("16/16x1x1 SBUS/2", workload)
+        assert not _supported("16/16x1x1 SBUS/inf", workload)
+        assert not _supported("16/1x16x8 XBAR/2", workload,
+                              arbitration="random")
         # Deterministic *service* is in scope (ties stay measure-zero);
         # deterministic transmission or interarrival lattices timestamps
         # and stays gated.
         deterministic = Workload(0.05, 1.0, 0.1,
                                  service_distribution="deterministic")
-        assert supports_batched("16/1x16x8 XBAR/2", deterministic)
+        assert _supported("16/1x16x8 XBAR/2", deterministic)
         lattice = Workload(0.05, 1.0, 0.1,
                            transmission_distribution="deterministic")
-        assert not supports_batched("16/1x16x8 XBAR/2", lattice)
+        assert not _supported("16/1x16x8 XBAR/2", lattice)
         with pytest.raises(ConfigurationError):
-            BatchedReplicationEngine("16/16x1x1 SBUS/inf", workload, seeds=[1])
+            MegaBatchEngine("16/16x1x1 SBUS/inf", [workload],
+                            seed_groups=[[1]])
         with pytest.raises(ConfigurationError):
-            BatchedReplicationEngine("16/1x16x8 XBAR/2", workload, seeds=[])
+            MegaBatchEngine("16/1x16x8 XBAR/2", [workload], seed_groups=[[]])
 
 
 def _assert_same_delay(left, right, context=""):
@@ -173,12 +180,12 @@ def _assert_same_delay(left, right, context=""):
 
 
 def _check_megabatch_grid(cases, seed_base):
-    """Mega-batch == per-point batched == scalar, bit for bit.
+    """One call per curve == one call per point == scalar, bit for bit.
 
     Each case becomes a 3-point "curve" (three loads of the same
     configuration and distributions) with 3 replications per point —
-    the full (point, replication) grid is checked against both the
-    per-point batched engine and the scalar engine.
+    the full (point, replication) grid is checked against the same points
+    run one at a time and against the scalar engine.
     """
     for index, (config, workload) in enumerate(cases):
         rhos = [workload.arrival_rate * scale
@@ -191,12 +198,11 @@ def _check_megabatch_grid(cases, seed_base):
                    for k in range(3)]
                   for point in range(len(workloads))]
         horizon, warmup = 400.0, 50.0
-        mega = megabatch_figure_delays(config, workloads, horizon=horizon,
-                                       warmup=warmup, seed_groups=groups)
+        mega = batched_delays(config, workloads, horizon=horizon,
+                              warmup=warmup, seed_groups=groups)
         for point, point_workload in enumerate(workloads):
-            per_point = batched_replication_delays(
-                config, point_workload, horizon=horizon, warmup=warmup,
-                seeds=groups[point])
+            per_point = _point_delays(config, point_workload, groups[point],
+                                      horizon, warmup)
             for k, seed in enumerate(groups[point]):
                 _assert_same_delay(per_point[k], mega[point][k],
                                    f"case {index} point {point} rep {k}")
@@ -227,10 +233,9 @@ class TestMegaBatch:
         config = SystemConfig.parse("8/2x4x4 XBAR/2")
         workload = Workload(0.06, 1.0, 0.1,
                             service_distribution="deterministic")
-        assert supports_batched(config, workload)
+        assert _supported(config, workload)
         seeds = [901, 902, 903, 904]
-        batched = batched_replication_delays(config, workload, horizon=500.0,
-                                             warmup=50.0, seeds=seeds)
+        batched = _point_delays(config, workload, seeds, 500.0, 50.0)
         for k, seed in enumerate(seeds):
             scalar = simulate(config, workload, horizon=500.0, warmup=50.0,
                               seed=seed).mean_queueing_delay
@@ -247,11 +252,9 @@ class TestMegaBatch:
         workload = Workload(0.06, 1.0, 0.1)
         assert batched_unsupported_reason(config, workload) is None
         seeds = [911, 912, 913]
-        batched = batched_replication_delays(config, workload, horizon=500.0,
-                                             warmup=50.0, seeds=seeds)
-        healthy = batched_replication_delays(
-            config.with_faults(None), workload, horizon=500.0, warmup=50.0,
-            seeds=seeds)
+        batched = _point_delays(config, workload, seeds, 500.0, 50.0)
+        healthy = _point_delays(config.with_faults(None), workload, seeds,
+                                500.0, 50.0)
         assert batched != healthy  # the dead cells must actually bite
         for k, seed in enumerate(seeds):
             scalar = simulate(config, workload, horizon=500.0, warmup=50.0,
@@ -426,80 +429,85 @@ class TestVariateCrossover:
         workload = Workload(0.05, 1.0, 0.1)
         seeds = [21, 22]
         monkeypatch.delenv("REPRO_VARIATE_BLOCK", raising=False)
-        default = BatchedReplicationEngine(
-            config, workload, seeds).run(400.0, 40.0)
+        default = MegaBatchEngine(
+            config, [workload], [seeds]).run(400.0, 40.0)
         monkeypatch.setenv("REPRO_VARIATE_BLOCK", "0")
-        forced_numpy = BatchedReplicationEngine(
-            config, workload, seeds).run(400.0, 40.0)
+        forced_numpy = MegaBatchEngine(
+            config, [workload], [seeds]).run(400.0, 40.0)
         monkeypatch.delenv("REPRO_VARIATE_BLOCK")
-        forced_scalar = BatchedReplicationEngine(
-            config, workload, seeds, crossover=10 ** 9).run(400.0, 40.0)
-        assert all(not math.isnan(d) for d in default.mean_delays)
+        forced_scalar = MegaBatchEngine(
+            config, [workload], [seeds], crossover=10 ** 9).run(400.0, 40.0)
+        assert all(not math.isnan(d) for d in default.mean_delays[0])
         assert default.mean_delays == forced_numpy.mean_delays
         assert default.mean_delays == forced_scalar.mean_delays
 
 
 class TestSweepPointEngine:
-    def test_unknown_engine_rejected(self):
-        from repro.analysis.sweep import simulated_point
+    """A sweep point is a one-point curve of ``simulated_points``."""
 
-        with pytest.raises(ConfigurationError):
-            simulated_point("16/1x16x8 XBAR/2", 0.1, 0.5, engine="warp")
+    def test_unknown_engine_rejected(self):
+        from repro.analysis.sweep import simulated_points
+
+        for engine in ("warp", "megabatch", "auto"):
+            with pytest.raises(ConfigurationError):
+                simulated_points("16/1x16x8 XBAR/2", 0.1, [0.5], [1],
+                                 engine=engine)
 
     def test_batched_point_reports_replication_interval(self):
-        from repro.analysis.sweep import simulated_point
+        from repro.analysis.sweep import simulated_points
 
-        point = simulated_point("16/1x16x8 XBAR/2", 0.1, 0.4, horizon=2_000.0,
-                                seed=5, engine="batched")
+        [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [0.4], [5],
+                                   horizon=2_000.0, engine="batched")
         assert point.normalized_delay is not None
         assert point.ci_halfwidth is not None and point.ci_halfwidth > 0
 
     def test_batched_point_falls_back_outside_scope(self):
-        from repro.analysis.sweep import simulated_point
+        from repro.analysis.sweep import simulated_points
 
         # An infinite private-resource pool keeps the bus model gated, so
         # the batched request must quietly produce the scalar point.
-        scalar = simulated_point("16/16x1x1 SBUS/inf", 0.1, 0.4,
-                                 horizon=1_500.0, seed=5)
-        batched = simulated_point("16/16x1x1 SBUS/inf", 0.1, 0.4,
-                                  horizon=1_500.0, seed=5, engine="batched")
+        scalar = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
+                                  horizon=1_500.0, engine="scalar")
+        batched = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
+                                   horizon=1_500.0, engine="batched")
         assert batched == scalar
 
     def test_batched_point_runs_new_fabrics(self):
         """Omega and single-bus points run batched, matching scalar seeds
         replication for replication (same spawned seed names)."""
-        from repro.analysis.sweep import simulated_point
+        from repro.analysis.sweep import simulated_points
 
         for triplet, intensity in (("8/1x8x8 OMEGA/2", 0.4),
                                    ("16/4x1x1 SBUS/2", 0.2)):
-            point = simulated_point(triplet, 0.1, intensity, horizon=1_500.0,
-                                    seed=5, engine="batched")
+            [point] = simulated_points(triplet, 0.1, [intensity], [5],
+                                       horizon=1_500.0, engine="batched")
             assert point.normalized_delay is not None
             assert point.ci_halfwidth is not None and point.ci_halfwidth > 0
 
-    def test_auto_engine_matches_batched_in_scope(self):
-        from repro.analysis.sweep import simulated_point
+    def test_default_engine_matches_batched_in_scope(self):
+        from repro.analysis.sweep import simulated_points
 
         for triplet in ("16/1x16x8 XBAR/2", "8/1x8x8 OMEGA/2"):
-            batched = simulated_point(triplet, 0.1, 0.4, horizon=1_000.0,
-                                      seed=5, engine="batched")
-            auto = simulated_point(triplet, 0.1, 0.4, horizon=1_000.0,
-                                   seed=5, engine="auto")
-            assert auto == batched
+            batched = simulated_points(triplet, 0.1, [0.4], [5],
+                                       horizon=1_000.0, engine="batched")
+            default = simulated_points(triplet, 0.1, [0.4], [5],
+                                       horizon=1_000.0)
+            assert default == batched
 
-    def test_auto_engine_falls_back_to_scalar(self):
-        from repro.analysis.sweep import simulated_point
+    def test_default_engine_falls_back_to_scalar(self):
+        from repro.analysis.sweep import simulated_points
 
-        scalar = simulated_point("16/16x1x1 SBUS/inf", 0.1, 0.4,
-                                 horizon=1_000.0, seed=5)
-        auto = simulated_point("16/16x1x1 SBUS/inf", 0.1, 0.4,
-                               horizon=1_000.0, seed=5, engine="auto")
-        assert auto == scalar
+        scalar = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
+                                  horizon=1_000.0, engine="scalar")
+        default = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
+                                   horizon=1_000.0)
+        assert default == scalar
 
     def test_saturated_point_short_circuits(self):
-        from repro.analysis.sweep import simulated_point
+        from repro.analysis.sweep import simulated_points
 
-        point = simulated_point("16/1x16x8 XBAR/2", 0.1, 5.0, engine="batched")
+        [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [5.0], [1],
+                                   engine="batched")
         assert point.normalized_delay is None
 
 
@@ -538,7 +546,8 @@ class TestCommonRandomNumbers:
 
 class TestBatchedEvaluator:
     def test_batched_wave_matches_scalar_units(self):
-        """replication-delay-batched == one replication-delay per seed."""
+        """The front door's replications == one replication-delay unit
+        per seed."""
         from repro.runner.evaluators import get_evaluator
 
         params = {
@@ -546,9 +555,10 @@ class TestBatchedEvaluator:
             "arrival_rate": 0.05, "transmission_rate": 1.0,
             "service_rate": 0.1,
             "horizon": 600.0, "warmup": 60.0,
-            "replications": 4,
         }
-        wave = get_evaluator("replication-delay-batched")(300, params)
+        seeds = [300 + index for index in range(4)]
+        wave = _point_delays(params["config"], Workload(0.05, 1.0, 0.1),
+                             seeds, 600.0, 60.0)
         scalar = get_evaluator("replication-delay")
-        for index, value in enumerate(wave):
-            assert value == scalar(300 + index, params)
+        for seed, value in zip(seeds, wave):
+            assert value == scalar(seed, params)
