@@ -35,7 +35,7 @@ def timed_figure_series(benchmark, exp_id, quality="fast", intensities=None,
     benchmark.extra_info["per_unit_wall_time_s"] = [
         round(outcome.wall_time, 6) for outcome in outcomes]
     benchmark.extra_info["total_runtime_s"] = round(total, 6)
-    benchmark.extra_info["points"] = runner.last_report.total
+    benchmark.extra_info["points"] = sum(len(curve.points) for curve in series)
     benchmark.extra_info["jobs"] = runner.effective_jobs
     return series
 

@@ -8,9 +8,9 @@ one family hands the supervisor genuinely equal-digest curve units.  This
 benchmark runs the family twice from cold caches, dedup on and dedup
 off, and pins the acceptance property:
 
-* each unique point executes exactly once under dedup (``computed`` ==
-  unique point digests, ``deduped`` == the duplicate points, and the
-  cache holds exactly one entry per unique point), and
+* each unique digest executes exactly once under dedup (``computed`` ==
+  unique digests, ``deduped`` == the duplicates, and the cache holds
+  exactly one entry per unique digest), and
 * the assembled outcome values are byte-identical
   (``pickle.dumps``) to the dedup-off run — dedup changes work done,
   never results.
@@ -48,11 +48,9 @@ def _run(units, cache_dir, dedup):
 
 def test_family_dedup_executes_each_digest_once(benchmark, tmp_path):
     units = _family_units()
-    points = [point.config_digest for unit in units
-              for point in unit.points()]
-    unique = len(set(points))
-    duplicates = len(points) - unique
-    assert duplicates >= len(INTENSITIES), \
+    unique = len({unit.config_digest for unit in units})
+    duplicates = len(units) - unique
+    assert duplicates >= 1, \
         "family lost its shared curve — dedup bench has nothing to measure"
 
     baseline, base_runner, base_time = _run(units, tmp_path / "off",
@@ -62,14 +60,13 @@ def test_family_dedup_executes_each_digest_once(benchmark, tmp_path):
         rounds=1, iterations=1)
 
     report = runner.last_report
-    # Exactly-once execution: every unique point computed once, every
+    # Exactly-once execution: every unique digest computed once, every
     # duplicate followed its leader, nothing slipped through.
     assert report.computed == unique
     assert report.deduped == duplicates
-    assert sum(len(outcome.unit.points()) for outcome in outcomes
-               if outcome.deduped) == duplicates
+    assert sum(1 for outcome in outcomes if outcome.deduped) == duplicates
     assert runner.cache.stats().entries == unique
-    assert base_runner.last_report.computed == len(points)
+    assert base_runner.last_report.computed == len(units)
 
     # Byte-identity to dedup-off, outcome by outcome.
     assert [pickle.dumps(outcome.value) for outcome in outcomes] == \
@@ -78,11 +75,10 @@ def test_family_dedup_executes_each_digest_once(benchmark, tmp_path):
     benchmark.extra_info.update({
         "family": list(FAMILY),
         "units": len(units),
-        "points": len(points),
-        "unique_points": unique,
+        "unique_digests": unique,
         "deduped": report.deduped,
         "smoke": SMOKE,
         "dedup_on_s": round(dedup_time, 6),
         "dedup_off_s": round(base_time, 6),
-        "work_saved_fraction": round(duplicates / len(points), 4),
+        "work_saved_fraction": round(duplicates / len(units), 4),
     })

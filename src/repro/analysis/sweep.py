@@ -168,8 +168,7 @@ def simulated_points(config: Union[SystemConfig, str], mu_ratio: float,
     :mod:`repro.runner.evaluators`); a single point is a one-point curve.
     A point depends only on its own intensity and seed, never on which
     other points share the call, so a curve equals its points computed one
-    at a time, bit for bit — which is what lets the result cache store a
-    curve point by point.
+    at a time, bit for bit.
 
     Points at or beyond ``saturation_guard`` times the configuration's
     saturation intensity are reported as saturated rather than burning

@@ -292,11 +292,13 @@ def _command_run(args) -> int:
         from repro.experiments.render import render_series
         print()
         print(render_series(series, title=title))
-    report = runner.last_report
+    outcomes = runner.last_outcomes
+    hits = sum(1 for outcome in outcomes if outcome.cached)
     print()
-    print(f"{report.total} points in {elapsed:.2f}s "
-          f"({runner.effective_jobs} job(s), {report.cache_hits} cache "
-          f"hit(s), cache {'off' if cache is None else cache.root})")
+    print(f"{len(outcomes)} points in {elapsed:.2f}s "
+          f"({runner.effective_jobs} job(s), {hits} cache hit(s), "
+          f"cache {'off' if cache is None else cache.root})")
+    report = runner.last_report
     if not report.clean or report.resumed or report.deduped:
         print(report.format())
     if profiler is not None:

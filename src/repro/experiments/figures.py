@@ -124,10 +124,9 @@ def figure_work_units(exp_id: str, quality: str = "fast",
     replication rather than one seed reused across the figure.  The
     batched engine advances a whole curve at once, so each curve is one
     unit; the scalar loop gains nothing from sharing a call, so each of
-    its points is a one-point curve that a worker pool can spread.  The
-    runner caches either shape point by point (see
-    :meth:`~repro.runner.WorkUnit.points`), under digests that cover the
-    engine, so scalar and batched points never serve for each other.
+    its points is a one-point curve that a worker pool can spread.  Unit
+    digests cover the engine, so the result cache never serves scalar
+    and batched curves for each other.
     """
     from repro.runner import WorkUnit
 

@@ -131,11 +131,10 @@ def figure_curve(seed: int, params: Mapping[str, Any],
     ``seed`` is the figure's master seed and the point at intensity ``x``
     runs with ``spawn_seed(seed, config, x)``, so a point's value does not
     depend on which other intensities share the unit: a curve unit equals
-    its one-point units bit for bit, which is what lets the runner cache
-    it point by point.  ``engine`` selects the scalar loop or the batched
-    engine (see :func:`repro.analysis.sweep.simulated_points`).  The id is
-    kept for the end-to-end benchmark, whose per-layer metrics are keyed
-    on it.
+    its one-point units bit for bit.  ``engine`` selects the scalar loop
+    or the batched engine (see
+    :func:`repro.analysis.sweep.simulated_points`).  The id is kept for
+    the end-to-end benchmark, whose per-layer metrics are keyed on it.
     """
     from repro.analysis.sweep import simulated_points
     from repro.sim.rng import spawn_seed

@@ -8,11 +8,6 @@ guarantees that by construction: units are pure functions of their digest
 material, results are reassembled in submission order, and the single-job
 path executes inline with no pool at all.
 
-The cache and the journal work per *point*: a curve unit is probed,
-stored and journaled as its one-point units
-(:meth:`~repro.runner.workunit.WorkUnit.points`), so a curve whose points
-are partly cached executes only the missing ones.
-
 Execution is *supervised* (see :mod:`repro.runner.supervisor`): per-unit
 failures, worker timeouts, and pool breakage are retried with
 deterministic backoff and then walked down a degradation ladder instead of
@@ -31,7 +26,7 @@ entry point with ``if __name__ == "__main__":`` (see :mod:`repro.lint`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, WorkerError
@@ -77,10 +72,9 @@ class UnitOutcome:
     hit that a ``--resume`` journal predicted; ``deduped`` marks a unit
     that followed an equal-digest leader in the same run (its value,
     error, and provenance are the leader's, its wall time zero);
-    ``computed_unit`` is the unit *actually* executed (None when nothing
-    completed) — it differs from ``unit`` when degradation changed the
-    unit or only part of a curve needed computing, and
-    :attr:`computed_digest` is its digest.
+    ``computed_digest`` is the digest of what was *actually* computed — it
+    differs from ``unit.config_digest`` exactly when degradation changed
+    the unit.
     """
 
     unit: Any
@@ -92,30 +86,11 @@ class UnitOutcome:
     degraded: Tuple[str, ...] = ()
     resumed: bool = False
     deduped: bool = False
-    computed_unit: Any = None
+    computed_digest: str = ""
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    @property
-    def computed_digest(self) -> str:
-        """The digest of what was actually computed ("" when nothing was)."""
-        if self.computed_unit is None:
-            return ""
-        return self.computed_unit.config_digest
-
-
-def _split(points: Sequence[Any], value: Any) -> List[Any]:
-    """The values of a unit's ``points()``, taken apart from its value."""
-    return [value] if len(points) == 1 else [[item] for item in value]
-
-
-def _joined(points: Sequence[Any], values: Sequence[Any]) -> Any:
-    """A unit's value, put back together from its ``points()`` values."""
-    if len(points) == 1:
-        return values[0]
-    return [item for value in values for item in value]
 
 
 class SweepRunner:
@@ -133,8 +108,8 @@ class SweepRunner:
       defaults;
     * ``chaos`` — an explicit :class:`ChaosPolicy` for fault injection
       (``None`` defers to the ``REPRO_CHAOS`` environment variable);
-    * ``journal`` — a :class:`SweepJournal` appended per completed point;
-    * ``resume`` — serve points the journal already records as completed
+    * ``journal`` — a :class:`SweepJournal` appended per completed unit;
+    * ``resume`` — serve units the journal already records as completed
       from the cache and mark them ``resumed`` (requires both);
     * ``backend_factory`` — an :class:`~repro.runner.executors`
       ``ExecutorBackend`` factory for the parallel path (``None`` uses
@@ -186,96 +161,62 @@ class SweepRunner:
 
     def run(self, units: Sequence[Any],
             raise_on_error: bool = True) -> List[UnitOutcome]:
-        """Execute ``units``; outcomes come back in submission order.
-
-        The cache and journal work per point: a unit whose points are all
-        cached is served whole, and a curve with some points cached
-        executes narrowed to the missing ones, its value spliced back
-        together in order.  :attr:`last_report` counts points.
-        """
+        """Execute ``units``; outcomes come back in submission order."""
         jobs = resolve_jobs(self.jobs)
         journal = self.journal
         resume_set = (journal.completed_digests()
                       if journal is not None and self.resume else set())
-        points = [unit.points() for unit in units]
-        report = RunReport(total=sum(len(group) for group in points))
+        report = RunReport(total=len(units))
         outcomes: List[Optional[UnitOutcome]] = [None] * len(units)
 
-        # One indexed probe for every point of the batch (duplicates
-        # collapse in the query), then per-hit verified values; see
-        # ResultCache.get_many.
-        cached: Dict[str, Any] = {}
+        # One indexed probe for the whole batch (duplicates collapse in
+        # the query), then per-hit verified values; see ResultCache.get_many.
+        cached_values: Dict[str, Any] = {}
         if self.cache is not None and units:
-            cached = self.cache.get_many(
-                [point.config_digest for group in points for point in group])
+            cached_values = self.cache.get_many(
+                [unit.config_digest for unit in units])
 
         pending: List[Tuple[int, Any]] = []
         for index, unit in enumerate(units):
-            missing: List[int] = []
-            resumed = True
-            for position, point in enumerate(points[index]):
-                digest = point.config_digest
-                if digest not in cached:
-                    missing.append(position)
-                    continue
-                hit_resumed = digest in resume_set
-                resumed = resumed and hit_resumed
-                report.cache_hits += 1
-                report.resumed += int(hit_resumed)
-                if journal is not None:
-                    journal.record(digest, "ok", cached=True,
-                                   resumed=hit_resumed)
-            if not missing:
+            if unit.config_digest in cached_values:
+                resumed = unit.config_digest in resume_set
                 outcomes[index] = UnitOutcome(
-                    unit=unit, value=_joined(points[index], [
-                        cached[point.config_digest]
-                        for point in points[index]]),
+                    unit=unit, value=cached_values[unit.config_digest],
                     wall_time=0.0, cached=True, resumed=resumed,
-                    computed_unit=unit)
-            elif len(missing) < len(points[index]):
-                pending.append((index, unit.narrowed(missing)))
-            else:
-                pending.append((index, unit))
+                    computed_digest=unit.config_digest)
+                report.cache_hits += 1
+                if resumed:
+                    report.resumed += 1
+                if journal is not None:
+                    journal.record(unit.config_digest, "ok", cached=True,
+                                   resumed=resumed)
+                continue
+            pending.append((index, unit))
 
         if pending:
             def on_complete(index: int, outcome: UnitOutcome) -> None:
-                executed = outcome.unit.points()
-                final = (executed if outcome.computed_unit is None
-                         else outcome.computed_unit.points())
-                values = (_split(executed, outcome.value) if outcome.ok
-                          else [None] * len(executed))
-                for point, done, value in zip(executed, final, values):
-                    if outcome.ok and not outcome.deduped:
-                        # A deduped follower's value is its leader's,
-                        # already written under the shared digest — count
-                        # and store each computation once.
-                        report.computed += 1
-                        if self.cache is not None:
-                            self.cache.put(done.config_digest, value,
-                                           evaluator_id=done.evaluator_id)
-                    if journal is not None:
-                        journal.record(
-                            point.config_digest,
-                            "ok" if outcome.ok else "failed",
-                            attempts=outcome.attempts,
-                            deduped=outcome.deduped,
-                            degraded=outcome.degraded,
-                            wall_time=outcome.wall_time / len(executed),
-                            final_digest=(None if outcome.computed_unit is None
-                                          else done.config_digest),
-                            error=outcome.error)
-                unit = units[index]
-                if outcome.ok and outcome.unit is not unit:
-                    # A narrowed curve: splice its cached points back in.
-                    fresh = {point.config_digest: value
-                             for point, value in zip(executed, values)}
-                    outcome = replace(outcome, value=_joined(
-                        points[index],
-                        [fresh[point.config_digest]
-                         if point.config_digest in fresh
-                         else cached[point.config_digest]
-                         for point in points[index]]))
-                outcomes[index] = replace(outcome, unit=unit)
+                outcomes[index] = outcome
+                if outcome.ok and not outcome.deduped:
+                    # A deduped follower's value is its leader's, already
+                    # written under the shared digest — count and store
+                    # each computation once.
+                    report.computed += 1
+                    if self.cache is not None:
+                        self.cache.put(
+                            outcome.computed_digest
+                            or outcome.unit.config_digest,
+                            outcome.value,
+                            evaluator_id=outcome.unit.evaluator_id)
+                if journal is not None:
+                    journal.record(
+                        outcome.unit.config_digest,
+                        "ok" if outcome.ok else "failed",
+                        attempts=outcome.attempts,
+                        deduped=outcome.deduped,
+                        degraded=outcome.degraded,
+                        wall_time=outcome.wall_time,
+                        final_digest=outcome.computed_digest or None,
+                        error=outcome.error)
 
             Supervisor(self.supervisor, chaos=self.chaos,
                        backend_factory=self.backend_factory).execute(

@@ -147,12 +147,7 @@ def degrade_unit(unit: WorkUnit) -> Optional[Tuple[str, WorkUnit]]:
 
 @dataclass
 class RunReport:
-    """Fault-tolerance provenance of one ``SweepRunner.run`` call.
-
-    ``total``, ``computed``, ``cache_hits``, ``deduped`` and ``resumed``
-    count points: a curve unit contributes one per intensity (see
-    :meth:`~repro.runner.workunit.WorkUnit.points`).
-    """
+    """Fault-tolerance provenance of one ``SweepRunner.run`` call."""
 
     total: int = 0
     computed: int = 0
@@ -174,7 +169,7 @@ class RunReport:
                     or self.failures)
 
     def format(self) -> str:
-        summary = (f"{self.total} point(s): {self.computed} computed, "
+        summary = (f"{self.total} unit(s): {self.computed} computed, "
                    f"{self.cache_hits} cache hit(s)")
         if self.total:
             summary += f" ({100.0 * self.cache_hits / self.total:.1f}% hit rate)"
@@ -273,11 +268,11 @@ class Supervisor:
             digest = unit.config_digest
             if digest in followers:
                 followers[digest].append((index, unit))
-                report.deduped += len(unit.points())
+                report.deduped += 1
             else:
                 followers[digest] = []
                 leaders.append((index, unit))
-        if len(leaders) == len(pending):
+        if not report.deduped:
             return list(pending), on_complete
 
         def hook(index: int, outcome) -> None:
@@ -307,7 +302,7 @@ class Supervisor:
             if error is None:
                 return UnitOutcome(unit=unit, value=value, wall_time=wall,
                                    attempts=tries, degraded=degradations,
-                                   computed_unit=current)
+                                   computed_digest=current.config_digest)
             if attempt < self.policy.max_attempts:
                 delay = self.policy.delay_for(current.config_digest, attempt)
                 attempt += 1
@@ -496,7 +491,7 @@ class Supervisor:
         return UnitOutcome(unit=flight.original, value=value, wall_time=wall,
                            attempts=flight.tries,
                            degraded=flight.degradations,
-                           computed_unit=flight.unit)
+                           computed_digest=flight.unit.config_digest)
 
     def _handle_failure(self, flight: _Flight, error: str, wall: float,
                         now: float, ready: Deque[_Flight],

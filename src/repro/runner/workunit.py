@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence, Tuple
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -38,8 +38,8 @@ from repro.errors import ConfigurationError
 #:    (batched SBUS grants, plane-based Omega/cube/baseline routing) and
 #:    the ``auto`` engine arrived, so pre-fabric-gate entries must miss.
 #: 7: the engines collapsed to ``scalar`` and ``batched`` under one
-#:    figure-curve evaluator whose results are cached one point per entry
-#:    (see :data:`POINTS_PARAM`), so per-engine and per-curve entries miss.
+#:    figure-curve evaluator (a scalar point is a one-point curve), so
+#:    entries of the retired per-point and per-engine evaluators miss.
 CACHE_SCHEMA_VERSION = 7
 
 #: The reference solver backend: per-point dense solves with no cross-point
@@ -55,14 +55,6 @@ DEFAULT_BACKEND = "dense"
 #: would serve stale results for it.
 DIGEST_MATERIAL = ("code_version", "evaluator_id", "seed", "backend",
                    "params")
-
-#: The params key along which a unit is a *curve*: a unit holding several
-#: values here computes one result per value (its value is a list in the
-#: same order), and the runner caches and journals it point by point, each
-#: result under the digest of the one-point unit holding only that value.
-#: A point thus has one digest whether it ran alone or inside any curve,
-#: and a partly cached curve recomputes only its missing points.
-POINTS_PARAM = "intensities"
 
 
 def code_version() -> str:
@@ -141,25 +133,6 @@ class WorkUnit:
         """The picklable form shipped to pool workers."""
         return (self.evaluator_id, self.seed, dict(self.params),
                 self.backend, self.config_digest)
-
-    def points(self) -> Tuple["WorkUnit", ...]:
-        """The one-point units this unit is cached as, in value order.
-
-        A curve (several values under :data:`POINTS_PARAM`) splits into
-        one unit per value; any other unit is its own single point.
-        """
-        values = self.params.get(POINTS_PARAM)
-        if not isinstance(values, (list, tuple)) or len(values) < 2:
-            return (self,)
-        return tuple(self.narrowed([index]) for index in range(len(values)))
-
-    def narrowed(self, indices: Sequence[int]) -> "WorkUnit":
-        """This curve restricted to its points at ``indices``, in order."""
-        values = self.params[POINTS_PARAM]
-        params = dict(self.params)
-        params[POINTS_PARAM] = [values[index] for index in indices]
-        return WorkUnit(self.evaluator_id, self.seed, params,
-                        backend=self.backend)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"WorkUnit({self.evaluator_id!r}, seed={self.seed}, "

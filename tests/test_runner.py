@@ -20,7 +20,6 @@ from repro.runner import (
     SweepRunner,
     UnitOutcome,
     WorkUnit,
-    degrade_unit,
     resolve_jobs,
     work_unit_digest,
 )
@@ -42,17 +41,6 @@ def _square(seed, params, backend="dense"):
 
 def _square_units(count, seed=0):
     return [WorkUnit("test-square", seed, {"x": x}) for x in range(count)]
-
-
-@evaluator("test-curve")
-def _curve(seed, params, backend="dense"):
-    # Logs which intensities each execution computed; "broken" makes the
-    # batched rung fail so a curve walks the degradation ladder.
-    with open(params["log"], "a", encoding="utf-8") as handle:
-        handle.write(f"{params['intensities']}\n")
-    if params.get("broken") and params.get("engine") == "batched":
-        raise ValueError("batched path deliberately broken")
-    return [seed + x for x in params["intensities"]]
 
 
 class TestWorkUnit:
@@ -282,9 +270,7 @@ class TestFigureParity:
                                                 intensities=[0.3, 0.6])
         seeds = [seed for seed, _key in _simulated_point_seeds(units)]
         assert len(seeds) == len(set(seeds)) == 8
-        digests = [point.config_digest for unit in units
-                   for point in unit.points()]
-        assert len(set(digests)) == len(digests) == 8
+        assert len({u.config_digest for u in units}) == len(units)
 
     def test_spawn_seed_is_key_determined(self):
         assert spawn_seed(1, "a", 0.3) == spawn_seed(1, "a", 0.3)
@@ -309,38 +295,35 @@ class TestFigureParity:
         assert len(seen) > 50
 
     def test_engine_tag_separates_cache_identities(self):
-        """Scalar and batched points never share a digest, on crossbar
+        """Scalar and batched units never share a digest, on crossbar
         and multistage figures alike, and retired engine names fail."""
         for exp_id in ("fig7", "fig8", "fig12", "fig13"):
             digests = {}
             for engine in ("scalar", "batched"):
                 _spec, _grid, units = figure_work_units(
                     exp_id, intensities=[0.3, 0.6], engine=engine)
-                digests[engine] = {point.config_digest for unit in units
-                                   for point in unit.points()}
+                digests[engine] = {u.config_digest for u in units}
             assert not digests["scalar"] & digests["batched"]
         for engine in ("warp", "megabatch", "auto"):
             with pytest.raises(ConfigurationError):
                 figure_work_units("fig7", engine=engine)
 
     def test_megabatch_units_never_cross_other_engines(self):
-        """Each batched curve is one ``megabatch-figure`` unit cached as
-        its one-point curves: a point requested alone has the digest it
-        has inside the curve, and no scalar point shares it."""
+        """Each batched curve is one ``megabatch-figure`` unit and each
+        scalar point a one-point curve of the same evaluator; the two
+        share no digest."""
         for exp_id in ("fig7", "fig12"):
             spec, _grid, curves = figure_work_units(
                 exp_id, intensities=[0.3, 0.6], engine="batched")
             assert [u.evaluator_id for u in curves] == (
                 ["megabatch-figure"] * len(spec.curves))
-            _spec, _grid, alone = figure_work_units(
-                exp_id, intensities=[0.6], engine="batched")
             _spec, _grid, scalar = figure_work_units(
                 exp_id, intensities=[0.3, 0.6], engine="scalar")
-            assert len(scalar) == 2 * len(spec.curves)
-            curve_points = {point.config_digest for unit in curves
-                            for point in unit.points()}
-            assert {u.config_digest for u in alone} < curve_points
-            assert not curve_points & {u.config_digest for u in scalar}
+            assert [u.evaluator_id for u in scalar] == (
+                ["megabatch-figure"] * 2 * len(spec.curves))
+            assert all(len(u.params["intensities"]) == 1 for u in scalar)
+            assert not ({u.config_digest for u in curves}
+                        & {u.config_digest for u in scalar})
 
     def test_every_simulated_figure_family_is_megabatch_eligible(self):
         """The closed fabric gate: no simulated figure curve falls back
@@ -398,8 +381,8 @@ class TestFigureParity:
             assert work_unit_digest("megabatch-figure", 3, params) != current
 
     def test_megabatch_evaluator_matches_per_point_units(self):
-        """A curve unit's value equals its one-point units' values bit for
-        bit — the property per-point caching rests on — saturated points
+        """A curve unit's value equals its one-point curves' values bit
+        for bit (lockstep rows never interact), saturated points
         included."""
         from repro.runner.evaluators import get_evaluator
 
@@ -472,58 +455,6 @@ class TestFigureParity:
         figure_series("fig4", quality="fast", intensities=grid,
                       runner=runner, solver="sweep")
         assert not any(o.cached for o in runner.last_outcomes)
-
-
-class TestPerPointCache:
-    """Curve units are probed, stored and journaled as one-point curves."""
-
-    @staticmethod
-    def _curve(log, intensities, **params):
-        return WorkUnit("test-curve", 5, {"intensities": intensities,
-                                          "log": str(log), **params})
-
-    def test_curve_points_are_one_point_curves(self, tmp_path):
-        log = tmp_path / "executions.log"
-        curve = self._curve(log, [1, 2, 3])
-        assert [point.config_digest for point in curve.points()] == [
-            self._curve(log, [x]).config_digest for x in (1, 2, 3)]
-        assert curve.narrowed([2, 0]).params["intensities"] == [3, 1]
-        single = self._curve(log, [2])
-        assert single.points() == (single,)
-        plain = WorkUnit("test-square", 0, {"x": 1})
-        assert plain.points() == (plain,)
-
-    def test_partial_overlap_computes_only_missing_points(self, tmp_path):
-        log = tmp_path / "executions.log"
-        cache = ResultCache(tmp_path / "cache")
-        SweepRunner(jobs=1, cache=cache).run([self._curve(log, [1, 2])])
-        runner = SweepRunner(jobs=1, cache=cache)
-        [outcome] = runner.run([self._curve(log, [0, 1, 2, 3])])
-        assert outcome.value == [5, 6, 7, 8] and not outcome.cached
-        assert log.read_text().splitlines() == ["[1, 2]", "[0, 3]"]
-        report = runner.last_report
-        assert (report.total, report.cache_hits, report.computed) == (4, 2, 2)
-        assert cache.stats().entries == 4
-        # Any single point is now served whole from the cache.
-        [alone] = SweepRunner(jobs=1, cache=cache).run(
-            [self._curve(log, [3])])
-        assert alone.cached and alone.value == [8]
-
-    def test_degraded_curve_caches_points_under_computed_digests(
-            self, tmp_path):
-        unit = self._curve(tmp_path / "executions.log", [1, 2],
-                           engine="batched", broken=True)
-        _label, scalar = degrade_unit(unit)
-        cache = ResultCache(tmp_path / "cache")
-        runner = SweepRunner(jobs=1, cache=cache,
-                             supervisor=SupervisorPolicy(max_attempts=1))
-        [outcome] = runner.run([unit])
-        assert outcome.value == [6, 7]
-        assert outcome.degraded == ("engine:batched->scalar",)
-        assert all(cache.get(point.config_digest)[0]
-                   for point in scalar.points())
-        assert not any(cache.get(point.config_digest)[0]
-                       for point in unit.points())
 
 
 class TestReplicationWaves:
