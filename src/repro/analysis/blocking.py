@@ -51,6 +51,11 @@ class BlockingPoint:
     optimal: Optional[float] = None
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigurationError(f"trials must be at least 1, got {trials}")
+
+
 def blocking_comparison(topology_kind: str = "OMEGA", size: int = 8,
                         request_sizes: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                         trials: int = 400, seed: int = 0,
@@ -65,6 +70,7 @@ def blocking_comparison(topology_kind: str = "OMEGA", size: int = 8,
     (:func:`repro.analysis.matching.optimal_allocation`) up to
     ``optimal_limit`` requests.
     """
+    _require_trials(trials)
     rng = RandomStreams(seed).stream("blocking-comparison")
     points: List[BlockingPoint] = []
     for k in request_sizes:
@@ -113,6 +119,7 @@ def full_permutation_blocking(topology_kind: str = "OMEGA", size: int = 8,
     blocking of a random permutation on an 8x8 Omega; the distributed side
     shows the gain of searching instead of aiming.
     """
+    _require_trials(trials)
     rng = RandomStreams(seed).stream("permutation-blocking")
     address_blocked = 0.0
     rsin_blocked = 0.0

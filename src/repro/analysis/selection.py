@@ -103,6 +103,13 @@ class CostModel:
     box_cost: float = 4.0
     bus_tap_cost: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("resource_unit_cost", "box_cost", "bus_tap_cost"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {value}")
+
     def network_cost(self, config: SystemConfig) -> float:
         """Cost of the interconnect hardware alone."""
         kind = config.network_type

@@ -74,8 +74,15 @@ def workload_at(intensity: float, mu_ratio: float,
 
     Transmission rate is normalized to 1; the service rate is then
     ``mu_ratio`` and the per-processor arrival rate follows from the
-    x-axis definition.
+    x-axis definition.  Both must be positive; intensities above 1 are
+    legal (Table II evaluates at 1.05).
     """
+    if not intensity > 0:
+        raise ConfigurationError(
+            f"traffic intensity must be positive, got {intensity}")
+    if not mu_ratio > 0:
+        raise ConfigurationError(
+            f"mu ratio (mu_s / mu_n) must be positive, got {mu_ratio}")
     transmission_rate = 1.0
     service_rate = mu_ratio * transmission_rate
     arrival = arrival_rate_for_intensity(

@@ -18,9 +18,7 @@ Commands:
 * ``faults``     — fault-injected run with availability report and the
   degraded-capacity prediction;
 * ``lint``       — the two-pass determinism lint (per-file SIM001-SIM005
-  plus whole-program SIM006-SIM010) with incremental caching, ``--jobs``
-  parallel analysis, a ``--baseline`` ratchet, and ``--format json|sarif``
-  for CI.
+  plus whole-program SIM006-SIM010), with ``--format json`` for CI.
 """
 
 from __future__ import annotations
@@ -179,31 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
     lint.add_argument("--format", dest="lint_format", default="text",
-                      choices=["text", "json", "sarif"],
-                      help="report format (json is stable for CI; sarif "
-                           "annotates PRs inline)")
+                      choices=["text", "json"],
+                      help="report format (json is stable for CI)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    lint.add_argument("--jobs", type=int, default=None,
-                      help="worker processes for file analysis "
-                           "(default: REPRO_JOBS or 1; output is "
-                           "byte-identical to serial)")
-    lint.add_argument("--baseline", choices=["write", "check"], default=None,
-                      help="ratchet mode: 'write' snapshots current "
-                           "findings, 'check' fails only on findings not "
-                           "in the snapshot")
-    lint.add_argument("--baseline-file", default=None, metavar="PATH",
-                      help="baseline location "
-                           "(default: .lint-baseline.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the incremental finding cache")
-    lint.add_argument("--cache-dir", default=None,
-                      help="directory for the incremental finding cache "
-                           "(default: <REPRO_CACHE_DIR or "
-                           "~/.cache/repro>/_lint)")
-    lint.add_argument("--stats", action="store_true",
-                      help="print cache effectiveness and phase timings "
-                           "to stderr")
     return parser
 
 
@@ -321,8 +298,8 @@ def _command_cache(args) -> int:
         print(f"removed {removed} cached result(s) from {cache.root}")
         return 0
     if args.action == "prune":
-        if args.max_size is None:
-            print("error: cache prune requires --max-size <MB>",
+        if args.max_size is None or not args.max_size >= 0:
+            print("error: cache prune requires --max-size <MB> >= 0",
                   file=sys.stderr)
             return 2
         max_bytes = int(args.max_size * 1024 * 1024)
@@ -448,66 +425,18 @@ def _command_faults(args) -> int:
 
 
 def _command_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.lint import (
-        ALL_RULES,
-        LintSession,
-        check_baseline,
-        format_json,
-        format_sarif,
-        format_text,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.lint.baseline import DEFAULT_BASELINE_FILE
+    from repro.lint import ALL_RULES, format_json, format_text, lint_paths
 
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.code}  {rule.summary}")
         return 0
-    cache_path = (Path(args.cache_dir) / "findings.json"
-                  if args.cache_dir else None)
-    session = LintSession(jobs=args.jobs, cache_path=cache_path,
-                          use_cache=not args.no_cache)
     try:
-        result = session.run(args.paths)
+        findings = lint_paths(args.paths)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.stats:
-        print(result.stats.format(), file=sys.stderr)
-    findings = result.findings
-    baseline_path = args.baseline_file or DEFAULT_BASELINE_FILE
-
-    if args.baseline == "write":
-        recorded = write_baseline(baseline_path, findings)
-        print(f"baseline written to {baseline_path}: {recorded} "
-              f"fingerprint(s) over {len(findings)} finding(s)")
-        return 0
-
-    if args.baseline == "check":
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        check = check_baseline(findings, baseline)
-        if args.lint_format == "sarif":
-            # SARIF under baseline check reports only the *new* debt, so
-            # CI annotations match what actually fails the build.
-            print(format_sarif(check.new_findings, rules=ALL_RULES))
-            print(check.format(), file=sys.stderr)
-        elif args.lint_format == "json":
-            print(format_json(check.new_findings))
-            print(check.format(), file=sys.stderr)
-        else:
-            print(check.format())
-        return 0 if check.clean else 1
-
-    if args.lint_format == "sarif":
-        print(format_sarif(findings, rules=ALL_RULES))
-    elif args.lint_format == "json":
+    if args.lint_format == "json":
         print(format_json(findings))
     else:
         print(format_text(findings))

@@ -44,13 +44,9 @@ bit-for-bit reproducibility demands of this codebase:
 Findings carry ``file:line:column`` positions and can be suppressed per
 line with ``# lint: disable=SIM001`` (comma-separated lists allowed) or
 per file with ``# lint: disable-file=SIM00x`` in the first comment block
-(for generated or vendored modules).  Reports are emitted as text, JSON
-(``--format json``), or SARIF 2.1.0 (``--format sarif``) for inline CI
-annotations.  ``repro lint --baseline write|check``
-(:mod:`repro.lint.baseline`) ratchets strict rules into a dirty tree:
-check fails only on findings *not* in the committed baseline.  Runs are
-incremental (content-hash–keyed finding cache) and parallel (``--jobs``),
-with ``--stats`` printing cache effectiveness and phase timings.
+(for generated or vendored modules).  :func:`lint_paths` runs both passes
+serially, parsing each file once; reports are emitted as text or JSON
+(``--format json``).
 
 Multiprocessing entry points are intentionally exempt from extra policing:
 a module that spawns a process pool must guard its executable statements
@@ -61,19 +57,9 @@ without importing them, so guarded ``__main__`` blocks are analysed like
 any other code and need no suppression comments.
 """
 
-from repro.lint.baseline import (
-    BaselineCheck,
-    check_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     Finding,
-    LintResult,
     LintRule,
-    LintSession,
-    LintStats,
     collect_suppressions,
     format_json,
     format_text,
@@ -91,37 +77,27 @@ from repro.lint.project import (
     run_project_rules,
 )
 from repro.lint.rules import DEFAULT_RULES, RULES_BY_CODE
-from repro.lint.sarif import format_sarif
 
 #: Every rule in the catalogue, per-file then cross-module, by code.
 ALL_RULES = list(DEFAULT_RULES) + list(PROJECT_RULES)
 
 __all__ = [
     "ALL_RULES",
-    "BaselineCheck",
     "DEFAULT_RULES",
     "Finding",
-    "LintResult",
     "LintRule",
-    "LintSession",
-    "LintStats",
     "ModuleInfo",
     "PROJECT_RULES",
     "PROJECT_RULES_BY_CODE",
     "ProjectIndex",
     "ProjectRule",
     "RULES_BY_CODE",
-    "check_baseline",
     "collect_suppressions",
     "extract_module",
-    "fingerprint",
     "format_json",
-    "format_sarif",
     "format_text",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "run_project_rules",
-    "write_baseline",
 ]

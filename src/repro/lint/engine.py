@@ -1,4 +1,4 @@
-"""AST lint engine: file walking, suppression, caching, and output formats.
+"""AST lint engine: file walking, suppression, the two passes, and output.
 
 The engine is rule-agnostic: a rule is anything implementing
 :class:`LintRule` — a code, a one-line summary, a path predicate, and a
@@ -7,34 +7,21 @@ module.  The engine owns everything else: discovering files, parsing,
 applying ``# lint: disable=...`` suppressions, ordering findings, and
 rendering them as text or JSON.
 
-Whole-program analysis is a second pass: :class:`LintSession` extracts a
-:class:`~repro.lint.project.ModuleInfo` summary per file alongside the
-per-file findings, assembles a :class:`~repro.lint.project.ProjectIndex`,
-and runs the cross-module rules over it.  The session is built the way the
-sweep runner is:
-
-* **incremental** — per-file findings and module summaries are cached in a
-  JSON store keyed by content hash plus analyzer signature, so an
-  unchanged tree re-lints without parsing a single file (the project pass
-  is keyed by the hash of all file keys, so it caches too);
-* **parallel** — ``jobs > 1`` fans file analysis out over a process pool
-  (the worker is a module-level function, per SIM005; the worker count
-  resolves through the runner's ``REPRO_JOBS`` convention), and findings
-  are sorted globally afterwards so parallel output is byte-identical to
-  serial;
-* **observable** — :class:`LintStats` records file counts, cache hits, and
-  phase timings for ``repro lint --stats``.
+:func:`lint_paths` is the one entry point that lints a tree.  Pass 1
+reads, pragma-scans and parses each file once; the one tree feeds both
+the per-file rules and the :class:`~repro.lint.project.ModuleInfo`
+summary.  Pass 2 assembles the summaries into a
+:class:`~repro.lint.project.ProjectIndex` and runs the cross-module
+rules over it.  :func:`lint_source` runs the per-file rules alone on one
+source text.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
-import os
 import re
-import time  # lint: disable=SIM002 - lint phase timing, not simulated time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import (
     Dict,
@@ -49,11 +36,8 @@ from typing import (
 #: Pseudo-rule code attached to files the engine cannot parse.
 PARSE_ERROR_CODE = "SIM000"
 
-#: Bumped whenever extraction or finding semantics change: old cache
-#: entries must miss rather than replay stale analysis.
-ANALYZER_VERSION = 1
-
-#: Directories never descended into during discovery.
+#: Directories never descended into below a lint target (the target
+#: itself may sit under one and is still linted).
 _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache", "build", "dist"}
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -84,12 +68,6 @@ class Finding:
             "code": self.code,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(path=payload["path"], line=payload["line"],
-                   column=payload["column"], code=payload["code"],
-                   message=payload["message"])
 
 
 class LintRule:
@@ -160,23 +138,24 @@ def collect_suppressions(source: str
     return per_line, sorted(set(file_codes))
 
 
-def lint_source(source: str, path: str,
-                rules: Optional[Sequence[LintRule]] = None) -> List[Finding]:
-    """Lint one module's source text; ``path`` is used for scoping/reporting."""
-    if rules is None:
-        from repro.lint.rules import DEFAULT_RULES
-        rules = DEFAULT_RULES
-    norm = PurePosixPath(path).as_posix()
-    per_line, file_codes = collect_suppressions(source)
+def _check_module(source: str, norm: str, rules: Sequence[LintRule],
+                  per_line: Dict[int, List[str]], file_codes: Sequence[str]
+                  ) -> Tuple[Optional[ast.Module], List[Finding]]:
+    """Parse one module and run the per-file ``rules`` over its tree.
+
+    Returns the tree (``None`` when the source does not parse, which is
+    reported as a SIM000 finding) and the findings in position order.
+    """
     disabled = frozenset(file_codes)
     try:
         tree = ast.parse(source, filename=norm)
     except SyntaxError as error:
         if PARSE_ERROR_CODE in disabled or "ALL" in disabled:
-            return []
-        return [Finding(path=norm, line=error.lineno or 1,
-                        column=(error.offset or 1), code=PARSE_ERROR_CODE,
-                        message=f"syntax error: {error.msg}")]
+            return None, []
+        return None, [Finding(path=norm, line=error.lineno or 1,
+                              column=(error.offset or 1),
+                              code=PARSE_ERROR_CODE,
+                              message=f"syntax error: {error.msg}")]
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(norm):
@@ -192,16 +171,33 @@ def lint_source(source: str, path: str,
             findings.append(Finding(path=norm, line=line, column=column,
                                     code=rule.code, message=message))
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-    return findings
+    return tree, findings
+
+
+def lint_source(source: str, path: str,
+                rules: Optional[Sequence[LintRule]] = None) -> List[Finding]:
+    """Lint one module's source text with the per-file rules only.
+
+    ``path`` is used for scoping and reporting; it need not exist.
+    """
+    if rules is None:
+        from repro.lint.rules import DEFAULT_RULES
+        rules = DEFAULT_RULES
+    per_line, file_codes = collect_suppressions(source)
+    norm = PurePosixPath(path).as_posix()
+    return _check_module(source, norm, rules, per_line, file_codes)[1]
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
     """Every ``.py`` file under ``paths``, deduplicated by resolved path.
 
-    Files listed explicitly are taken as-is.  Overlapping targets
-    (``repro lint src src/repro/sim``) and alternative spellings of the
-    same file yield each file exactly once — under its first spelling — so
-    finding counts are stable however the targets are phrased.
+    Files listed explicitly are taken as-is.  Below a directory target,
+    dot-directories and :data:`_SKIP_DIRS` are skipped; the target's own
+    path is not checked, so ``../tests`` or a tree under ``build/`` lints
+    like any other.  Overlapping targets (``repro lint src
+    src/repro/sim``) and alternative spellings of the same file yield each
+    file exactly once — under its first spelling — so finding counts are
+    stable however the targets are phrased.
     """
     seen: set = set()
     for raw in paths:
@@ -216,7 +212,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
             raise FileNotFoundError(f"lint target does not exist: {raw}")
         for candidate in sorted(root.rglob("*.py")):
             if any(part in _SKIP_DIRS or part.startswith(".")
-                   for part in candidate.parts):
+                   for part in candidate.relative_to(root).parts):
                 continue
             identity = candidate.resolve()
             if identity in seen:
@@ -225,271 +221,36 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
             yield candidate
 
 
-def lint_paths(paths: Iterable[str],
-               rules: Optional[Sequence[LintRule]] = None) -> List[Finding]:
-    """Lint every Python file under ``paths`` with per-file rules only.
+def lint_paths(paths: Iterable[str]) -> List[Finding]:
+    """Lint every Python file under ``paths`` with SIM001–SIM010.
 
-    The simple serial entry point (no cache, no project pass) kept for
-    programmatic use and tests; ``repro lint`` runs a full
-    :class:`LintSession`.
+    Pass 1 reads, pragma-scans and parses each file once, runs the
+    per-file rules over the tree and summarizes the same tree into a
+    :class:`~repro.lint.project.ModuleInfo`.  Pass 2 runs the
+    cross-module rules over the :class:`~repro.lint.project.ProjectIndex`
+    of every summary.  Findings come back sorted by position.
     """
+    from repro.lint.project import (
+        ModuleInfo,
+        ProjectIndex,
+        extract_module,
+        run_project_rules,
+    )
+    from repro.lint.rules import DEFAULT_RULES
+
     findings: List[Finding] = []
+    modules: List[ModuleInfo] = []
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, file_path.as_posix(), rules))
+        norm = file_path.as_posix()
+        per_line, file_codes = collect_suppressions(source)
+        tree, file_findings = _check_module(source, norm, DEFAULT_RULES,
+                                            per_line, file_codes)
+        findings.extend(file_findings)
+        modules.append(extract_module(tree, norm, per_line, file_codes))
+    findings.extend(run_project_rules(ProjectIndex(modules)))
+    findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
     return findings
-
-
-# ---------------------------------------------------------------------------
-# The two-pass session: cache, parallel analysis, project rules, stats
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LintStats:
-    """Timing and cache-effectiveness counters for one session run."""
-
-    files: int = 0
-    analyzed: int = 0
-    cache_hits: int = 0
-    project_cached: bool = False
-    jobs: int = 1
-    findings: int = 0
-    discover_seconds: float = 0.0
-    file_pass_seconds: float = 0.0
-    project_pass_seconds: float = 0.0
-    total_seconds: float = 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.files if self.files else 0.0
-
-    def format(self) -> str:
-        lines = [
-            f"files          : {self.files}",
-            f"analyzed       : {self.analyzed} "
-            f"({self.jobs} job(s))",
-            f"cache hits     : {self.cache_hits} "
-            f"({self.hit_rate:.0%} of files)",
-            f"project pass   : "
-            f"{'cached' if self.project_cached else 'computed'}",
-            f"findings       : {self.findings}",
-            f"discovery      : {self.discover_seconds * 1000:.1f} ms",
-            f"file pass      : {self.file_pass_seconds * 1000:.1f} ms",
-            f"project pass   : {self.project_pass_seconds * 1000:.1f} ms",
-            f"total          : {self.total_seconds * 1000:.1f} ms",
-        ]
-        return "\n".join(lines)
-
-
-@dataclass
-class LintResult:
-    """Everything one session run produced."""
-
-    findings: List[Finding]
-    stats: LintStats
-    index: Optional[object] = None  # ProjectIndex of the analyzed tree
-
-
-def _default_lint_cache_path() -> Path:
-    from repro.runner.cache import default_cache_dir
-
-    return default_cache_dir() / "_lint" / "findings.json"
-
-
-def analyze_file(path_str: str, rules: Sequence[LintRule]) -> dict:
-    """Pass-1 worker: per-file findings plus the module summary.
-
-    Module-level by design — ``jobs > 1`` ships it to pool workers by
-    qualified name (SIM005).  Returns a JSON-safe payload so results can go
-    straight into the incremental cache.
-    """
-    from repro.lint.project import extract_module
-
-    source = Path(path_str).read_text(encoding="utf-8")
-    norm = PurePosixPath(path_str).as_posix()
-    findings = lint_source(source, norm, rules)
-    per_line, file_codes = collect_suppressions(source)
-    info = extract_module(source, path_str, suppressed_lines=per_line,
-                          disabled_file_codes=file_codes)
-    return {
-        "findings": [finding.to_dict() for finding in findings],
-        "module": info.to_dict(),
-    }
-
-
-class LintSession:
-    """The production lint engine: two passes, cached and parallel.
-
-    ``rules``/``project_rules`` default to the full SIM001–SIM010
-    catalogue; ``jobs`` resolves through the runner convention (explicit
-    argument, else ``REPRO_JOBS``, else 1); ``cache_path=None`` with
-    ``use_cache=True`` stores under the runner cache root
-    (``<cache>/_lint/findings.json``).
-    """
-
-    def __init__(self, rules: Optional[Sequence[LintRule]] = None,
-                 project_rules: Optional[Sequence[object]] = None,
-                 jobs: Optional[int] = None,
-                 cache_path: Optional[os.PathLike] = None,
-                 use_cache: bool = True):
-        if rules is None:
-            from repro.lint.rules import DEFAULT_RULES
-            rules = DEFAULT_RULES
-        if project_rules is None:
-            from repro.lint.project import PROJECT_RULES
-            project_rules = PROJECT_RULES
-        self.rules = list(rules)
-        self.project_rules = list(project_rules)
-        self.jobs = jobs
-        self.use_cache = use_cache
-        self.cache_path = (Path(cache_path) if cache_path is not None
-                           else _default_lint_cache_path())
-
-    # -- cache plumbing ---------------------------------------------------
-
-    def _signature(self) -> str:
-        codes = sorted(rule.code for rule in self.rules) \
-            + sorted(rule.code for rule in self.project_rules)
-        return f"v{ANALYZER_VERSION}:" + ",".join(codes)
-
-    def _file_key(self, path: str, content: bytes) -> str:
-        material = self._signature().encode() + b"\0" + path.encode() + b"\0"
-        return hashlib.sha256(material + content).hexdigest()
-
-    def _load_cache(self) -> dict:
-        if not self.use_cache:
-            return {}
-        try:
-            payload = json.loads(self.cache_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(payload, dict) \
-                or payload.get("analyzer") != self._signature():
-            return {}
-        files = payload.get("files")
-        return files if isinstance(files, dict) else {}
-
-    def _save_cache(self, entries: dict, project_key: str,
-                    project_findings: List[Finding]) -> None:
-        """Persist this run's entries (atomically; the store is bounded to
-        the current tree, so stale entries age out on every run)."""
-        if not self.use_cache:
-            return
-        payload = {
-            "analyzer": self._signature(),
-            "files": entries,
-            "project": {
-                "key": project_key,
-                "findings": [finding.to_dict()
-                             for finding in project_findings],
-            },
-        }
-        path = self.cache_path
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temporary = path.with_suffix(f".tmp{os.getpid()}")
-            temporary.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8")
-            os.replace(temporary, path)
-        except OSError:
-            pass  # a read-only cache dir degrades to uncached, never fatal
-
-    def _cached_project(self, project_key: str) -> Optional[List[Finding]]:
-        if not self.use_cache:
-            return None
-        try:
-            payload = json.loads(self.cache_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("analyzer") != self._signature():
-            return None
-        project = payload.get("project")
-        if not isinstance(project, dict) \
-                or project.get("key") != project_key:
-            return None
-        return [Finding.from_dict(raw)
-                for raw in project.get("findings", [])]
-
-    # -- the run ----------------------------------------------------------
-
-    def run(self, paths: Iterable[str]) -> LintResult:
-        from repro.lint.project import (
-            ModuleInfo,
-            ProjectIndex,
-            run_project_rules,
-        )
-        from repro.runner.pool import resolve_jobs
-
-        started = time.perf_counter()
-        stats = LintStats(jobs=resolve_jobs(self.jobs))
-
-        mark = time.perf_counter()
-        files = list(iter_python_files(paths))
-        stats.discover_seconds = time.perf_counter() - mark
-        stats.files = len(files)
-
-        mark = time.perf_counter()
-        cache = self._load_cache()
-        keys: List[str] = []
-        payloads: Dict[str, dict] = {}
-        pending: List[Tuple[str, str]] = []  # (key, path)
-        for file_path in files:
-            norm = file_path.as_posix()
-            content = file_path.read_bytes()
-            key = self._file_key(norm, content)
-            keys.append(key)
-            cached = cache.get(key)
-            if cached is not None:
-                payloads[key] = cached
-                stats.cache_hits += 1
-            else:
-                pending.append((key, str(file_path)))
-        stats.analyzed = len(pending)
-
-        if pending:
-            if stats.jobs > 1 and len(pending) > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=stats.jobs) as pool:
-                    results = list(pool.map(
-                        analyze_file,
-                        [path for _key, path in pending],
-                        [self.rules] * len(pending)))
-                for (key, _path), payload in zip(pending, results):
-                    payloads[key] = payload
-            else:
-                for key, path in pending:
-                    payloads[key] = analyze_file(path, self.rules)
-        stats.file_pass_seconds = time.perf_counter() - mark
-
-        findings: List[Finding] = []
-        modules: List[ModuleInfo] = []
-        for key in keys:
-            payload = payloads[key]
-            findings.extend(Finding.from_dict(raw)
-                            for raw in payload["findings"])
-            modules.append(ModuleInfo.from_dict(payload["module"]))
-
-        mark = time.perf_counter()
-        project_key = hashlib.sha256(
-            "\n".join(sorted(keys)).encode()).hexdigest()
-        index = ProjectIndex(modules)
-        project_findings = self._cached_project(project_key)
-        if project_findings is None:
-            project_findings = run_project_rules(index, self.project_rules)
-        else:
-            stats.project_cached = True
-        findings.extend(project_findings)
-        stats.project_pass_seconds = time.perf_counter() - mark
-
-        findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-        stats.findings = len(findings)
-        self._save_cache({key: payloads[key] for key in keys},
-                         project_key, project_findings)
-        stats.total_seconds = time.perf_counter() - started
-        return LintResult(findings=findings, stats=stats, index=index)
 
 
 def format_text(findings: Sequence[Finding]) -> str:

@@ -11,8 +11,8 @@ caches and streams.  This module is the lint engine's second pass:
   literals, module-level mutable globals, per-function call/write facts,
   evaluator registrations with their declared digest-material reads, and
   the suppression pragmas project findings must honor.  The summary is
-  plain JSON-safe data, so the incremental cache can persist it and a
-  cached file never needs re-parsing.
+  built from the same tree the per-file rules walk, so each file is
+  parsed once.
 * **Pass 2** (:class:`ProjectRule` subclasses) runs over the assembled
   :class:`ProjectIndex` and yields findings that depend on more than one
   file: SIM006 stream-name collisions, SIM007 digest drift, SIM008 worker
@@ -108,7 +108,7 @@ def module_name_for(path: Path) -> str:
 
 @dataclass
 class FunctionFacts:
-    """Per-function facts pass 2 reasons over (JSON-safe)."""
+    """Per-function facts pass 2 reasons over."""
 
     qualname: str
     line: int
@@ -129,7 +129,6 @@ class ModuleInfo:
 
     path: str
     module: str
-    parse_error: bool = False
     import_modules: List[str] = field(default_factory=list)
     import_aliases: Dict[str, str] = field(default_factory=dict)
     from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
@@ -141,74 +140,6 @@ class ModuleInfo:
     write_opens: List[Dict[str, Any]] = field(default_factory=list)
     suppressed_lines: Dict[int, List[str]] = field(default_factory=dict)
     disabled_file_codes: List[str] = field(default_factory=list)
-
-    # -- (de)serialization for the incremental cache ----------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "parse_error": self.parse_error,
-            "import_modules": self.import_modules,
-            "import_aliases": self.import_aliases,
-            "from_imports": {k: list(v) for k, v in self.from_imports.items()},
-            "mutable_globals": self.mutable_globals,
-            "functions": {
-                name: {
-                    "qualname": facts.qualname,
-                    "line": facts.line,
-                    "col": facts.col,
-                    "calls": facts.calls,
-                    "global_writes": [list(w) for w in facts.global_writes],
-                    "environ_reads": [list(r) for r in facts.environ_reads],
-                    "param_reads": [list(r) for r in facts.param_reads],
-                    "dynamic_param_reads": [list(r) for r
-                                            in facts.dynamic_param_reads],
-                    "evaluator_id": facts.evaluator_id,
-                    "declared_reads": facts.declared_reads,
-                    "calls_os_replace": facts.calls_os_replace,
-                }
-                for name, facts in self.functions.items()
-            },
-            "pool_workers": self.pool_workers,
-            "stream_calls": self.stream_calls,
-            "unordered_iters": self.unordered_iters,
-            "write_opens": self.write_opens,
-            "suppressed_lines": {str(line): codes for line, codes
-                                 in self.suppressed_lines.items()},
-            "disabled_file_codes": self.disabled_file_codes,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleInfo":
-        info = cls(path=payload["path"], module=payload["module"],
-                   parse_error=payload.get("parse_error", False))
-        info.import_modules = list(payload.get("import_modules", []))
-        info.import_aliases = dict(payload.get("import_aliases", {}))
-        info.from_imports = {k: (v[0], v[1]) for k, v
-                             in payload.get("from_imports", {}).items()}
-        info.mutable_globals = list(payload.get("mutable_globals", []))
-        for name, raw in payload.get("functions", {}).items():
-            info.functions[name] = FunctionFacts(
-                qualname=raw["qualname"], line=raw["line"], col=raw["col"],
-                calls=list(raw.get("calls", [])),
-                global_writes=[tuple(w) for w in raw.get("global_writes", [])],
-                environ_reads=[tuple(r) for r in raw.get("environ_reads", [])],
-                param_reads=[tuple(r) for r in raw.get("param_reads", [])],
-                dynamic_param_reads=[tuple(r) for r
-                                     in raw.get("dynamic_param_reads", [])],
-                evaluator_id=raw.get("evaluator_id"),
-                declared_reads=raw.get("declared_reads"),
-                calls_os_replace=raw.get("calls_os_replace", False),
-            )
-        info.pool_workers = list(payload.get("pool_workers", []))
-        info.stream_calls = list(payload.get("stream_calls", []))
-        info.unordered_iters = list(payload.get("unordered_iters", []))
-        info.write_opens = list(payload.get("write_opens", []))
-        info.suppressed_lines = {int(line): list(codes) for line, codes
-                                 in payload.get("suppressed_lines", {}).items()}
-        info.disabled_file_codes = list(payload.get("disabled_file_codes", []))
-        return info
 
     def suppresses(self, code: str, line: int) -> bool:
         """Whether a pragma silences ``code`` at ``line`` in this module."""
@@ -581,20 +512,20 @@ class _ModuleExtractor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def extract_module(source: str, path: str,
+def extract_module(tree: Optional[ast.Module], path: str,
                    suppressed_lines: Optional[Dict[int, List[str]]] = None,
                    disabled_file_codes: Sequence[str] = ()) -> ModuleInfo:
-    """Pass 1 for one module: parse ``source`` and summarize it."""
-    norm = PurePosixPath(path).as_posix()
-    info = ModuleInfo(path=norm, module=module_name_for(Path(path)))
-    info.suppressed_lines = dict(suppressed_lines or {})
-    info.disabled_file_codes = list(disabled_file_codes)
-    try:
-        tree = ast.parse(source, filename=norm)
-    except SyntaxError:
-        info.parse_error = True
-        return info
-    _ModuleExtractor(info).visit(tree)
+    """Pass 1 for one module: summarize its parsed ``tree``.
+
+    ``tree`` is ``None`` for a file that does not parse; its summary then
+    holds only the path, module name and pragma tables.
+    """
+    info = ModuleInfo(path=PurePosixPath(path).as_posix(),
+                      module=module_name_for(Path(path)),
+                      suppressed_lines=dict(suppressed_lines or {}),
+                      disabled_file_codes=list(disabled_file_codes))
+    if tree is not None:
+        _ModuleExtractor(info).visit(tree)
     return info
 
 

@@ -90,6 +90,31 @@ class TestCli:
                 main(["run", "fig4", "--engine", retired, "--no-cache"])
 
 
+#: Arguments each rejected where they enter, with a named reason.
+BAD_INPUT_ARGV = {
+    "simulate-rho-0": ["simulate", "8/1x8x8 XBAR/1", "--rho", "0"],
+    "faults-rho-0": ["faults", "4/4x1x1 SBUS/2", "--rho", "0"],
+    "recommend-rho-0": ["recommend", "--resource-cost", "1", "--rho", "0"],
+    "simulate-ratio-0": ["simulate", "8/1x8x8 XBAR/1", "--ratio", "0"],
+    "recommend-ratio-0": ["recommend", "--resource-cost", "1",
+                          "--ratio", "0"],
+    "blocking-trials-0": ["blocking", "--trials", "0"],
+    "cache-prune-negative-size": ["cache", "prune", "--max-size", "-5"],
+    "recommend-negative-cost": ["recommend", "--resource-cost", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUT_ARGV.values()),
+                         ids=list(BAD_INPUT_ARGV))
+def test_bad_input_fails_with_named_reason(argv, tmp_path, capsys):
+    if argv[0] == "cache":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    assert main(argv) != 0
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 class TestRender:
     def make_series(self):
         from repro.analysis import analytic_series

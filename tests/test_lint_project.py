@@ -1,9 +1,13 @@
 """Tests for the whole-program analyzer (repro.lint.project) and the
-production engine around it: ProjectIndex, SIM006-SIM010, the incremental
-cache, parallel runs, the baseline ratchet, and the SARIF emitter."""
+two-pass ``lint_paths`` around it: ProjectIndex, SIM006-SIM010, target
+discovery, and one parse per linted file."""
 
+import ast
 import json
+import os
+import shutil
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,17 +15,10 @@ import pytest
 from repro.cli import main
 from repro.lint import (
     ALL_RULES,
-    LintSession,
-    check_baseline,
     collect_suppressions,
     extract_module,
-    fingerprint,
-    format_json,
-    format_sarif,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
 from repro.lint.project import DERIVATION_CALLS as LINT_DERIVATION_CALLS
 from repro.lint.project import ProjectIndex, module_name_for
@@ -37,9 +34,8 @@ def write_tree(root, files):
     return root
 
 
-def run_lint(root, **session_kwargs):
-    session_kwargs.setdefault("use_cache", False)
-    return LintSession(**session_kwargs).run([str(root)])
+def run_lint(root):
+    return lint_paths([str(root)])
 
 
 def codes(findings):
@@ -53,8 +49,8 @@ def index_of(root, files):
         path = root / relative
         source = path.read_text()
         per_line, file_codes = collect_suppressions(source)
-        modules.append(extract_module(source, str(path), per_line,
-                                      file_codes))
+        modules.append(extract_module(ast.parse(source), str(path),
+                                      per_line, file_codes))
     return ProjectIndex(modules)
 
 
@@ -147,7 +143,7 @@ class TestSim006StreamCollision:
                     return spawn_seed(master, "fig3", "arrivals")
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM006", "SIM006"]
         assert {Path(f.path).name for f in findings} == {"a.py", "b.py"}
         assert "pkg.b" in findings[0].message
@@ -170,7 +166,7 @@ class TestSim006StreamCollision:
                     return spawn_seed(master, "fig3", index)
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
     def test_distinct_keys_clean(self, tmp_path):
         write_tree(tmp_path, {
@@ -180,7 +176,7 @@ class TestSim006StreamCollision:
             "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
                          "def f(s):\n    return spawn_seed(s, 'right')\n"),
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
     def test_injected_collision_in_real_module_caught(self, tmp_path):
         """The issue's seeded injection: make blocking.py derive the same
@@ -191,7 +187,7 @@ class TestSim006StreamCollision:
         assert tainted != original
         write_tree(tmp_path, {"analysis/blocking.py": ""})
         (tmp_path / "analysis" / "blocking.py").write_text(tainted)
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM006", "SIM006"]
         assert all("blocking-comparison" in f.message for f in findings)
 
@@ -209,7 +205,7 @@ class TestSim007DigestDrift:
                     return params["alpha"] + params["beta"]
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM007"]
         assert "params['beta']" in findings[0].message
 
@@ -225,7 +221,7 @@ class TestSim007DigestDrift:
                     return params["alpha"] * params.get("beta", 1.0)
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
     def test_aliased_decorator_still_recognized(self, tmp_path):
         write_tree(tmp_path, {
@@ -239,7 +235,7 @@ class TestSim007DigestDrift:
                     return params["gamma"]
                 """,
         })
-        assert codes(run_lint(tmp_path).findings) == ["SIM007"]
+        assert codes(run_lint(tmp_path)) == ["SIM007"]
 
     def test_environ_read_flagged(self, tmp_path):
         write_tree(tmp_path, {
@@ -255,7 +251,7 @@ class TestSim007DigestDrift:
                     return params["alpha"] * float(os.environ["SCALE"])
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert "SIM007" in codes(findings)
         assert any("environment" in f.message for f in findings)
 
@@ -272,7 +268,7 @@ class TestSim007DigestDrift:
                     return params[key]
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM007"]
         assert "computed at runtime" in findings[0].message
 
@@ -284,7 +280,7 @@ class TestSim007DigestDrift:
         assert tainted != original
         write_tree(tmp_path, {"runner/__init__.py": ""})
         (tmp_path / "runner" / "evaluators.py").write_text(tainted)
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert any(f.code == "SIM007" and "intensities" in f.message
                    for f in findings)
 
@@ -312,7 +308,7 @@ class TestSim008WorkerImpurity:
                     return params["alpha"]
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM008"]
         assert "_COUNTS" in findings[0].message
         assert "pkg.evals" in findings[0].message
@@ -328,7 +324,7 @@ class TestSim008WorkerImpurity:
                     _COUNTS[name] = _COUNTS.get(name, 0) + 1
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
     def test_local_mutation_in_worker_clean(self, tmp_path):
         write_tree(tmp_path, {
@@ -344,7 +340,7 @@ class TestSim008WorkerImpurity:
                     return acc
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
 
 class TestSim009UnorderedReduction:
@@ -359,7 +355,7 @@ class TestSim009UnorderedReduction:
                     return acc
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM009"]
         assert "sorted" in findings[0].message
 
@@ -374,7 +370,7 @@ class TestSim009UnorderedReduction:
                     return acc
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
     def test_outside_hot_paths_not_flagged(self, tmp_path):
         write_tree(tmp_path, {
@@ -387,7 +383,7 @@ class TestSim009UnorderedReduction:
                     return acc
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
 
 class TestSim010NonAtomicWrite:
@@ -399,7 +395,7 @@ class TestSim010NonAtomicWrite:
                         handle.write(data)
                 """,
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM010"]
         assert "os.replace" in findings[0].message
 
@@ -416,7 +412,7 @@ class TestSim010NonAtomicWrite:
                     os.replace(temporary, path)
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
     def test_outside_persistence_layers_not_flagged(self, tmp_path):
         write_tree(tmp_path, {
@@ -426,7 +422,7 @@ class TestSim010NonAtomicWrite:
                         handle.write(data)
                 """,
         })
-        assert run_lint(tmp_path).findings == []
+        assert run_lint(tmp_path) == []
 
 
 class TestSuppressionOfProjectFindings:
@@ -441,7 +437,7 @@ class TestSuppressionOfProjectFindings:
                 "from repro.sim.rng import spawn_seed\n\n\n"
                 "def f(s):\n    return spawn_seed(s, 'dup')\n"),
         })
-        findings = run_lint(tmp_path).findings
+        findings = run_lint(tmp_path)
         assert codes(findings) == ["SIM006"]
         assert Path(findings[0].path).name == "b.py"
 
@@ -454,156 +450,7 @@ class TestSuppressionOfProjectFindings:
                         handle.write(data)
                 """,
         })
-        assert run_lint(tmp_path).findings == []
-
-
-class TestIncrementalCache:
-    FILES = {
-        "pkg/__init__.py": "",
-        "pkg/a.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                     "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-        "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                     "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-    }
-
-    def test_second_run_hits_cache_for_every_file(self, tmp_path):
-        root = write_tree(tmp_path / "tree", self.FILES)
-        cache = tmp_path / "cache" / "findings.json"
-        first = run_lint(root, cache_path=cache, use_cache=True)
-        assert first.stats.cache_hits == 0
-        assert first.stats.analyzed == first.stats.files == 3
-        second = run_lint(root, cache_path=cache, use_cache=True)
-        assert second.stats.cache_hits == second.stats.files == 3
-        assert second.stats.analyzed == 0
-        assert second.stats.project_cached
-        assert format_json(second.findings) == format_json(first.findings)
-
-    def test_edited_file_misses_cache_alone(self, tmp_path):
-        root = write_tree(tmp_path / "tree", self.FILES)
-        cache = tmp_path / "cache" / "findings.json"
-        run_lint(root, cache_path=cache, use_cache=True)
-        (root / "pkg" / "b.py").write_text(
-            "from repro.sim.rng import spawn_seed\n\n\n"
-            "def f(s):\n    return spawn_seed(s, 'other')\n")
-        result = run_lint(root, cache_path=cache, use_cache=True)
-        assert result.stats.analyzed == 1
-        assert result.stats.cache_hits == 2
-        assert not result.stats.project_cached
-        assert result.findings == []
-
-    def test_corrupt_cache_degrades_to_full_run(self, tmp_path):
-        root = write_tree(tmp_path / "tree", self.FILES)
-        cache = tmp_path / "cache" / "findings.json"
-        cache.parent.mkdir(parents=True)
-        cache.write_text("{not json")
-        result = run_lint(root, cache_path=cache, use_cache=True)
-        assert result.stats.analyzed == 3
-        assert codes(result.findings) == ["SIM006", "SIM006"]
-
-
-class TestParallelRuns:
-    def test_jobs_2_output_byte_identical_to_serial(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/a.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-            "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-            "sim/hot.py": ("def total(a, b):\n"
-                           "    pending = {a, b}\n"
-                           "    acc = 0.0\n"
-                           "    for value in pending:\n"
-                           "        acc += value\n"
-                           "    return acc\n"),
-        })
-        serial = run_lint(root, jobs=1)
-        parallel = run_lint(root, jobs=2)
-        assert parallel.stats.jobs == 2
-        assert format_json(parallel.findings) == format_json(serial.findings)
-        assert codes(serial.findings) == ["SIM006", "SIM006", "SIM009"]
-
-
-class TestBaselineRatchet:
-    def _finding_tree(self, tmp_path):
-        return write_tree(tmp_path / "tree", {
-            "pkg/__init__.py": "",
-            "pkg/a.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-            "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-        })
-
-    def test_baselined_findings_tolerated_new_ones_fail(self, tmp_path):
-        root = self._finding_tree(tmp_path)
-        findings = run_lint(root).findings
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-        check = check_baseline(findings, load_baseline(baseline_path))
-        assert check.clean
-        assert check.matched == 2
-        (root / "pkg" / "c.py").write_text(
-            "from repro.sim.rng import spawn_seed\n\n\n"
-            "def f(s):\n    return spawn_seed(s, 'dup')\n")
-        grown = run_lint(root).findings
-        check = check_baseline(grown, load_baseline(baseline_path))
-        assert not check.clean
-        assert any(Path(f.path).name == "c.py" for f in check.new_findings)
-
-    def test_resolved_entries_reported(self, tmp_path):
-        root = self._finding_tree(tmp_path)
-        findings = run_lint(root).findings
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-        (root / "pkg" / "b.py").write_text("def clean():\n    return 1\n")
-        check = check_baseline(run_lint(root).findings,
-                               load_baseline(baseline_path))
-        assert check.clean
-        assert check.resolved  # the fixed debt shows up for ratcheting down
-
-    def test_fingerprint_ignores_line_numbers(self):
-        from repro.lint import Finding
-
-        one = Finding(path="a.py", line=3, column=1, code="SIM006",
-                      message="collides")
-        moved = Finding(path="a.py", line=9, column=5, code="SIM006",
-                        message="collides")
-        assert fingerprint(one) == fingerprint(moved)
-
-    def test_bad_baseline_raises_value_error(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("[]")
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
-class TestSarif:
-    def test_sarif_structure_and_rule_index(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/a.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-            "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-        })
-        findings = run_lint(root).findings
-        payload = json.loads(format_sarif(findings, rules=ALL_RULES))
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert rule_ids == sorted(rule_ids)
-        assert set(rule_ids) >= {f"SIM{n:03d}" for n in range(1, 11)}
-        result = run["results"][0]
-        assert result["ruleId"] == "SIM006"
-        assert rule_ids[result["ruleIndex"]] == "SIM006"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("a.py")
-        assert location["region"]["startLine"] == 5
-
-    def test_sarif_output_is_stable(self, tmp_path):
-        root = write_tree(tmp_path, {"pkg/a.py": "x = 1\n"})
-        first = format_sarif(run_lint(root).findings, rules=ALL_RULES)
-        second = format_sarif(run_lint(root).findings, rules=ALL_RULES)
-        assert first == second
+        assert run_lint(tmp_path) == []
 
 
 class TestVocabularySync:
@@ -630,14 +477,6 @@ class TestVocabularySync:
 
 
 class TestRepoMetaLint:
-    def test_whole_repo_is_baseline_clean_under_all_rules(self):
-        """The issue's CI meta-test: the tree linted with SIM001-SIM010
-        has no findings beyond the committed baseline."""
-        result = LintSession(use_cache=False).run(["src"])
-        baseline = load_baseline(".lint-baseline.json")
-        check = check_baseline(result.findings, baseline)
-        assert check.clean, [f.format() for f in check.new_findings]
-
     def test_catalogue_is_complete(self):
         assert sorted(rule.code for rule in ALL_RULES) == [
             f"SIM{n:03d}" for n in range(1, 11)]
@@ -645,64 +484,66 @@ class TestRepoMetaLint:
 
 
 class TestCliIntegration:
-    def _dirty_tree(self, tmp_path):
-        return write_tree(tmp_path / "tree", {
-            "pkg/__init__.py": "",
-            "pkg/a.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-            "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
-                         "def f(s):\n    return spawn_seed(s, 'dup')\n"),
-        })
-
-    def test_sarif_format_round_trips(self, tmp_path, capsys):
-        root = self._dirty_tree(tmp_path)
-        assert main(["lint", str(root), "--no-cache",
-                     "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"][0]["ruleId"] == "SIM006"
-
-    def test_stats_go_to_stderr_not_stdout(self, tmp_path, capsys):
-        root = self._dirty_tree(tmp_path)
-        assert main(["lint", str(root), "--no-cache", "--stats",
-                     "--format", "json"]) == 1
-        captured = capsys.readouterr()
-        json.loads(captured.out)  # stdout stays machine-parseable
-        assert "cache hits" in captured.err
-
-    def test_baseline_write_then_check_workflow(self, tmp_path, capsys):
-        root = self._dirty_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(root), "--no-cache", "--baseline", "write",
-                     "--baseline-file", str(baseline)]) == 0
-        assert main(["lint", str(root), "--no-cache", "--baseline", "check",
-                     "--baseline-file", str(baseline)]) == 0
-        assert "baseline-clean" in capsys.readouterr().out
-        (root / "pkg" / "c.py").write_text(
-            "from repro.sim.rng import spawn_seed\n\n\n"
-            "def f(s):\n    return spawn_seed(s, 'dup')\n")
-        assert main(["lint", str(root), "--no-cache", "--baseline", "check",
-                     "--baseline-file", str(baseline)]) == 1
-        assert "new finding(s)" in capsys.readouterr().out
-
-    def test_jobs_flag_accepted(self, tmp_path, capsys):
-        root = self._dirty_tree(tmp_path)
-        assert main(["lint", str(root), "--no-cache", "--jobs", "2",
-                     "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 2
-
-    def test_cache_dir_flag_isolates_cache(self, tmp_path, capsys):
-        root = self._dirty_tree(tmp_path)
-        cache_dir = tmp_path / "lintcache"
-        assert main(["lint", str(root), "--cache-dir", str(cache_dir)]) == 1
-        assert (cache_dir / "findings.json").exists()
-        capsys.readouterr()
-
     def test_list_rules_covers_whole_catalogue(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for number in range(1, 11):
             assert f"SIM{number:03d}" in out
+
+
+def cli_findings(target, capsys):
+    """``repro lint <target>`` findings, paths relative to ``target``."""
+    assert main(["lint", target, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    return [(os.path.relpath(f["path"], target), f["line"], f["column"],
+             f["code"], f["message"]) for f in payload["findings"]]
+
+
+class TestLintPaths:
+    DIRTY = {
+        "pkg/__init__.py": "",
+        "pkg/a.py": ("from repro.sim.rng import spawn_seed\n\n\n"
+                     "def f(s):\n    return spawn_seed(s, 'dup')\n"),
+        "pkg/b.py": ("from repro.sim.rng import spawn_seed\n\n\n"
+                     "def f(s):\n    return spawn_seed(s, 'dup')\n"),
+        "pkg/dirty.py": "import random\n",
+    }
+
+    def test_cli_parses_each_file_once(self, tmp_path, monkeypatch, capsys):
+        """The per-file rules and the module summary share one tree."""
+        root = write_tree(tmp_path / "tree", self.DIRTY)
+        real_parse = ast.parse
+        parsed = Counter()
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["lint", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "SIM001" in out and "SIM006" in out
+        linted = {name: count for name, count in parsed.items()
+                  if name.startswith(root.as_posix())}
+        assert linted == {(root / name).as_posix(): 1 for name in self.DIRTY}
+
+    @pytest.mark.parametrize("where", ["..", ".hidden", "build"])
+    def test_target_path_itself_is_never_skipped(self, tmp_path, monkeypatch,
+                                                 capsys, where):
+        """Dot and build directories are skipped only below a target: the
+        same tree reached through ``..`` or kept under such a directory
+        reports the same findings."""
+        reference = write_tree(tmp_path / "tree", self.DIRTY)
+        expected = cli_findings(str(reference), capsys)
+        assert sorted(finding[3] for finding in expected) == [
+            "SIM001", "SIM006", "SIM006"]
+        if where == "..":
+            monkeypatch.chdir(reference)
+            target = "../tree"
+        else:
+            target = str(tmp_path / where / "tree")
+            shutil.copytree(reference, target)
+        assert cli_findings(target, capsys) == expected
 
 
 class TestSatelliteRegressions:

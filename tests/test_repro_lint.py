@@ -238,7 +238,8 @@ class TestEngine:
 
 class TestMigratedTree:
     def test_src_is_clean(self):
-        """The whole source tree passes its own determinism lint."""
+        """The whole source tree passes its own determinism lint, per-file
+        and cross-module rules alike (SIM001-SIM010)."""
         assert lint_paths(["src"]) == []
 
     def test_reintroduced_random_import_fires_sim001(self, tmp_path):
