@@ -12,7 +12,10 @@ configuration (Figures 12/13) at 80% of its saturation intensity,
 computes a 64-replication wave both ways (identical seeds, so the
 batched delays must equal the scalar engine's bit for bit on the
 sampled prefix), and pins a replications-per-second speedup floor of 2x
-for the batched path (best-of-three on both sides).
+for the batched path (best-of-three on both sides).  The same
+measurement runs on the eight 2x2 Omega partitions of those figures,
+where each lockstep step re-offers a different partition per
+replication; it records its speedup without a floor.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the wave and horizon so CI can execute
 the benchmark end to end in seconds; the speedup floor is asserted only
@@ -34,6 +37,8 @@ from repro.sim.rng import spawn_seed
 
 #: The 16x16 Omega network of the Figure 12/13 delay curves.
 CONFIG = "16/1x16x16 OMEGA/2"
+#: The partitioned Omega curve of the same figures.
+PARTITIONED_CONFIG = "16/8x2x2 OMEGA/2"
 MU_RATIO = 0.1
 INTENSITY_FRACTION = 0.8
 MASTER_SEED = 1
@@ -48,8 +53,8 @@ SCALAR_SAMPLE = 4 if SMOKE else 8
 SPEEDUP_FLOOR = 2.0
 
 
-def _setup():
-    config = SystemConfig.parse(CONFIG)
+def _setup(triplet=CONFIG):
+    config = SystemConfig.parse(triplet)
     intensity = INTENSITY_FRACTION * saturation_intensity(config, MU_RATIO)
     workload = workload_at(intensity, MU_RATIO,
                            processors=config.processors)
@@ -85,15 +90,16 @@ def _mismatches(batched, scalar):
         for left, right in zip(batched, scalar))
 
 
-def test_batched_omega_replications(benchmark):
-    """Measure the batched Omega wave; record both paths in the payload."""
-    config, workload, seeds = _setup()
+def _measure(benchmark, triplet):
+    """Time the batched wave of ``triplet``; record both paths in the
+    payload and check the scalar prefix bit for bit."""
+    config, workload, seeds = _setup(triplet)
     scalar_delays, scalar_time = _run_scalar_sample(config, workload, seeds)
     batched_delays, batched_time = benchmark.pedantic(
         lambda: _run_batched(config, workload, seeds),
         rounds=1, iterations=1)
     speedup = scalar_time / batched_time
-    benchmark.extra_info["config"] = CONFIG
+    benchmark.extra_info["config"] = triplet
     benchmark.extra_info["replications"] = REPLICATIONS
     benchmark.extra_info["horizon"] = HORIZON
     benchmark.extra_info["scalar_estimate_s"] = round(scalar_time, 6)
@@ -104,12 +110,22 @@ def test_batched_omega_replications(benchmark):
     benchmark.extra_info["agreement"] = _mismatches(batched_delays,
                                                     scalar_delays) == 0
     benchmark.extra_info["smoke"] = SMOKE
-    print(f"\n{REPLICATIONS} replications of {CONFIG}: scalar "
+    print(f"\n{REPLICATIONS} replications of {triplet}: scalar "
           f"{scalar_time:.2f}s (est), batched {batched_time:.2f}s, "
           f"speedup {speedup:.2f}x")
     assert _mismatches(batched_delays, scalar_delays) == 0, (
-        "batched Omega delays diverged from the scalar engine — "
+        f"batched {triplet} delays diverged from the scalar engine — "
         "the lockstep invariant is broken")
+
+
+def test_batched_omega_replications(benchmark):
+    """Measure the batched Omega wave; record both paths in the payload."""
+    _measure(benchmark, CONFIG)
+
+
+def test_batched_omega_partitioned_replications(benchmark):
+    """The same measurement on eight 2x2 Omega partitions."""
+    _measure(benchmark, PARTITIONED_CONFIG)
 
 
 def test_batched_omega_speedup_floor():

@@ -17,6 +17,10 @@ replication streams), and pins
 * a points-times-replications-per-second speedup floor of 2x for the
   mega-batch over the per-point waves (best-of-three on both sides).
 
+The same measurement runs on the figure's four 4x8 crossbar partitions
+(``16/4x4x8 XBAR/1``), where each lockstep step re-offers a different
+partition per row; it records its speedup without a floor.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid and horizon so CI can execute
 the benchmark end to end in seconds; the speedup floor is asserted only
 at full size (tiny runs are dominated by fixed setup costs).
@@ -39,6 +43,8 @@ from repro.sim.rng import spawn_seed
 
 #: The headline multiple-shared-bus curve of Figure 7.
 CONFIG = "16/1x16x16 XBAR/2"
+#: The partitioned crossbar curve of the same figure.
+PARTITIONED_CONFIG = "16/4x4x8 XBAR/1"
 MU_RATIO = 0.1
 MASTER_SEED = 1
 SATURATION_GUARD = 0.98
@@ -50,15 +56,16 @@ HORIZON = 800.0 if SMOKE else 8_000.0
 SPEEDUP_FLOOR = 2.0
 
 
-def _curve():
-    """The live (intensity, workload, seeds) points of the fig7 curve."""
-    config = SystemConfig.parse(CONFIG)
+def _curve(triplet=CONFIG):
+    """The live (intensity, workload, seeds) points of a fig7 curve."""
+    config = SystemConfig.parse(triplet)
     limit = SATURATION_GUARD * saturation_intensity(config, MU_RATIO)
     points = []
     intensity = 0.1
     while intensity <= 1.2 + 1e-9:
         if intensity < limit:
-            point_seed = spawn_seed(MASTER_SEED, CONFIG, round(intensity, 6))
+            point_seed = spawn_seed(MASTER_SEED, triplet,
+                                    round(intensity, 6))
             seeds = [spawn_seed(point_seed, "batched-replication", index)
                      for index in range(BATCHED_POINT_REPLICATIONS)]
             workload = workload_at(intensity, MU_RATIO,
@@ -103,15 +110,16 @@ def _mismatches(mega, per_point):
     return count
 
 
-def test_megabatch_figure_curve(benchmark):
-    """Measure the mega-batch curve; record both paths in the payload."""
-    config, points = _curve()
+def _measure(benchmark, triplet):
+    """Time the mega-batch curve of ``triplet``; record both paths in the
+    payload and check them bit for bit."""
+    config, points = _curve(triplet)
     per_point_delays, per_point_time = _run_per_point(config, points)
     mega_delays, mega_time = benchmark.pedantic(
         lambda: _run_megabatch(config, points), rounds=1, iterations=1)
     grid_size = len(points) * BATCHED_POINT_REPLICATIONS
     speedup = per_point_time / mega_time
-    benchmark.extra_info["config"] = CONFIG
+    benchmark.extra_info["config"] = triplet
     benchmark.extra_info["points"] = len(points)
     benchmark.extra_info["replications_per_point"] = (
         BATCHED_POINT_REPLICATIONS)
@@ -125,11 +133,21 @@ def test_megabatch_figure_curve(benchmark):
                                                     per_point_delays) == 0
     benchmark.extra_info["smoke"] = SMOKE
     print(f"\n{len(points)} points x {BATCHED_POINT_REPLICATIONS} "
-          f"replications of {CONFIG}: per-point {per_point_time:.2f}s, "
+          f"replications of {triplet}: per-point {per_point_time:.2f}s, "
           f"mega-batch {mega_time:.2f}s, speedup {speedup:.2f}x")
     assert _mismatches(mega_delays, per_point_delays) == 0, (
-        "mega-batch delays diverged from the per-point batched engine — "
-        "the lockstep invariant is broken")
+        f"mega-batch {triplet} delays diverged from the per-point batched "
+        "engine — the lockstep invariant is broken")
+
+
+def test_megabatch_figure_curve(benchmark):
+    """Measure the mega-batch curve; record both paths in the payload."""
+    _measure(benchmark, CONFIG)
+
+
+def test_megabatch_partitioned_curve(benchmark):
+    """The same measurement on the four 4x8 crossbar partitions."""
+    _measure(benchmark, PARTITIONED_CONFIG)
 
 
 def test_megabatch_figure_speedup_floor():

@@ -193,3 +193,15 @@ class SystemConfig:
 def parse_config(text: str) -> SystemConfig:
     """Module-level alias for :meth:`SystemConfig.parse`."""
     return SystemConfig.parse(text)
+
+
+def check_window(horizon: float, warmup: float) -> None:
+    """Reject a run window unless ``0 <= warmup < horizon < inf``.
+
+    The one check every simulation engine applies before it runs; NaN and
+    infinite bounds fail it too.
+    """
+    if not 0 <= warmup < horizon < math.inf:
+        raise ConfigurationError(
+            f"need 0 <= warmup < horizon < inf, got warmup={warmup} "
+            f"horizon={horizon}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, check_window
 from repro.core.metrics import MetricsCollector, SimulationResult, summarize
 from repro.core.task import Task
 from repro.errors import ConfigurationError, SimulationError
@@ -171,9 +171,7 @@ class CycleAccurateCrossbarSystem:
         """Simulate up to ``horizon``; discard ``warmup``.  One call only."""
         if self._started:
             raise SimulationError("run may only be called once")
-        if warmup < 0 or horizon <= warmup:
-            raise ConfigurationError(
-                f"need 0 <= warmup < horizon, got warmup={warmup} horizon={horizon}")
+        check_window(horizon, warmup)
         self._started = True
         for processor in range(self.config.processors):
             self._schedule_arrival(processor)

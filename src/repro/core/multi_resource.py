@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Set
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, check_window
 from repro.core.metrics import MetricsCollector, SimulationResult, summarize
 from repro.core.task import Task
 from repro.errors import ConfigurationError, SimulationError
@@ -260,9 +260,7 @@ class MultiResourceSystem:
         """Simulate up to ``horizon``; discard ``warmup``.  One call only."""
         if self._started:
             raise SimulationError("run may only be called once")
-        if warmup < 0 or horizon <= warmup:
-            raise ConfigurationError(
-                f"need 0 <= warmup < horizon, got warmup={warmup} horizon={horizon}")
+        check_window(horizon, warmup)
         self._started = True
         for processor in range(self.config.processors):
             self._schedule_arrival(processor)

@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, check_window
 from repro.core.metrics import MetricsCollector, SimulationResult, summarize
 from repro.core.task import Task
 from repro.errors import ConfigurationError, SimulationError
@@ -215,9 +215,7 @@ class PacketSwitchedSystem:
         """Simulate up to ``horizon``; discard ``warmup``.  One call only."""
         if self._started:
             raise SimulationError("PacketSwitchedSystem.run may only run once")
-        if warmup < 0 or horizon <= warmup:
-            raise ConfigurationError(
-                f"need 0 <= warmup < horizon, got warmup={warmup} horizon={horizon}")
+        check_window(horizon, warmup)
         self._started = True
         for processor in range(self.topology.size):
             self._schedule_arrival(processor)

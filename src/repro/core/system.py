@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, check_window
 from repro.errors import (
     ConfigurationError,
     FaultInjectionError,
@@ -423,9 +423,7 @@ class RsinSystem:
         """
         if self._started:
             raise SimulationError("RsinSystem.run may only be called once")
-        if warmup < 0 or horizon <= warmup:
-            raise ConfigurationError(
-                f"need 0 <= warmup < horizon, got warmup={warmup} horizon={horizon}")
+        check_window(horizon, warmup)
         self._started = True
         if self._injector is not None:
             self._injector.install()

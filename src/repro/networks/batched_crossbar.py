@@ -247,7 +247,9 @@ def masked_match_pairs_batch(requesting: np.ndarray, available: np.ndarray,
                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Priority matching around dead crosspoints, for every replication.
 
-    ``alive`` is the shared ``(p, m)`` live-cell mask.  Rank pairing
+    ``alive`` is one ``(p, m)`` live-cell mask shared by every
+    replication, or an ``(R, p, m)`` stack of per-replication planes (the
+    lockstep engine passes the plane of each row's partition).  Rank pairing
     assumes every requesting row can reach every available column; a dead
     cell breaks that, so this routes the ``(R, p)`` X-edge and ``(R, m)``
     Y-edge through the latch-free anti-diagonal wavefront with the dead
@@ -261,9 +263,11 @@ def masked_match_pairs_batch(requesting: np.ndarray, available: np.ndarray,
     live = np.asarray(alive, dtype=np.uint8)
     reps, p = requesting.shape
     m = available.shape[1]
-    if live.shape != (p, m):
+    if live.shape not in ((p, m), (reps, p, m)):
         raise SchedulingError(
-            f"alive mask must have shape {(p, m)}, got {live.shape}")
+            f"alive mask must have shape {(p, m)} or {(reps, p, m)}, "
+            f"got {live.shape}")
+    live = np.broadcast_to(live, (reps, p, m))
     x = np.zeros((reps, p, m + 1), dtype=np.uint8)
     y = np.zeros((reps, p + 1, m), dtype=np.uint8)
     x[:, :, 0] = requesting
@@ -275,7 +279,7 @@ def masked_match_pairs_batch(requesting: np.ndarray, available: np.ndarray,
         x_in = x[:, rows, cols]
         x_next, y_next, set_latch, _reset = cell_logic_batch(
             MODE_REQUEST, x_in, y[:, rows, cols], np.zeros_like(x_in),
-            alive=live[rows, cols])
+            alive=live[:, rows, cols])
         x[:, rows, cols + 1] = x_next
         y[:, rows + 1, cols] = y_next
         granted[:, rows, cols] = set_latch

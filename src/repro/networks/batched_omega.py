@@ -32,17 +32,19 @@ settled, so a connect attempt is a pure function of (occupancy, box
 usage, candidates) — there is no tick-level racing to reproduce, unlike
 :class:`~repro.networks.omega.ClockedMultistageScheduler` (which backs
 the Fig. 11 hop-count studies, not the queueing figures, and stays
-scalar).  The lockstep engine calls :meth:`connect_batch` once per
-requesting input in ascending index order — the scalar broadcast's
-arbitration order — recomputing acceptability between calls, so grant
-order, blocking, and the resulting event streams match the scalar engine
-row for row; randomized lockstep tests pin the router against
-``MultistageFabric`` through long connect/release interleavings.
+scalar).  The lockstep engine calls :meth:`route_broadcast` once per
+lockstep step with every offering row, each naming its own partition,
+and the router grants in the scalar broadcast's ascending input order,
+so grant order, blocking, and the resulting event streams match the
+scalar engine row for row.  :meth:`connect_batch` answers one connect
+attempt at a time — the reference form; randomized lockstep tests pin
+it against ``MultistageFabric`` through long connect/release
+interleavings.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,22 +99,23 @@ class BatchedMultistageRouter:
         self._path_out = np.full((rows, partitions, size, stages), -1,
                                  dtype=np.int8)
 
-    def _availability(self, reps: _IntArray, partition: int,
+    def _availability(self, reps: _IntArray, partitions: _IntArray,
                       acceptable: np.ndarray) -> np.ndarray:
         """Backward availability labelling for every row at once.
 
-        Returns a ``(len(reps), stages + 1, size)`` boolean plane: link
-        ``l`` entering stage ``t`` is available iff it is free, its box
-        input is unengaged, and some untaken output leads to an
-        available next-column link; column ``stages`` holds the
+        Row ``i`` labels partition ``partitions[i]`` of batch row
+        ``reps[i]``.  Returns a ``(len(reps), stages + 1, size)`` boolean
+        plane: link ``l`` entering stage ``t`` is available iff it is
+        free, its box input is unengaged, and some untaken output leads
+        to an available next-column link; column ``stages`` holds the
         acceptable, free output links.  ``avail[:, 0, q]`` is therefore
         "a conflict-free circuit exists from input ``q``" — exactly the
         scalar fabric's labelling, row by row.
         """
         stages = self._stages
-        busy = self._busy[reps, partition]
-        engaged = self._engaged[reps, partition]
-        taken = self._taken[reps, partition]
+        busy = self._busy[reps, partitions]
+        engaged = self._engaged[reps, partitions]
+        taken = self._taken[reps, partitions]
         avail = np.empty((reps.shape[0], stages + 1, self._size), dtype=bool)
         avail[:, stages] = (acceptable != 0) & (busy[:, stages] == 0)
         for stage in range(stages - 1, -1, -1):
@@ -128,14 +131,14 @@ class BatchedMultistageRouter:
                 & (reach_up | reach_lo))
         return avail
 
-    def _claim(self, g_reps: _IntArray, partition: int,
+    def _claim(self, g_reps: _IntArray, partitions: _IntArray,
                input_ports: _IntArray, avail: np.ndarray) -> _IntArray:
         """Forward claim walk for rows the labelling granted.
 
-        ``avail`` rows correspond to ``g_reps`` rows.  Prefers the upper
-        output as the box hardware does; the availability labels
-        guarantee one branch works at every stage.  Returns the
-        connected output port per row.
+        ``avail`` rows correspond to ``(g_reps, partitions)`` rows.
+        Prefers the upper output as the box hardware does; the
+        availability labels guarantee one branch works at every stage.
+        Returns the connected output port per row.
         """
         stages = self._stages
         positions = np.arange(g_reps.shape[0])
@@ -145,25 +148,25 @@ class BatchedMultistageRouter:
             in_port = self._inport_of[stage][link]
             link_up = self._up_link[stage][link]
             link_lo = self._lo_link[stage][link]
-            take_up = ((self._taken[g_reps, partition, stage, box, UPPER]
+            take_up = ((self._taken[g_reps, partitions, stage, box, UPPER]
                         == 0)
                        & avail[positions, stage + 1, link_up])
             if not take_up.all():
                 lower = ~take_up
-                lo_ok = ((self._taken[g_reps[lower], partition, stage,
-                                      box[lower], 1 - UPPER] == 0)
+                lo_ok = ((self._taken[g_reps[lower], partitions[lower],
+                                      stage, box[lower], 1 - UPPER] == 0)
                          & avail[positions[lower], stage + 1,
                                  link_lo[lower]])
                 if not lo_ok.all():
                     raise SchedulingError(
                         "availability labelling inconsistent (router bug)")
             out = np.where(take_up, UPPER, 1 - UPPER).astype(np.int8)
-            self._engaged[g_reps, partition, stage, box, in_port] = 1
-            self._taken[g_reps, partition, stage, box, out] = 1
-            self._busy[g_reps, partition, stage, link] = 1
-            self._path_out[g_reps, partition, input_ports, stage] = out
+            self._engaged[g_reps, partitions, stage, box, in_port] = 1
+            self._taken[g_reps, partitions, stage, box, out] = 1
+            self._busy[g_reps, partitions, stage, link] = 1
+            self._path_out[g_reps, partitions, input_ports, stage] = out
             link = np.where(take_up, link_up, link_lo)
-        self._busy[g_reps, partition, stages, link] = 1
+        self._busy[g_reps, partitions, stages, link] = 1
         return link
 
     def connect_batch(self, reps: _IntArray, partition: int, input_port: int,
@@ -178,21 +181,26 @@ class BatchedMultistageRouter:
         output_ports)``: a boolean mask over ``reps`` and the connected
         output port of each granted row, in ``reps`` order.
         """
-        avail = self._availability(reps, partition, acceptable)
+        partitions = np.full(reps.shape[0], partition, dtype=np.int64)
+        avail = self._availability(reps, partitions, acceptable)
         granted = avail[:, 0, input_port]
         indices = np.nonzero(granted)[0]
         if indices.shape[0] == 0:
             return granted, np.empty(0, dtype=np.int64)
         ports = self._claim(
-            reps[indices], partition,
+            reps[indices], partitions[indices],
             np.full(indices.shape[0], input_port, dtype=np.int64),
             avail[indices])
         return granted, ports
 
-    def route_broadcast(self, reps: _IntArray, partition: int,
-                        requests: np.ndarray, acceptable: np.ndarray):
-        """Route one whole status broadcast, all rows and inputs at once.
+    def route_broadcast(self, reps: _IntArray, partitions: _IntArray,
+                        requests: np.ndarray, acceptable: np.ndarray
+                        ) -> Iterator[Tuple[_IntArray, _IntArray,
+                                            _IntArray]]:
+        """Route one status broadcast per row, all rows and inputs at once.
 
+        Row ``i`` broadcasts in partition ``partitions[i]`` of batch row
+        ``reps[i]``; the ``(reps, partitions)`` pairs must be distinct.
         ``requests`` marks each row's waiting inputs, ``acceptable`` its
         candidate output ports at broadcast time (bus free with a free
         resource).  Yields ``(positions, input_ports, output_ports)``
@@ -209,18 +217,24 @@ class BatchedMultistageRouter:
         per-row order, as attempting the inputs one by one — and drop
         the inputs the labelling refused without ever retrying them.
         A granted output port leaves the row's acceptable set (its bus
-        went busy), matching the engine's own bookkeeping.
+        went busy), matching the engine's own bookkeeping.  A row with no
+        acceptable port left can grant nothing, so once every pending
+        input sits on such a row, no labelling runs.
         """
         pending = requests != 0
-        acceptable = (acceptable != 0).copy()
+        acceptable = acceptable != 0
         while True:
-            avail = self._availability(reps, partition, acceptable)
+            pending &= acceptable.any(axis=1, keepdims=True)
+            if not pending.any():
+                return
+            avail = self._availability(reps, partitions, acceptable)
             pending &= avail[:, 0]
             rows = np.nonzero(pending.any(axis=1))[0]
             if rows.shape[0] == 0:
                 return
             inputs = pending[rows].argmax(axis=1).astype(np.int64)
-            ports = self._claim(reps[rows], partition, inputs, avail[rows])
+            ports = self._claim(reps[rows], partitions[rows], inputs,
+                                avail[rows])
             pending[rows, inputs] = False
             acceptable[rows, ports] = False
             yield rows, inputs, ports

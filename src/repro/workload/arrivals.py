@@ -59,8 +59,9 @@ class Workload:
         for name, value in (("arrival_rate", self.arrival_rate),
                             ("transmission_rate", self.transmission_rate),
                             ("service_rate", self.service_rate)):
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value}")
         for name, value in (
                 ("interarrival_distribution", self.interarrival_distribution),
                 ("transmission_distribution", self.transmission_distribution),

@@ -96,6 +96,10 @@ BAD_INPUT_ARGV = {
     "faults-rho-0": ["faults", "4/4x1x1 SBUS/2", "--rho", "0"],
     "recommend-rho-0": ["recommend", "--resource-cost", "1", "--rho", "0"],
     "simulate-ratio-0": ["simulate", "8/1x8x8 XBAR/1", "--ratio", "0"],
+    "simulate-rho-inf": ["simulate", "16/4x4x4 OMEGA/2", "--rho", "inf"],
+    "simulate-ratio-inf": ["simulate", "8/1x8x8 XBAR/1", "--ratio", "inf"],
+    "simulate-horizon-nan": ["simulate", "16/4x4x4 OMEGA/2",
+                             "--horizon", "nan"],
     "recommend-ratio-0": ["recommend", "--resource-cost", "1",
                           "--ratio", "0"],
     "blocking-trials-0": ["blocking", "--trials", "0"],

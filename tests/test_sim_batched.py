@@ -45,7 +45,7 @@ def _random_cases(count, master_seed=7):
     cases = []
     for _ in range(count):
         processors = rng.choice([2, 4, 8, 12, 16])
-        partitions = rng.choice([1, 2])
+        partitions = rng.choice([1, 2, 4, 8])
         if processors % partitions:
             partitions = 1
         buses = rng.choice([1, 2, 4, 8])
@@ -87,7 +87,7 @@ def _random_multistage_cases(count, master_seed=17):
     cases = []
     for _ in range(count):
         partitions, size = rng.choice(
-            [(1, 4), (1, 8), (1, 16), (2, 4), (2, 8), (4, 4)])
+            [(1, 4), (1, 8), (1, 16), (2, 4), (2, 8), (4, 4), (8, 2)])
         kind = rng.choice(["OMEGA", "CUBE", "BASELINE"])
         resources = rng.choice([1, 2, 3])
         rho = rng.choice([0.02, 0.05, 0.08, 0.12])
@@ -99,6 +99,18 @@ def _random_multistage_cases(count, master_seed=17):
                             service_distribution=distribution)
         cases.append((config, workload))
     return cases
+
+
+#: The partitioned fabrics of Figs. 7/8 and 12/13.  A lockstep step
+#: re-offers a different partition in each row, and one kernel call
+#: dispatches them all.
+FIGURE_PARTITIONED_CONFIGS = ("16/4x4x8 XBAR/1", "16/4x4x4 XBAR/2",
+                              "16/8x2x2 OMEGA/2", "16/4x4x4 OMEGA/2")
+
+
+def _figure_partitioned_cases():
+    return [(SystemConfig.parse(text), Workload(0.1, 1.0, 0.1))
+            for text in FIGURE_PARTITIONED_CONFIGS]
 
 
 def _check_lockstep_grid(cases, seed_base):
@@ -129,6 +141,10 @@ class TestLockstepBitIdentity:
     def test_randomized_multistage_grid_matches_scalar_engine(self):
         """The widened gate: plane-routed Omega/cube/baseline match scalar."""
         _check_lockstep_grid(_random_multistage_cases(8), seed_base=2200)
+
+    def test_figure_partitioned_fabrics_match_scalar_engine(self):
+        """4- and 8-partition figure fabrics, one dispatch per step."""
+        _check_lockstep_grid(_figure_partitioned_cases(), seed_base=2300)
 
     def test_result_carries_counts_and_window(self):
         config = SystemConfig.parse("4/1x4x2 XBAR/2")
@@ -228,6 +244,10 @@ class TestMegaBatch:
         _check_megabatch_grid(_random_multistage_cases(3, master_seed=23),
                               seed_base=7000)
 
+    def test_figure_partitioned_curves_match_per_point_and_scalar(self):
+        """Whole 4- and 8-partition figure curves in one mega-batch."""
+        _check_megabatch_grid(_figure_partitioned_cases(), seed_base=8000)
+
     def test_deterministic_service_matches_scalar(self):
         """The widened gate: deterministic service runs in lockstep."""
         config = SystemConfig.parse("8/2x4x4 XBAR/2")
@@ -242,24 +262,34 @@ class TestMegaBatch:
             _assert_same_delay(scalar, batched[k], f"replication {k}")
 
     def test_static_cell_faults_match_scalar(self):
-        """The widened gate: a statically degraded fabric runs masked."""
-        schedule = FaultSchedule.of(
-            (0.0, "cell", (0, (0, 0)), "down"),
-            (0.0, "cell", (0, (1, 2)), "down"),
-            (0.0, "cell", (1, (3, 1)), "down"))
-        config = SystemConfig.parse("8/2x4x4 XBAR/2").with_faults(
-            FaultConfig(schedule=schedule))
+        """The widened gate: a statically degraded fabric runs masked.
+
+        The 4-partition switch has dead cells in three partitions, each
+        with its own pattern, so one masked dispatch must give every row
+        the alive plane of its own partition.
+        """
+        degraded = {
+            "8/2x4x4 XBAR/2": ((0, (0, 0)), (0, (1, 2)), (1, (3, 1))),
+            "16/4x4x4 XBAR/2": ((0, (0, 0)), (0, (1, 2)), (1, (3, 1)),
+                                (1, (0, 3)), (3, (2, 0)), (3, (2, 1))),
+        }
         workload = Workload(0.06, 1.0, 0.1)
-        assert batched_unsupported_reason(config, workload) is None
         seeds = [911, 912, 913]
-        batched = _point_delays(config, workload, seeds, 500.0, 50.0)
-        healthy = _point_delays(config.with_faults(None), workload, seeds,
-                                500.0, 50.0)
-        assert batched != healthy  # the dead cells must actually bite
-        for k, seed in enumerate(seeds):
-            scalar = simulate(config, workload, horizon=500.0, warmup=50.0,
-                              seed=seed).mean_queueing_delay
-            _assert_same_delay(scalar, batched[k], f"replication {k}")
+        for triplet, cells in degraded.items():
+            schedule = FaultSchedule.of(
+                *[(0.0, "cell", cell, "down") for cell in cells])
+            config = SystemConfig.parse(triplet).with_faults(
+                FaultConfig(schedule=schedule))
+            assert batched_unsupported_reason(config, workload) is None
+            batched = _point_delays(config, workload, seeds, 500.0, 50.0)
+            healthy = _point_delays(config.with_faults(None), workload,
+                                    seeds, 500.0, 50.0)
+            assert batched != healthy, triplet  # the dead cells must bite
+            for k, seed in enumerate(seeds):
+                scalar = simulate(config, workload, horizon=500.0,
+                                  warmup=50.0, seed=seed).mean_queueing_delay
+                _assert_same_delay(scalar, batched[k],
+                                   f"{triplet} replication {k}")
 
     def test_unsupported_reason_names_the_gate(self):
         workload = Workload(0.05, 1.0, 0.1)
@@ -346,6 +376,16 @@ class TestMegaBatch:
                           service_distribution="deterministic")]
         with pytest.raises(ConfigurationError):
             MegaBatchEngine(config, mixed, seed_groups=[[1], [2]])
+
+    def test_non_finite_window_rejected(self):
+        """A NaN or infinite window fails the shared check instead of
+        returning NaN or running forever."""
+        workload = Workload(0.05, 1.0, 0.1)
+        for horizon, warmup in ((math.nan, math.nan), (math.nan, 0.0),
+                                (100.0, math.nan), (math.inf, 0.0)):
+            with pytest.raises(ConfigurationError):
+                batched_delays("4/1x4x2 XBAR/2", [workload], horizon=horizon,
+                               warmup=warmup, seed_groups=[[1]])
 
 
 class TestVariateStreams:

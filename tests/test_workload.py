@@ -25,6 +25,9 @@ class TestWorkload:
         ("arrival_rate", 0.0),
         ("transmission_rate", -1.0),
         ("service_rate", 0.0),
+        ("arrival_rate", float("inf")),
+        ("transmission_rate", float("nan")),
+        ("service_rate", float("inf")),
     ])
     def test_non_positive_rates_rejected(self, field, value):
         kwargs = dict(arrival_rate=1.0, transmission_rate=1.0, service_rate=1.0)
