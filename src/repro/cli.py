@@ -8,9 +8,8 @@ Commands:
   runner: ``--jobs N`` fans figure points out over worker processes and
   results are memoized in the content-addressed cache;
 * ``cache``      — inspect (``stats [--json]``), empty (``clear``),
-  size-bound (``prune --max-size``), integrity-check
-  (``verify [--repair|--fast]``), or rebuild the entry index of
-  (``reindex``) that cache;
+  size-bound (``prune --max-size``), or integrity-check
+  (``verify [--repair]``) that cache;
 * ``simulate``   — run one configuration at a load point;
 * ``solve``      — exact Markov-chain analysis of a shared bus;
 * ``recommend``  — the Table II advisor over the standard candidates;
@@ -97,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: repro_profile.pstats)")
 
     cache = commands.add_parser(
-        "cache", help="inspect, clear, prune, audit, or reindex the sweep "
-                      "result cache")
+        "cache", help="inspect, clear, prune, or audit the sweep result "
+                      "cache")
     cache.add_argument("action", choices=["stats", "clear", "prune",
-                                          "verify", "reindex"])
+                                          "verify"])
     cache.add_argument("--cache-dir", default=None,
                        help="cache directory "
                             "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -110,9 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--repair", action="store_true",
                        help="verify: quarantine corrupted entries and "
                             "evict unverifiable legacy-format ones")
-    cache.add_argument("--fast", action="store_true",
-                       help="verify: index-driven existence/size audit "
-                            "(no payload reads or checksums)")
     cache.add_argument("--json", action="store_true",
                        help="stats: emit machine-readable JSON for "
                             "dashboards instead of the text report")
@@ -289,6 +285,8 @@ def _command_run(args) -> int:
 
 
 def _command_cache(args) -> int:
+    import math
+
     from repro.runner import ResultCache
     from repro.runner.cache import format_bytes
 
@@ -298,9 +296,9 @@ def _command_cache(args) -> int:
         print(f"removed {removed} cached result(s) from {cache.root}")
         return 0
     if args.action == "prune":
-        if args.max_size is None or not args.max_size >= 0:
-            print("error: cache prune requires --max-size <MB> >= 0",
-                  file=sys.stderr)
+        if args.max_size is None or not 0 <= args.max_size < math.inf:
+            print("error: cache prune requires a finite --max-size <MB> "
+                  ">= 0", file=sys.stderr)
             return 2
         max_bytes = int(args.max_size * 1024 * 1024)
         removed, remaining = cache.prune(max_bytes)
@@ -309,16 +307,9 @@ def _command_cache(args) -> int:
               f"limit {format_bytes(max_bytes)})")
         return 0
     if args.action == "verify":
-        if args.fast:
-            fast_report = cache.verify_fast()
-            print(fast_report.format())
-            return 0 if fast_report.clean else 1
         report = cache.verify(repair=args.repair)
         print(report.format())
         return 0 if report.clean else 1
-    if args.action == "reindex":
-        print(cache.reindex().format())
-        return 0
     if args.json:
         import json
         print(json.dumps(cache.stats().as_dict(), indent=2, sort_keys=True))

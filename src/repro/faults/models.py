@@ -67,9 +67,9 @@ class FaultModel:
             raise ConfigurationError(
                 "instantiate a concrete fault model (ResourceFault, BusFault, "
                 "CellFault, InterchangeFault), not FaultModel itself")
-        if self.mttf <= 0:
+        if not self.mttf > 0:
             raise ConfigurationError(f"mttf must be positive, got {self.mttf}")
-        if self.mttr <= 0 or self.mttr == math.inf:
+        if not 0 < self.mttr < math.inf:
             raise ConfigurationError(
                 f"mttr must be positive and finite, got {self.mttr}")
         for name, value in (("failure_distribution", self.failure_distribution),

@@ -58,7 +58,7 @@ class RetryPolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(
                 f"jitter must be in [0, 1), got {self.jitter}")
-        if self.task_timeout <= 0:
+        if not self.task_timeout > 0:
             raise ConfigurationError(
                 f"task_timeout must be positive, got {self.task_timeout}")
 

@@ -31,6 +31,7 @@ turns the chain into a QBD whose blocks repeat from level ``r + 1`` on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -55,13 +56,12 @@ class SbusChain:
     resources: int
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ConfigurationError(f"arrival rate must be positive: {self.arrival_rate}")
-        if self.transmission_rate <= 0:
-            raise ConfigurationError(
-                f"transmission rate must be positive: {self.transmission_rate}")
-        if self.service_rate <= 0:
-            raise ConfigurationError(f"service rate must be positive: {self.service_rate}")
+        for name, rate in (("arrival", self.arrival_rate),
+                           ("transmission", self.transmission_rate),
+                           ("service", self.service_rate)):
+            if not 0 < rate < math.inf:
+                raise ConfigurationError(
+                    f"{name} rate must be finite and positive: {rate}")
         if not isinstance(self.resources, int) or self.resources < 1:
             raise ConfigurationError(
                 f"resource count must be a positive integer: {self.resources!r}")

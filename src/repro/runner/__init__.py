@@ -16,12 +16,9 @@ and corruption is quarantined, never served.  A :class:`ChaosPolicy`
 (``REPRO_CHAOS``) injects worker crashes, hangs, and cache corruption
 deterministically to prove all of the above under test.
 
-It is also built to share: an advisory :class:`CacheIndex` (WAL-mode
-SQLite next to the store) makes ``stats``/``prune``/startup probes index
-queries instead of directory walks, equal-digest units within one run
-execute once (in-flight dedup, outcome-transparent), and the supervisor
-drives any :class:`ExecutorBackend` transport — serial, local process
-pool, or a future distributed executor.
+Equal-digest units within one run execute once (in-flight dedup,
+outcome-transparent), and the supervisor drives any
+:class:`ExecutorBackend` transport — serial or local process pool.
 
 Quick start::
 
@@ -58,14 +55,6 @@ from repro.runner.executors import (
     SerialBackend,
     terminate_pool,
 )
-from repro.runner.index import (
-    INDEX_FILENAME,
-    INDEX_SCHEMA_VERSION,
-    CacheIndex,
-    FastVerifyReport,
-    ReindexReport,
-    row_drift,
-)
 from repro.runner.journal import (
     JournalSummary,
     SweepJournal,
@@ -98,20 +87,15 @@ __all__ = [
     "CHAOS_ENV",
     "DEFAULT_BACKEND",
     "ENVELOPE_VERSION",
-    "INDEX_FILENAME",
-    "INDEX_SCHEMA_VERSION",
     "QUARANTINE_DIR",
     "BackendBroken",
-    "CacheIndex",
     "CacheStats",
     "ChaosPolicy",
     "EVALUATORS",
     "ExecutorBackend",
-    "FastVerifyReport",
     "JOBS_ENV",
     "JournalSummary",
     "ProcessPoolBackend",
-    "ReindexReport",
     "ResultCache",
     "RunReport",
     "SerialBackend",
@@ -134,7 +118,6 @@ __all__ = [
     "get_evaluator",
     "resolve_chaos",
     "resolve_jobs",
-    "row_drift",
     "sweep_digest",
     "terminate_pool",
     "work_unit_digest",

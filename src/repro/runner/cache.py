@@ -23,16 +23,13 @@ Corrupt entries are quarantined (moved to ``<root>/_quarantine`` with a
 mismatches are plain misses, overwritten in place by the next write.
 ``repro cache verify [--repair]`` audits the whole store offline.
 
-**Scale.**  Aggregate operations ride the advisory SQLite index
-(:mod:`repro.runner.index`): ``stats`` is one ``COUNT/SUM`` query,
-``prune`` ranks eviction by indexed mtime, ``verify --fast`` audits
-index-store agreement without reading payloads, and :meth:`get_many`
-probes a whole sweep's digests in one query.  The index never serves a
-value — loads always re-read and checksum-verify the entry file — and
-``reindex`` rebuilds it from the store when it drifts.  Every directory
-scan (the ``walk=True`` reference paths and the full ``verify``) tolerates
-entries vanishing mid-walk — concurrent runners prune and quarantine under
-us, and a cache walk must never be the thing that kills a sweep.
+**Scans.**  The store is its own index: ``stats``, ``prune``, ``verify``
+and ``clear`` walk the entry files, and :meth:`ResultCache.get_many`
+loads each probed digest directly.  The figures produce under a thousand
+entries per master seed, where a walk takes tens of milliseconds.  Every
+scan tolerates entries vanishing mid-walk — concurrent runners prune and
+quarantine under us, and a cache walk must never be the thing that kills
+a sweep.
 """
 
 from __future__ import annotations
@@ -40,18 +37,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import sqlite3
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runner.chaos import ChaosPolicy, resolve_chaos
-from repro.runner.index import (
-    CacheIndex,
-    FastVerifyReport,
-    ReindexReport,
-    row_drift,
-)
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -87,13 +77,8 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def encode_entry(digest: str, value: Any, evaluator_id: str = "") -> bytes:
-    """Serialize ``value`` as a checksummed envelope for ``digest``.
-
-    ``evaluator_id`` is advisory provenance (it feeds the entry index and
-    survives ``reindex``); it is not covered by the payload checksum and
-    absent from entries written before it existed — both decode fine.
-    """
+def encode_entry(digest: str, value: Any) -> bytes:
+    """Serialize ``value`` as a checksummed envelope for ``digest``."""
     payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     envelope = {
         "format": _ENVELOPE_FORMAT,
@@ -102,8 +87,6 @@ def encode_entry(digest: str, value: Any, evaluator_id: str = "") -> bytes:
         "sha256": hashlib.sha256(payload).hexdigest(),
         "payload": payload,
     }
-    if evaluator_id:
-        envelope["evaluator"] = evaluator_id
     return pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -134,25 +117,6 @@ def decode_entry(digest: str, blob: bytes) -> Tuple[str, Any]:
         return "ok", pickle.loads(payload)
     except Exception:
         return "corrupt", None
-
-
-def probe_entry(blob: bytes) -> Tuple[int, str]:
-    """``(envelope_version, evaluator_id)`` metadata for one entry's bytes.
-
-    A reindex-time probe: it parses the envelope without unpickling or
-    checksum-verifying the payload (integrity is :func:`decode_entry`'s
-    job, run on every load).  Anything that is not a current-format
-    envelope — legacy pickles, garbage — reports version 0.
-    """
-    try:
-        envelope = pickle.loads(blob)
-    except Exception:
-        return 0, ""
-    if (not isinstance(envelope, dict)
-            or envelope.get("format") != _ENVELOPE_FORMAT
-            or not isinstance(envelope.get("version"), int)):
-        return 0, ""
-    return envelope["version"], str(envelope.get("evaluator", ""))
 
 
 @dataclass(frozen=True)
@@ -238,12 +202,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        #: Index operations that failed and fell back to the walk; the
-        #: index is advisory, so these are symptoms, never wrong answers.
-        self.index_errors = 0
         #: Explicit chaos policy for tests; ``None`` defers to REPRO_CHAOS.
         self.chaos = chaos
-        self.index = CacheIndex(self.root)
 
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}{_SUFFIX}"
@@ -274,35 +234,6 @@ class ResultCache:
                 if name.endswith(_SUFFIX):
                     yield Path(dirpath) / name
 
-    def _ensure_index(self) -> CacheIndex:
-        """The entry index, rebuilt from the store if its file is gone.
-
-        Deleting ``_index.sqlite`` is always safe: the next aggregate
-        operation walks the store once and recovers the exact population
-        (the acceptance property ``reindex`` pins).
-        """
-        if not self.index.exists():
-            self.reindex()
-        return self.index
-
-    def _index_record(self, digest: str, path: Path,
-                      evaluator_id: str = "") -> None:
-        """Advisory index upsert after a successful ``put``."""
-        try:
-            status = path.stat()
-            self._ensure_index().record(
-                digest, status.st_size, status.st_mtime,
-                ENVELOPE_VERSION, evaluator_id)
-        except (OSError, sqlite3.Error):
-            self.index_errors += 1
-
-    def _index_remove(self, digest: str) -> None:
-        """Advisory index drop after a quarantine or eviction."""
-        try:
-            self.index.remove(digest)
-        except sqlite3.Error:
-            self.index_errors += 1
-
     def _quarantine(self, path: Path) -> Optional[Path]:
         """Move a damaged entry out of the store; returns its new home."""
         destination = self.quarantine_root / f"{path.name}{QUARANTINE_SUFFIX}"
@@ -311,7 +242,6 @@ class ResultCache:
             os.replace(path, destination)
         except OSError:  # racing deletion/quarantine by another runner
             return None
-        self._index_remove(path.name[:-len(_SUFFIX)])
         return destination
 
     # -- store/load -------------------------------------------------------
@@ -322,8 +252,7 @@ class ResultCache:
         A verified entry is a hit.  A corrupt entry (bad checksum, torn
         pickle, digest mismatch) is quarantined and counts as a miss; a
         legacy-format entry is a plain miss, left for the next ``put`` to
-        overwrite.  The index is never consulted: a load is always a read
-        plus checksum verification of the entry file itself.
+        overwrite.
         """
         path = self._path(digest)
         try:
@@ -344,43 +273,25 @@ class ResultCache:
     def get_many(self, digests: Sequence[str]) -> Dict[str, Any]:
         """Verified values for every cached digest in ``digests``.
 
-        One index membership query names the candidates; each candidate is
-        then loaded through :meth:`get` (full checksum verification — a
-        stale index row is a safe miss, a corrupt entry is quarantined as
-        usual).  Digests the index does not list are counted as misses
-        without touching the filesystem, which is what turns a sweep's
-        startup probe into one query instead of N per-entry round trips.
-        If the index is unavailable, every digest is probed directly —
-        slower, never wrong.
+        Each distinct digest is loaded once through :meth:`get`, so a
+        repeated digest counts one hit or miss and corrupt entries are
+        quarantined as usual.
         """
-        distinct = list(dict.fromkeys(digests))
-        if not distinct:
-            return {}
-        candidates: Optional[set] = None
-        try:
-            candidates = self._ensure_index().contains_many(distinct)
-        except sqlite3.Error:
-            self.index_errors += 1
         values: Dict[str, Any] = {}
-        for digest in distinct:
-            if candidates is None or digest in candidates:
-                hit, value = self.get(digest)
-                if hit:
-                    values[digest] = value
-            else:
-                self.misses += 1
+        for digest in dict.fromkeys(digests):
+            hit, value = self.get(digest)
+            if hit:
+                values[digest] = value
         return values
 
-    def put(self, digest: str, value: Any, evaluator_id: str = "") -> None:
+    def put(self, digest: str, value: Any) -> None:
         """Store ``value`` under ``digest`` (checksummed, atomic replace).
 
         The temp file is removed on any failure mid-write (including
         ``KeyboardInterrupt``), so an interrupted run leaves neither a
-        torn entry nor a stray temporary behind.  The entry index is
-        updated after the replace lands; ``evaluator_id`` (when the caller
-        knows it) rides along as provenance in both envelope and index.
+        torn entry nor a stray temporary behind.
         """
-        blob = encode_entry(digest, value, evaluator_id)
+        blob = encode_entry(digest, value)
         chaos = resolve_chaos(self.chaos)
         if chaos.active and chaos.should_corrupt(digest):
             blob = chaos.corrupt_bytes(digest, blob)
@@ -397,36 +308,21 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self._index_record(digest, path, evaluator_id)
 
     # -- maintenance ------------------------------------------------------
 
-    def stats(self, walk: bool = False) -> CacheStats:
-        """Summarize the cache: one index query, or a full directory walk.
-
-        The default reads the advisory index (O(1) in the entry count);
-        ``walk=True`` forces the reference scan — the drift oracle the
-        index is audited against, and the fallback when it is unavailable.
-        """
+    def stats(self) -> CacheStats:
+        """Summarize the cache: one walk over the entry files."""
         entries = 0
         total_bytes = 0
         quarantined = 0
         if self.root.is_dir():
-            if not walk:
+            for path in self._iter_entries():
                 try:
-                    entries, total_bytes = self._ensure_index().summary()
-                except sqlite3.Error:
-                    self.index_errors += 1
-                    walk = True
-            if walk:
-                entries = 0
-                total_bytes = 0
-                for path in self._iter_entries():
-                    try:
-                        total_bytes += path.stat().st_size
-                    except OSError:  # racing deletion
-                        continue
-                    entries += 1
+                    total_bytes += path.stat().st_size
+                except OSError:  # racing deletion
+                    continue
+                entries += 1
             if self.quarantine_root.is_dir():
                 quarantined = sum(
                     1 for name in _list_dir(self.quarantine_root)
@@ -441,8 +337,7 @@ class ResultCache:
 
         With ``repair=True`` corrupt *and* legacy-format entries are moved
         to the quarantine directory, leaving a store where every remaining
-        entry is verified-loadable.  (For the index-only fast audit see
-        :meth:`verify_fast`.)
+        entry is verified-loadable.
         """
         checked = ok = quarantined = 0
         corrupt: List[str] = []
@@ -466,70 +361,11 @@ class ResultCache:
                             corrupt=tuple(corrupt), legacy=tuple(legacy),
                             quarantined=quarantined, repaired=repair)
 
-    def verify_fast(self) -> FastVerifyReport:
-        """Index-driven audit: every indexed entry exists at its size.
-
-        No payload is read — this is the milliseconds-scale drift check
-        (``repro cache verify --fast``) for deleted or truncated entries.
-        It cannot vouch for payload integrity (full :meth:`verify` does)
-        or see unindexed files (:meth:`reindex` does).
-        """
-        missing: List[str] = []
-        mismatched: List[str] = []
-        ok = 0
-        rows = self._ensure_index().rows()
-        for digest, size, _mtime, _version, _evaluator in rows:
-            try:
-                status = self._path(digest).stat()
-            except OSError:
-                missing.append(digest)
-                continue
-            if status.st_size != size:
-                mismatched.append(digest)
-            else:
-                ok += 1
-        return FastVerifyReport(root=str(self.root), checked=len(rows),
-                                ok=ok, missing=tuple(missing),
-                                mismatched=tuple(mismatched))
-
-    def reindex(self) -> ReindexReport:
-        """Rebuild the entry index from the store, reporting drift.
-
-        The store is the authority: the new table is exactly one row per
-        entry file on disk (undecodable blobs included — they occupy
-        bytes, and ``stats`` must count them), swapped in atomically so
-        concurrent readers see the old or new index, never a torn one.
-        """
-        try:
-            old_rows = self.index.rows() if self.index.exists() else []
-        except sqlite3.Error:
-            self.index_errors += 1
-            old_rows = []
-        new_rows = []
-        undecodable = 0
-        if self.root.is_dir():
-            for path in list(self._iter_entries()):
-                try:
-                    status = path.stat()
-                    blob = path.read_bytes()
-                except OSError:  # racing deletion
-                    continue
-                version, evaluator_id = probe_entry(blob)
-                if version == 0:
-                    undecodable += 1
-                new_rows.append((path.name[:-len(_SUFFIX)], status.st_size,
-                                 status.st_mtime, version, evaluator_id))
-        self.index.replace_all(new_rows)
-        added, removed, changed = row_drift(old_rows, new_rows)
-        return ReindexReport(root=str(self.root), indexed=len(new_rows),
-                             added=added, removed=removed, changed=changed,
-                             undecodable=undecodable)
-
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed.
 
         Quarantined files are swept too (they are not counted — they were
-        never servable entries), and the index is emptied alongside.
+        never servable entries).
         """
         removed = 0
         if not self.root.is_dir():
@@ -546,66 +382,24 @@ class ResultCache:
                     (self.quarantine_root / name).unlink()
                 except OSError:
                     continue
-        try:
-            if self.index.exists():
-                self.index.clear()
-        except sqlite3.Error:
-            self.index_errors += 1
         self._remove_empty_directories()
         return removed
 
-    def prune(self, max_bytes: int, walk: bool = False) -> Tuple[int, int]:
+    def prune(self, max_bytes: int) -> Tuple[int, int]:
         """Evict least-recently-used entries until the cache fits.
 
         Entries are ranked by mtime — :meth:`get` does not touch entries,
         so this is least-recently-*written* order, the best LRU proxy a
         plain content-addressed file store offers — and deleted oldest
-        first until the total size drops to ``max_bytes``.  The candidate
-        list comes from one indexed-mtime query (``walk=True`` forces the
-        reference full-scan ranking, also the fallback when the index is
-        unavailable).  Returns ``(entries removed, bytes remaining)``.
-        Entries that vanish mid-scan (a concurrent runner pruning the same
-        store) are skipped, never fatal; their stale index rows are
-        dropped so repeated prunes converge.
+        first until the total size drops to ``max_bytes``.  Returns
+        ``(entries removed, bytes remaining)``.  Entries that vanish
+        mid-scan (a concurrent runner pruning the same store) are skipped,
+        never fatal.
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         if not self.root.is_dir():
             return 0, 0
-        if not walk:
-            try:
-                return self._prune_indexed(max_bytes)
-            except sqlite3.Error:
-                self.index_errors += 1
-        return self._prune_walk(max_bytes)
-
-    def _prune_indexed(self, max_bytes: int) -> Tuple[int, int]:
-        index = self._ensure_index()
-        _entries, total = index.summary()
-        if total <= max_bytes:
-            # Already within budget: one aggregate query, no ranking —
-            # the common case a periodic prune hits.
-            return 0, total
-        entries = index.lru_entries()
-        total = sum(size for _digest, size, _mtime in entries)
-        removed = 0
-        evicted: List[str] = []
-        for digest, size, _mtime in entries:
-            if total <= max_bytes:
-                break
-            try:
-                self._path(digest).unlink()
-                removed += 1
-            except OSError:
-                pass  # stale row or racing deletion: the bytes are gone
-            evicted.append(digest)
-            total -= size
-        if evicted:
-            index.remove_many(evicted)
-            self._remove_empty_directories()
-        return removed, total
-
-    def _prune_walk(self, max_bytes: int) -> Tuple[int, int]:
         entries = []
         total = 0
         for path in self._iter_entries():
@@ -624,7 +418,6 @@ class ResultCache:
                 path.unlink()
             except OSError:  # racing deletion
                 continue
-            self._index_remove(path.name[:-len(_SUFFIX)])
             total -= size
             removed += 1
         if removed:

@@ -99,10 +99,6 @@ class SweepRunner:
     * ``jobs`` — worker count (``None`` defers to ``REPRO_JOBS``, then 1);
     * ``cache`` — a :class:`ResultCache`, a directory path for one, or
       ``None`` to disable caching;
-    * ``chunk_size`` — removed; supervised dispatch submits per unit
-      (retry and timeout need per-unit futures), so passing any value is
-      a :class:`~repro.errors.ConfigurationError` directing callers to
-      :class:`SupervisorPolicy`;
     * ``supervisor`` — a :class:`SupervisorPolicy` (retry budget, unit
       timeout, degradation ladder, in-flight dedup); ``None`` uses the
       defaults;
@@ -125,18 +121,11 @@ class SweepRunner:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Union[ResultCache, os.PathLike, str, None] = None,
-                 chunk_size: Optional[int] = None,
                  supervisor: Optional[SupervisorPolicy] = None,
                  chaos: Optional[ChaosPolicy] = None,
                  journal: Optional[SweepJournal] = None,
                  resume: bool = False,
                  backend_factory: Optional[Callable] = None):
-        if chunk_size is not None:
-            raise ConfigurationError(
-                f"chunk_size is gone (got {chunk_size!r}): supervised "
-                "dispatch submits one future per unit, so IPC chunking no "
-                "longer exists. Tune dispatch through SupervisorPolicy "
-                "(max_attempts, unit_timeout, dedup) instead.")
         self.jobs = jobs
         self.cache = (ResultCache(cache)
                       if isinstance(cache, (str, os.PathLike)) else cache)
@@ -169,8 +158,8 @@ class SweepRunner:
         report = RunReport(total=len(units))
         outcomes: List[Optional[UnitOutcome]] = [None] * len(units)
 
-        # One indexed probe for the whole batch (duplicates collapse in
-        # the query), then per-hit verified values; see ResultCache.get_many.
+        # One probe for the whole batch (duplicates load once), each hit
+        # checksum-verified; see ResultCache.get_many.
         cached_values: Dict[str, Any] = {}
         if self.cache is not None and units:
             cached_values = self.cache.get_many(
@@ -205,8 +194,7 @@ class SweepRunner:
                         self.cache.put(
                             outcome.computed_digest
                             or outcome.unit.config_digest,
-                            outcome.value,
-                            evaluator_id=outcome.unit.evaluator_id)
+                            outcome.value)
                 if journal is not None:
                     journal.record(
                         outcome.unit.config_digest,

@@ -99,7 +99,7 @@ class SupervisorPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts} "
                 "(zero attempts would never execute a unit)")
-        if self.unit_timeout is not None and self.unit_timeout <= 0:
+        if self.unit_timeout is not None and not self.unit_timeout > 0:
             raise ConfigurationError(
                 f"unit_timeout must be positive, got {self.unit_timeout}")
         if self.max_pool_respawns < 1:

@@ -105,6 +105,13 @@ BAD_INPUT_ARGV = {
     "blocking-trials-0": ["blocking", "--trials", "0"],
     "cache-prune-negative-size": ["cache", "prune", "--max-size", "-5"],
     "recommend-negative-cost": ["recommend", "--resource-cost", "-1"],
+    "solve-arrival-nan": ["solve", "nan", "1", "1", "1"],
+    "solve-service-inf": ["solve", "0.5", "1", "inf", "1"],
+    "cache-prune-size-inf": ["cache", "prune", "--max-size", "inf"],
+    "run-unit-timeout-nan": ["run", "fig4", "--no-cache",
+                             "--unit-timeout", "nan"],
+    "faults-task-timeout-nan": ["faults", "4/4x1x1 SBUS/2",
+                                "--task-timeout", "nan"],
 }
 
 

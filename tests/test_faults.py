@@ -61,6 +61,10 @@ class TestFaultModels:
         with pytest.raises(ConfigurationError):
             ResourceFault(mttf=1.0, mttr=math.inf)
         with pytest.raises(ConfigurationError):
+            ResourceFault(mttf=math.nan, mttr=1.0)
+        with pytest.raises(ConfigurationError):
+            ResourceFault(mttf=1.0, mttr=math.nan)
+        with pytest.raises(ConfigurationError):
             ResourceFault(mttf=1.0, mttr=1.0, failure_distribution="weird")
 
     def test_infinite_mttf_never_fails(self):

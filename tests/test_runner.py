@@ -7,6 +7,7 @@ real tracebacks, and the wave-based replication procedure must reproduce
 the sequential stopping rule bit for bit.
 """
 
+import json
 import os
 import pickle
 
@@ -137,15 +138,6 @@ class TestSweepRunner:
         assert not outcomes[0].ok and "boom" in outcomes[0].error
         assert outcomes[1].ok and outcomes[1].value == 4
 
-    def test_chunk_size_knob_is_gone(self):
-        # The IPC-chunking knob died with supervised per-unit dispatch;
-        # any value — previously "valid" or not — is a configuration
-        # error that points at the supervisor policy instead.
-        for value in (0, 1, 16):
-            with pytest.raises(ConfigurationError,
-                               match="SupervisorPolicy"):
-                SweepRunner(chunk_size=value)
-
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
@@ -231,6 +223,86 @@ class TestResultCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         cache = ResultCache()
         assert cache.root == tmp_path / "envcache"
+
+    def test_get_many_counts_each_digest_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        kept, gone, absent = (f"{index:02d}" + "1" * 62 for index in range(3))
+        cache.put(kept, "kept")
+        cache.put(gone, "gone")
+        (tmp_path / gone[:2] / f"{gone}.pkl").unlink()
+        values = cache.get_many([kept, gone, absent, kept, absent])
+        assert values == {kept: "kept"}
+        # One load per distinct digest: the repeated hit and the repeated
+        # miss count once each; a deleted entry is a plain miss.
+        assert (cache.hits, cache.misses, cache.corrupt) == (1, 2, 0)
+
+    def test_get_many_survives_a_corrupt_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        good, bad = (f"{index:02d}" + "3" * 62 for index in range(2))
+        cache.put(good, "good")
+        cache.put(bad, "bad")
+        bad_path = tmp_path / bad[:2] / f"{bad}.pkl"
+        bad_path.write_bytes(b"torn")
+        values = cache.get_many([good, bad])
+        assert values == {good: "good"}
+        # The corrupt entry is a quarantined miss; the good one is served.
+        assert (cache.hits, cache.misses, cache.corrupt) == (1, 1, 1)
+        assert not bad_path.exists()
+        assert [p.name for p in cache.quarantine_root.iterdir()] == [
+            f"{bad}.pkl.quar"]
+
+    def test_quarantine_sibling_directories_are_scanned(self, tmp_path):
+        # Quarantine is excluded by path component, not by name prefix: a
+        # "_quarantine-old" sibling holds real entries.
+        from repro.runner import encode_entry
+
+        cache = ResultCache(tmp_path)
+        cache.put("01" + "2" * 62, 1)
+        sibling = tmp_path / "_quarantine-old"
+        sibling.mkdir()
+        stray = "02" + "2" * 62
+        (sibling / f"{stray}.pkl").write_bytes(encode_entry(stray, "stray"))
+        cache.quarantine_root.mkdir()
+        (cache.quarantine_root / ("03" + "2" * 62 + ".pkl")).write_bytes(
+            b"evidence")
+        assert cache.stats().entries == 2
+        assert cache.verify().checked == 2
+
+    def test_stats_json_key_set(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ResultCache(tmp_path).put("04" + "2" * 62, "x" * 20)
+        assert main(["cache", "stats", "--json",
+                     "--cache-dir", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"root", "entries", "total_bytes",
+                                "session_hits", "session_misses",
+                                "quarantined", "session_corrupt", "hit_rate"}
+        assert payload["entries"] == 1 and payload["total_bytes"] > 0
+        assert payload["hit_rate"] is None
+
+    def test_entries_with_evaluator_provenance_still_load(self, tmp_path):
+        # Earlier writers added an "evaluator" key to the envelope and kept
+        # an SQLite index file beside the store.  Neither version moved, so
+        # those entries are verified hits and the stray file is no entry.
+        import hashlib
+
+        from repro.runner import CACHE_SCHEMA_VERSION, ENVELOPE_VERSION
+
+        assert (ENVELOPE_VERSION, CACHE_SCHEMA_VERSION) == (1, 7)
+        digest = "05" + "2" * 62
+        payload = pickle.dumps({"answer": 42})
+        path = tmp_path / digest[:2] / f"{digest}.pkl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps({
+            "format": "repro-result-cache", "version": 1, "digest": digest,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            "payload": payload, "evaluator": "megabatch-figure"}))
+        (tmp_path / "_index.sqlite").write_bytes(b"SQLite format 3\x00")
+        cache = ResultCache(tmp_path)
+        assert cache.get_many([digest]) == {digest: {"answer": 42}}
+        assert cache.verify().clean and cache.verify().checked == 1
+        assert cache.stats().entries == 1
 
     def test_runner_serves_repeat_work_from_cache(self, tmp_path):
         units = _square_units(5)

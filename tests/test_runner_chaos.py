@@ -267,13 +267,8 @@ class TestSupervisedRuns:
         with pytest.raises(KeyboardInterrupt):
             runner.run(_units(8))
         # Atomic writes: an interrupted run leaves no torn temp files.
-        # (The advisory SQLite entry index and its WAL companions live
-        # beside the store by design — they are not torn state.)
-        from repro.runner.index import INDEX_FILENAME
-
         leftovers = [path for path in tmp_path.rglob("*")
-                     if path.is_file() and not path.name.endswith(".pkl")
-                     and not path.name.startswith(INDEX_FILENAME)]
+                     if path.is_file() and not path.name.endswith(".pkl")]
         assert leftovers == []
 
 
