@@ -19,7 +19,10 @@ replication streams), and pins
 
 The same measurement runs on the figure's four 4x8 crossbar partitions
 (``16/4x4x8 XBAR/1``), where each lockstep step re-offers a different
-partition per row; it records its speedup without a floor.
+partition per row; it records its speedup without a floor.  A third case
+takes the whole figure: Figure 7's four crossbar curves as one engine
+(per-point configurations) against one engine per curve, with
+bit-identity asserted and the speedup recorded, again without a floor.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid and horizon so CI can execute
 the benchmark end to end in seconds; the speedup floor is asserted only
@@ -45,6 +48,9 @@ from repro.sim.rng import spawn_seed
 CONFIG = "16/1x16x16 XBAR/2"
 #: The partitioned crossbar curve of the same figure.
 PARTITIONED_CONFIG = "16/4x4x8 XBAR/1"
+#: Every curve of Figure 7: one processor count, one crossbar kernel.
+FIGURE_CONFIGS = ("16/1x16x32 XBAR/1", "16/1x16x16 XBAR/2",
+                  "16/4x4x8 XBAR/1", "16/4x4x4 XBAR/2")
 MU_RATIO = 0.1
 MASTER_SEED = 1
 SATURATION_GUARD = 0.98
@@ -171,3 +177,50 @@ def test_megabatch_figure_speedup_floor():
     assert speedup >= SPEEDUP_FLOOR, (
         f"mega-batch engine regressed: only {speedup:.2f}x over per-point "
         f"batched waves (floor {SPEEDUP_FLOOR}x)")
+
+
+def _run_curves(curves, merged):
+    """Whole-figure delays, one engine or one per curve; (delays, s)."""
+    per_replication = HORIZON / BATCHED_POINT_REPLICATIONS
+    window = dict(horizon=per_replication,
+                  warmup=per_replication * WARMUP_FRACTION)
+    start = perf_counter()
+    if merged:
+        delays = batched_delays(
+            [config for config, points in curves for _ in points],
+            [workload for _, points in curves for _, workload, _ in points],
+            seed_groups=[seeds for _, points in curves
+                         for _, _, seeds in points], **window)
+    else:
+        delays = [group for config, points in curves
+                  for group in batched_delays(
+                      config, [workload for _, workload, _ in points],
+                      seed_groups=[seeds for _, _, seeds in points],
+                      **window)]
+    return delays, perf_counter() - start
+
+
+def test_megabatch_whole_figure(benchmark):
+    """Figure 7's four curves in one engine against one engine each."""
+    curves = [_curve(triplet) for triplet in FIGURE_CONFIGS]
+    per_curve_delays, per_curve_time = _run_curves(curves, merged=False)
+    merged_delays, merged_time = benchmark.pedantic(
+        lambda: _run_curves(curves, merged=True), rounds=1, iterations=1)
+    rows = sum(len(points) for _, points in curves) * (
+        BATCHED_POINT_REPLICATIONS)
+    speedup = per_curve_time / merged_time
+    benchmark.extra_info["configs"] = list(FIGURE_CONFIGS)
+    benchmark.extra_info["rows"] = rows
+    benchmark.extra_info["horizon"] = HORIZON
+    benchmark.extra_info["per_curve_s"] = round(per_curve_time, 6)
+    benchmark.extra_info["merged_s"] = round(merged_time, 6)
+    benchmark.extra_info["speedup"] = round(speedup, 3)
+    benchmark.extra_info["agreement"] = _mismatches(
+        merged_delays, per_curve_delays) == 0
+    benchmark.extra_info["smoke"] = SMOKE
+    print(f"\nfig7, {rows} rows: one engine per curve "
+          f"{per_curve_time:.2f}s, one engine {merged_time:.2f}s, "
+          f"speedup {speedup:.2f}x")
+    assert _mismatches(merged_delays, per_curve_delays) == 0, (
+        "the whole-figure engine diverged from the per-curve engines — "
+        "the lockstep invariant is broken")

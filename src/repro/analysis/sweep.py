@@ -10,7 +10,7 @@ independent buses, by event simulation otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.approximations import saturation_intensity, sbus_delay
@@ -147,7 +147,7 @@ def simulated_series(config: Union[SystemConfig, str], mu_ratio: float,
                      engine: str = DEFAULT_ENGINE) -> Series:
     """Event-simulation delay curve (crossbar / multistage configurations).
 
-    Every point runs with ``seed``; see :func:`simulated_points`.
+    Every point runs with ``seed``; see :func:`simulated_curves`.
     """
     if isinstance(config, str):
         config = SystemConfig.parse(config)
@@ -162,6 +162,34 @@ def simulated_series(config: Union[SystemConfig, str], mu_ratio: float,
                   points=tuple(points), method="event-simulation")
 
 
+@dataclass(frozen=True)
+class SimulatedCurve:
+    """One simulated curve request: a configuration, its mu ratio, the
+    intensities with one seed per point, and how to simulate them."""
+
+    config: Union[SystemConfig, str]
+    mu_ratio: float
+    intensities: Sequence[float]
+    point_seeds: Sequence[int]
+    horizon: float = 30_000.0
+    warmup_fraction: float = 0.1
+    arbitration: str = "priority"
+    saturation_guard: float = 0.98
+    engine: str = DEFAULT_ENGINE
+
+
+@dataclass
+class _LockstepGroup:
+    """Batchable points of several curves that share one engine."""
+
+    config: SystemConfig           # the first point's, for lockstep_mismatch
+    key: Tuple[object, ...]        # horizon, warmup, arbitration, dists
+    slots: List[Tuple[int, int, float]] = field(default_factory=list)
+    configs: List[SystemConfig] = field(default_factory=list)
+    workloads: List[Workload] = field(default_factory=list)
+    seed_groups: List[List[int]] = field(default_factory=list)
+
+
 def simulated_points(config: Union[SystemConfig, str], mu_ratio: float,
                      intensities: Sequence[float],
                      point_seeds: Sequence[int], horizon: float = 30_000.0,
@@ -169,13 +197,24 @@ def simulated_points(config: Union[SystemConfig, str], mu_ratio: float,
                      arbitration: str = "priority",
                      saturation_guard: float = 0.98,
                      engine: str = DEFAULT_ENGINE) -> List[SweepPoint]:
-    """Event-simulation delay points of one curve, one seed per point.
+    """Event-simulation delay points of one curve, one seed per point: the
+    one-curve case of :func:`simulated_curves`."""
+    [points] = simulated_curves([SimulatedCurve(
+        config, mu_ratio, intensities, point_seeds, horizon=horizon,
+        warmup_fraction=warmup_fraction, arbitration=arbitration,
+        saturation_guard=saturation_guard, engine=engine)])
+    return points
+
+
+def simulated_curves(curves: Sequence[SimulatedCurve]
+                     ) -> List[List[SweepPoint]]:
+    """Event-simulation delay points of several curves, one list per curve.
 
     The computation behind every simulated figure unit (see
     :mod:`repro.runner.evaluators`); a single point is a one-point curve.
-    A point depends only on its own intensity and seed, never on which
-    other points share the call, so a curve equals its points computed one
-    at a time, bit for bit.
+    A point depends only on its own curve, intensity and seed, never on
+    which other points or curves share the call, so the result equals the
+    curves and their points computed one at a time, bit for bit.
 
     Points at or beyond ``saturation_guard`` times the configuration's
     saturation intensity are reported as saturated rather than burning
@@ -183,72 +222,101 @@ def simulated_points(config: Union[SystemConfig, str], mu_ratio: float,
     every other point the batchability gate admits
     (:func:`repro.sim.batched.batched_unsupported_reason`) splits its
     horizon over :data:`BATCHED_POINT_REPLICATIONS` replications seeded
-    ``spawn_seed(seed, "batched-replication", k)``; the curve's whole
-    (point, replication) grid advances as one lockstep batch, and each
-    point carries the Student-t interval across its replications.  With
-    ``engine="scalar"``, and for points the gate refuses (random/fifo
-    arbiters, infinite resource pools, dynamic faults, discrete holding
-    times), each point is one scalar run of the full horizon with its
-    batch-means interval.  The two estimators differ by replication noise,
-    not by model, which is why the engine is cache-digest material.
+    ``spawn_seed(seed, "batched-replication", k)`` and carries the
+    Student-t interval across its replications.  Batchable points of all
+    the curves are grouped by :func:`repro.sim.batched.lockstep_mismatch`
+    plus equal horizon, warmup, arbitration and holding-time
+    distributions, and each group advances as one lockstep batch: fig. 7's
+    four crossbar curves run as one engine.  With ``engine="scalar"``,
+    and for points the gate refuses (random/fifo arbiters, infinite
+    resource pools, dynamic faults, discrete holding times), each point is
+    one scalar run of the full horizon with its batch-means interval.  The
+    two estimators differ by replication noise, not by model, which is
+    why the engine is cache-digest material.
     """
-    from repro.sim.batched import batched_delays, batched_unsupported_reason
+    from repro.sim.batched import (
+        batched_delays,
+        batched_unsupported_reason,
+        lockstep_mismatch,
+    )
     from repro.sim.rng import spawn_seed
     from repro.sim.stats import confidence_interval
 
-    if isinstance(config, str):
-        config = SystemConfig.parse(config)
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown simulation engine {engine!r}; expected one of {ENGINES}")
-    grid = list(intensities)
-    if len(point_seeds) != len(grid):
-        raise ConfigurationError(
-            f"need one seed per point: {len(grid)} intensities, "
-            f"{len(point_seeds)} seeds")
-    limit = saturation_guard * saturation_intensity(config, mu_ratio)
-    points: List[Optional[SweepPoint]] = [None] * len(grid)
-    batch: List[Tuple[int, Workload, List[int]]] = []
-    for index, (intensity, seed) in enumerate(zip(grid, point_seeds)):
-        if intensity >= limit:
-            points[index] = SweepPoint(intensity=intensity,
-                                       normalized_delay=None)
-            continue
-        workload = workload_at(intensity, mu_ratio,
-                               processors=config.processors)
-        if engine == "batched" and batched_unsupported_reason(
-                config, workload, arbitration) is None:
-            batch.append((index, workload, [
-                spawn_seed(seed, "batched-replication", replication)
-                for replication in range(BATCHED_POINT_REPLICATIONS)]))
-            continue
-        result = simulate(config, workload, horizon=horizon,
-                          warmup=horizon * warmup_fraction, seed=seed,
-                          arbitration=arbitration)
-        points[index] = SweepPoint(
-            intensity=intensity,
-            normalized_delay=result.normalized_delay,
-            ci_halfwidth=result.delay_ci_halfwidth * workload.service_rate)
-    if batch:
-        per_replication = horizon / BATCHED_POINT_REPLICATIONS
-        delay_groups = batched_delays(
-            config, [workload for _, workload, _ in batch],
-            horizon=per_replication,
-            warmup=per_replication * warmup_fraction,
-            seed_groups=[seeds for _, _, seeds in batch],
-            arbitration=arbitration)
-        for (index, workload, _), delays in zip(batch, delay_groups):
-            finite = [delay for delay in delays if not math.isnan(delay)]
-            if not finite:
-                points[index] = SweepPoint(intensity=grid[index],
+    results: List[List[Optional[SweepPoint]]] = []
+    groups: List[_LockstepGroup] = []
+    for number, curve in enumerate(curves):
+        config = (SystemConfig.parse(curve.config)
+                  if isinstance(curve.config, str) else curve.config)
+        if curve.engine not in ENGINES:
+            raise ConfigurationError(
+                f"unknown simulation engine {curve.engine!r}; expected one "
+                f"of {ENGINES}")
+        grid = list(curve.intensities)
+        if len(curve.point_seeds) != len(grid):
+            raise ConfigurationError(
+                f"need one seed per point: {len(grid)} intensities, "
+                f"{len(curve.point_seeds)} seeds")
+        limit = curve.saturation_guard * saturation_intensity(
+            config, curve.mu_ratio)
+        points: List[Optional[SweepPoint]] = [None] * len(grid)
+        results.append(points)
+        for index, (intensity, seed) in enumerate(
+                zip(grid, curve.point_seeds)):
+            if intensity >= limit:
+                points[index] = SweepPoint(intensity=intensity,
                                            normalized_delay=None)
                 continue
-            mean, halfwidth = confidence_interval(finite)
+            workload = workload_at(intensity, curve.mu_ratio,
+                                   processors=config.processors)
+            if curve.engine == "batched" and batched_unsupported_reason(
+                    config, workload, curve.arbitration) is None:
+                key = (curve.horizon, curve.warmup_fraction,
+                       curve.arbitration,
+                       workload.interarrival_distribution,
+                       workload.transmission_distribution,
+                       workload.service_distribution)
+                group = next(
+                    (group for group in groups if group.key == key
+                     and lockstep_mismatch(group.config, config) is None),
+                    None)
+                if group is None:
+                    group = _LockstepGroup(config, key)
+                    groups.append(group)
+                group.slots.append((number, index, intensity))
+                group.configs.append(config)
+                group.workloads.append(workload)
+                group.seed_groups.append([
+                    spawn_seed(seed, "batched-replication", replication)
+                    for replication in range(BATCHED_POINT_REPLICATIONS)])
+                continue
+            result = simulate(config, workload, horizon=curve.horizon,
+                              warmup=curve.horizon * curve.warmup_fraction,
+                              seed=seed, arbitration=curve.arbitration)
             points[index] = SweepPoint(
-                intensity=grid[index],
+                intensity=intensity,
+                normalized_delay=result.normalized_delay,
+                ci_halfwidth=result.delay_ci_halfwidth * workload.service_rate)
+    for group in groups:
+        horizon, warmup_fraction, arbitration = group.key[:3]
+        per_replication = horizon / BATCHED_POINT_REPLICATIONS
+        delay_groups = batched_delays(
+            group.configs, group.workloads, horizon=per_replication,
+            warmup=per_replication * warmup_fraction,
+            seed_groups=group.seed_groups, arbitration=arbitration)
+        for (number, index, intensity), workload, delays in zip(
+                group.slots, group.workloads, delay_groups):
+            finite = [delay for delay in delays if not math.isnan(delay)]
+            if not finite:
+                results[number][index] = SweepPoint(intensity=intensity,
+                                                    normalized_delay=None)
+                continue
+            mean, halfwidth = confidence_interval(finite)
+            results[number][index] = SweepPoint(
+                intensity=intensity,
                 normalized_delay=mean * workload.service_rate,
                 ci_halfwidth=halfwidth * workload.service_rate)
-    return [point for point in points if point is not None]
+    return [[point for point in points if point is not None]
+            for points in results]
 
 
 def series_for(config: Union[SystemConfig, str], mu_ratio: float,

@@ -267,8 +267,9 @@ def _command_run(args) -> int:
         print(render_series(series, title=title))
     outcomes = runner.last_outcomes
     hits = sum(1 for outcome in outcomes if outcome.cached)
+    points = sum(len(curve.points) for curve in series)
     print()
-    print(f"{len(outcomes)} points in {elapsed:.2f}s "
+    print(f"{points} points ({len(outcomes)} units) in {elapsed:.2f}s "
           f"({runner.effective_jobs} job(s), {hits} cache hit(s), "
           f"cache {'off' if cache is None else cache.root})")
     report = runner.last_report

@@ -123,8 +123,10 @@ def figure_work_units(exp_id: str, quality: str = "fast",
     intensity ``x`` runs with ``spawn_seed(seed, triplet, x)``, its own
     replication rather than one seed reused across the figure.  The
     batched engine advances a whole curve at once, so each curve is one
-    unit; the scalar loop gains nothing from sharing a call, so each of
-    its points is a one-point curve that a worker pool can spread.  Unit
+    unit (a serial run hands a figure's pending curve units to one
+    evaluator call, where compatible curves share one engine); the
+    scalar loop gains nothing from sharing an engine, so each of its
+    points is a one-point curve that a worker pool can spread.  Unit
     digests cover the engine, so the result cache never serves scalar
     and batched curves for each other.
     """

@@ -83,6 +83,14 @@ def _call_name(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _binds_params(node: ast.AST) -> bool:
+    """Whether ``node``'s body binds the name ``params`` (a loop target,
+    an assignment, a comprehension variable)."""
+    return any(isinstance(child, ast.Name) and child.id == "params"
+               and isinstance(child.ctx, ast.Store)
+               for child in ast.walk(node))
+
+
 def module_name_for(path: Path) -> str:
     """The dotted module name of ``path``, walking up ``__init__.py`` roots.
 
@@ -183,7 +191,12 @@ class _ModuleExtractor(ast.NodeVisitor):
                  self._params_name, self._setish_names)
         self._function = facts
         self._function_globals = set()
-        self._params_name = "params" if "params" in arg_names else None
+        # The params mapping is an argument, or — for a list-protocol
+        # evaluator — a name its body binds per member.
+        self._params_name = (
+            "params" if "params" in arg_names
+            or (facts.evaluator_id is not None and _binds_params(node))
+            else None)
         self._setish_names = set()
         self._scope.append(node.name)
         for statement in node.body:

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.markov.multibus_chain import MultibusChain, MultibusSolution, MultibusState
@@ -79,6 +77,8 @@ class ParametricAssembly:
         self._b_data = b_data
         self._rhs_a = rhs_a
         self._rhs_b = rhs_b
+        from scipy import sparse
+
         size = len(states) - 1
         # Persistent matrices on the shared pattern: a sweep point only
         # rewrites ``data`` in place, never re-runs the sparse constructors.
@@ -271,6 +271,8 @@ class StationarySweepSolver:
         matrix, rhs = self.assembly.reduced_system(arrival_rate)
         reduced = self._refine(matrix, arrival_rate, rhs)
         if reduced is None:
+            from scipy.sparse.linalg import splu
+
             self._lu = splu(self.assembly.reduced_system_csc(arrival_rate))
             self._lu_arrival_rate = arrival_rate
             self._last_iterations = 0

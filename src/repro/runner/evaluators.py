@@ -1,32 +1,53 @@
 """The evaluator registry: what a work unit actually computes.
 
-Evaluators are module-level functions of ``(seed, params)`` — the shape the
-process pool requires (workers unpickle the function by qualified name, so
-lambdas and closures cannot cross the boundary; lint rule SIM005 enforces
-this for every pool call site).  Each evaluator re-derives its inputs from
-the JSON-safe ``params`` mapping, runs one independent seeded computation,
-and returns a picklable result.
+Evaluators are module-level functions of ``(members, backend)`` — the
+shape the process pool requires (workers unpickle the function by
+qualified name, so lambdas and closures cannot cross the boundary; lint
+rule SIM005 enforces this for every pool call site).  ``members`` is a
+list of ``(seed, params)`` pairs, one per work unit, and the evaluator
+returns one picklable value per member, in order.  Each member is an
+independent seeded computation that the evaluator re-derives from its
+JSON-safe ``params`` mapping; a member's value never depends on the other
+members of the call, so one call over many units equals one call per
+unit, bit for bit.  A unit's payload is a one-member list; the serial
+runner hands a run of consecutive pending units of one evaluator to a
+single call, which lets ``megabatch-figure`` advance several curves in
+one lockstep engine.
 
 Registered evaluators:
 
-* ``megabatch-figure``   — the simulated points of one figure curve on
-  either engine (``list[SweepPoint]``, intensity order); a single point
-  is a one-point curve;
-* ``analytic-point``     — one exact Markov-chain figure point (``SweepPoint``);
-* ``replication-delay``  — one replication's mean queueing delay (``float``).
+* ``megabatch-figure``   — the simulated points of figure curves on
+  either engine (one ``list[SweepPoint]`` per member, intensity order); a
+  single point is a one-point curve;
+* ``analytic-point``     — exact Markov-chain figure points (one
+  ``SweepPoint`` per member);
+* ``replication-delay``  — one replication's mean queueing delay per
+  member (``float``).
 """
 
 from __future__ import annotations
 
 import time  # lint: disable=SIM002 - wall time of workers, not simulated time
 import traceback
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.runner.chaos import resolve_chaos
 from repro.runner.workunit import DEFAULT_BACKEND
 
-Evaluator = Callable[..., Any]
+Evaluator = Callable[..., List[Any]]
+
+#: The members of one evaluator call: ``(seed, params)`` per work unit.
+Members = Sequence[Tuple[int, Mapping[str, Any]]]
 
 #: Evaluator functions by id; workers resolve work units against this table.
 EVALUATORS: Dict[str, Evaluator] = {}
@@ -73,33 +94,46 @@ def get_evaluator(evaluator_id: str) -> Evaluator:
 
 
 def execute_payload(
-        payload: Tuple[str, int, dict, str, str],
+        payload: Tuple[str, str, List[Tuple[int, dict, str]]],
         attempt: int = 0,
         chaos_spec: Optional[str] = None,
         in_worker: bool = True,
-) -> Tuple[str, Any, Optional[str], float]:
-    """Run one unit's payload: returns ``(digest, value, error, wall_time)``.
+) -> Tuple[Optional[List[Any]], Optional[str], float]:
+    """Run a payload's members in one evaluator call.
 
-    This is the function the process pool ships to workers, so it lives at
-    module level (workers unpickle it by qualified name; SIM005).  All
-    exceptions — including evaluator-lookup failures and injected chaos —
-    are marshalled as traceback text so one bad unit cannot poison the
-    pool.  ``attempt`` salts the chaos draws: a unit that crashed on one
-    attempt rolls fresh dice on the next, which is what makes retry an
-    effective recovery under a constant injection rate.  ``chaos_spec``
-    carries an explicit policy across the process boundary; when absent,
-    ``REPRO_CHAOS`` (inherited by workers) applies.
+    ``payload`` is ``(evaluator id, backend, members)`` with one
+    ``(seed, params, digest)`` member per work unit (see
+    :func:`repro.runner.workunit.batch_payload`); the result is
+    ``(values, error, wall_time)``, with one value per member, or
+    ``values=None`` and the error text when anything failed.  This is the
+    function the process pool ships to workers, so it lives at module
+    level (workers unpickle it by qualified name; SIM005).  All exceptions
+    — including evaluator-lookup failures and injected chaos — are
+    marshalled as traceback text so one bad unit cannot poison the pool.
+    Chaos rolls once per member before the call, so an injection aimed at
+    any member fails the whole call.  ``attempt`` salts the chaos draws:
+    a unit that crashed on one attempt rolls fresh dice on the next,
+    which is what makes retry an effective recovery under a constant
+    injection rate.  ``chaos_spec`` carries an explicit policy across the
+    process boundary; when absent, ``REPRO_CHAOS`` (inherited by workers)
+    applies.
     """
-    evaluator_id, seed, params, backend, digest = payload
+    evaluator_id, backend, members = payload
     start = time.perf_counter()
     try:
         chaos = resolve_chaos(spec=chaos_spec)
         if chaos.active:
-            chaos.maybe_inject(digest, attempt, in_worker=in_worker)
-        value = get_evaluator(evaluator_id)(seed, params, backend)
+            for _seed, _params, digest in members:
+                chaos.maybe_inject(digest, attempt, in_worker=in_worker)
+        values = list(get_evaluator(evaluator_id)(
+            [(seed, params) for seed, params, _digest in members], backend))
+        if len(values) != len(members):
+            raise ConfigurationError(
+                f"evaluator {evaluator_id!r} returned {len(values)} "
+                f"value(s) for {len(members)} member(s)")
     except BaseException:
-        return digest, None, traceback.format_exc(), time.perf_counter() - start
-    return digest, value, None, time.perf_counter() - start
+        return None, traceback.format_exc(), time.perf_counter() - start
+    return values, None, time.perf_counter() - start
 
 
 #: Per-process solver context for the ``sweep`` backend.  Workers are
@@ -124,40 +158,45 @@ def _worker_context():
                                       "horizon", "warmup_fraction",
                                       "arbitration", "saturation_guard",
                                       "engine"))
-def figure_curve(seed: int, params: Mapping[str, Any],
-                 backend: str = DEFAULT_BACKEND) -> list:
-    """Simulated points of one figure curve, in intensity order.
+def figure_curves(members: Members,
+                  backend: str = DEFAULT_BACKEND) -> List[list]:
+    """Simulated points of each member's figure curve, in intensity order.
 
-    ``seed`` is the figure's master seed and the point at intensity ``x``
-    runs with ``spawn_seed(seed, config, x)``, so a point's value does not
-    depend on which other intensities share the unit: a curve unit equals
-    its one-point units bit for bit.  ``engine`` selects the scalar loop
-    or the batched engine (see
-    :func:`repro.analysis.sweep.simulated_points`).  The id is kept for
-    the end-to-end benchmark, whose per-layer metrics are keyed on it.
+    A member's ``seed`` is the figure's master seed and the point at
+    intensity ``x`` runs with ``spawn_seed(seed, config, x)``, so a
+    point's value does not depend on which other intensities or curves
+    share the call: a curve unit equals its one-point units bit for bit.
+    The curves of one call share lockstep engines where
+    :func:`repro.analysis.sweep.simulated_curves` can group them.
+    ``engine`` selects the scalar loop or the batched engine.  The id is
+    kept for the end-to-end benchmark, whose per-layer metrics are keyed
+    on it.
     """
-    from repro.analysis.sweep import simulated_points
+    from repro.analysis.sweep import SimulatedCurve, simulated_curves
     from repro.sim.rng import spawn_seed
 
-    triplet = params["config"]
-    intensities = list(params["intensities"])
-    return simulated_points(
-        triplet, params["mu_ratio"], intensities,
-        [spawn_seed(seed, triplet, intensity) for intensity in intensities],
-        horizon=params["horizon"],
-        warmup_fraction=params.get("warmup_fraction", 0.1),
-        arbitration=params.get("arbitration", "priority"),
-        saturation_guard=params.get("saturation_guard", 0.98),
-        engine=params["engine"])
+    curves = []
+    for seed, params in members:
+        triplet = params["config"]
+        intensities = list(params["intensities"])
+        curves.append(SimulatedCurve(
+            triplet, params["mu_ratio"], intensities,
+            [spawn_seed(seed, triplet, intensity)
+             for intensity in intensities],
+            horizon=params["horizon"],
+            warmup_fraction=params.get("warmup_fraction", 0.1),
+            arbitration=params.get("arbitration", "priority"),
+            saturation_guard=params.get("saturation_guard", 0.98),
+            engine=params["engine"]))
+    return simulated_curves(curves)
 
 
 @evaluator("analytic-point", reads=("config", "mu_ratio", "intensity"))
-def analytic_point(seed: int, params: Mapping[str, Any],
-                   backend: str = DEFAULT_BACKEND):
-    """One exact SBUS delay point (the seed is irrelevant and ignored).
+def analytic_points(members: Members, backend: str = DEFAULT_BACKEND) -> list:
+    """Exact SBUS delay points (the seeds are irrelevant and ignored).
 
     ``backend="dense"`` is the per-point reference path; ``"sweep"`` routes
-    the solve through a per-process parametric
+    the solves through a per-process parametric
     :class:`~repro.markov.assembly.SolverContext`.  The backend is digest
     material, so cached results never cross backends.
     """
@@ -166,24 +205,29 @@ def analytic_point(seed: int, params: Mapping[str, Any],
     if backend not in ("dense", "sweep"):
         raise ConfigurationError(f"unknown solver backend: {backend!r}")
     context = _worker_context() if backend == "sweep" else None
-    return exact_point(params["config"], params["mu_ratio"],
-                       params["intensity"], context=context)
+    return [exact_point(params["config"], params["mu_ratio"],
+                        params["intensity"], context=context)
+            for _seed, params in members]
 
 
 @evaluator("replication-delay", reads=("config", "arrival_rate",
                                        "transmission_rate",
                                        "service_rate", "horizon",
                                        "warmup", "arbitration"))
-def replication_delay(seed: int, params: Mapping[str, Any],
-                      backend: str = DEFAULT_BACKEND) -> float:
-    """Mean queueing delay of one independent replication."""
+def replication_delays(members: Members,
+                       backend: str = DEFAULT_BACKEND) -> List[float]:
+    """Mean queueing delay of each member's independent replication."""
     from repro.core.system import simulate
     from repro.workload.arrivals import Workload
 
-    workload = Workload(arrival_rate=params["arrival_rate"],
-                        transmission_rate=params["transmission_rate"],
-                        service_rate=params["service_rate"])
-    result = simulate(params["config"], workload, horizon=params["horizon"],
-                      warmup=params["warmup"], seed=seed,
-                      arbitration=params.get("arbitration", "priority"))
-    return result.mean_queueing_delay
+    delays = []
+    for seed, params in members:
+        workload = Workload(arrival_rate=params["arrival_rate"],
+                            transmission_rate=params["transmission_rate"],
+                            service_rate=params["service_rate"])
+        result = simulate(params["config"], workload,
+                          horizon=params["horizon"], warmup=params["warmup"],
+                          seed=seed,
+                          arbitration=params.get("arbitration", "priority"))
+        delays.append(result.mean_queueing_delay)
+    return delays

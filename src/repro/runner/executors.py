@@ -13,8 +13,8 @@ The contract the supervisor relies on:
 
 * ``submit(payload, attempt, chaos_spec)`` returns a
   :class:`~concurrent.futures.Future` resolving to
-  :func:`repro.runner.evaluators.execute_payload`'s 4-tuple
-  ``(digest, value, error, wall_time)``.  Worker exceptions are already
+  :func:`repro.runner.evaluators.execute_payload`'s triple
+  ``(values, error, wall_time)``.  Worker exceptions are already
   marshalled into ``error`` by ``execute_payload``; the only exceptions a
   future (or ``submit`` itself) may surface are transport failures.
 * ``broken_exceptions`` names those transport failures.  When one
@@ -66,7 +66,7 @@ class ExecutorBackend:
 
     def submit(self, payload: tuple, attempt: int,
                chaos_spec: Optional[dict]) -> "Future":
-        """Dispatch one payload; the future resolves to the worker 4-tuple."""
+        """Dispatch one payload; the future resolves to the worker triple."""
         raise NotImplementedError
 
     def terminate(self) -> None:

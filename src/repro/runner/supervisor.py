@@ -26,6 +26,16 @@ for the modeled fabrics:
   killed and the pool rebuilt; repeated respawns without any completed
   unit degrade the remaining work to serial execution.
 
+* **One call per run of units.**  The serial path (``jobs == 1``) hands
+  each maximal run of consecutive pending units — taken after dedup —
+  that share an evaluator id and backend to one evaluator call, and
+  splits the values per unit: each gets its own outcome, cache write and
+  journal record, and an even share of the call's wall time.  That is
+  how the curves of one figure reach one lockstep engine.  If the call
+  raises, or chaos fires for any member, every member falls back to the
+  per-unit path below, so fault tolerance stays per unit.  The parallel
+  path ships one unit per payload.
+
 * **In-flight dedup.**  Units sharing a ``config_digest`` within one
   batch execute once: the first occurrence leads, the rest follow its
   outcome verbatim (value, error, degradation provenance, computed
@@ -64,7 +74,7 @@ from repro.faults.retry import RetryPolicy, backoff_stream
 from repro.runner.chaos import ChaosPolicy
 from repro.runner.evaluators import execute_payload
 from repro.runner.executors import ExecutorBackend, ProcessPoolBackend
-from repro.runner.workunit import WorkUnit
+from repro.runner.workunit import WorkUnit, batch_payload
 
 #: How the supervisor builds its default transport for ``workers`` slots.
 BackendFactory = Callable[[int], ExecutorBackend]
@@ -244,8 +254,8 @@ class Supervisor:
         if self.policy.dedup:
             pending, on_complete = self._dedup(pending, report, on_complete)
         if jobs == 1 or len(pending) == 1:
-            for index, unit in pending:
-                on_complete(index, self._run_inline(unit, report))
+            for run in self._runs(pending):
+                self._run_serial(run, report, on_complete)
             return
         self._execute_backend(pending, jobs, report, on_complete)
 
@@ -286,6 +296,39 @@ class Supervisor:
 
     # -- serial path ------------------------------------------------------
 
+    @staticmethod
+    def _runs(pending: Sequence[Tuple[int, WorkUnit]]
+              ) -> List[List[Tuple[int, WorkUnit]]]:
+        """Maximal runs of consecutive units sharing evaluator and backend."""
+        runs: List[List[Tuple[int, WorkUnit]]] = []
+        for index, unit in pending:
+            if runs and (runs[-1][0][1].evaluator_id,
+                         runs[-1][0][1].backend) == (unit.evaluator_id,
+                                                     unit.backend):
+                runs[-1].append((index, unit))
+            else:
+                runs.append([(index, unit)])
+        return runs
+
+    def _run_serial(self, run: List[Tuple[int, WorkUnit]],
+                    report: RunReport, on_complete: CompletionHook) -> None:
+        """One evaluator call for ``run``; per-unit supervision on failure."""
+        from repro.runner.pool import UnitOutcome
+
+        if len(run) > 1:
+            values, error, wall = execute_payload(
+                batch_payload([unit for _, unit in run]), attempt=1,
+                chaos_spec=self._chaos_spec, in_worker=False)
+            if values is not None:
+                share = wall / len(run)
+                for (index, unit), value in zip(run, values):
+                    on_complete(index, UnitOutcome(
+                        unit=unit, value=value, wall_time=share,
+                        computed_digest=unit.config_digest))
+                return
+        for index, unit in run:
+            on_complete(index, self._run_inline(unit, report))
+
     def _run_inline(self, unit: WorkUnit, report: RunReport,
                     degradations: Tuple[str, ...] = ()):
         """Supervised inline execution (the serial path and final fallback)."""
@@ -296,11 +339,11 @@ class Supervisor:
         tries = 0
         while True:
             tries += 1
-            _digest, value, error, wall = execute_payload(
+            values, error, wall = execute_payload(
                 current.payload(), attempt=tries,
                 chaos_spec=self._chaos_spec, in_worker=False)
-            if error is None:
-                return UnitOutcome(unit=unit, value=value, wall_time=wall,
+            if values is not None:
+                return UnitOutcome(unit=unit, value=values[0], wall_time=wall,
                                    attempts=tries, degraded=degradations,
                                    computed_digest=current.config_digest)
             if attempt < self.policy.max_attempts:
@@ -380,7 +423,7 @@ class Supervisor:
                     for future in done:
                         flight = inflight.pop(future)
                         try:
-                            _digest, value, error, wall = future.result()
+                            values, error, wall = future.result()
                         except backend.broken_exceptions as exc:
                             pool_broken = True
                             self._handle_failure(
@@ -390,14 +433,15 @@ class Supervisor:
                                 on_complete)
                             continue
                         except BaseException as exc:
-                            value, wall = None, 0.0
+                            values, wall = None, 0.0
                             error = (f"{type(exc).__name__}: {exc} "
                                      "(future failed without a worker result)")
-                        if error is None:
+                        if values is not None:
                             respawns_without_progress = 0
                             on_complete(flight.index,
-                                        self._outcome(flight, value, wall))
+                                        self._outcome(flight, values[0], wall))
                         else:
+                            assert error is not None
                             self._handle_failure(flight, error, wall, now,
                                                  ready, delayed, report,
                                                  on_complete)
@@ -526,13 +570,14 @@ class Supervisor:
                 (flight.original.config_digest, "pool->serial"))
             report.serial_fallbacks += 1
             flight.tries += 1
-            _digest, value, inline_error, inline_wall = execute_payload(
+            values, inline_error, inline_wall = execute_payload(
                 flight.unit.payload(), attempt=flight.tries,
                 chaos_spec=self._chaos_spec, in_worker=False)
-            if inline_error is None:
+            if values is not None:
                 on_complete(flight.index,
-                            self._outcome(flight, value, inline_wall))
+                            self._outcome(flight, values[0], inline_wall))
                 return
+            assert inline_error is not None
             error, wall = inline_error, inline_wall
         report.failures.append(flight.original.config_digest)
         on_complete(flight.index, UnitOutcome(

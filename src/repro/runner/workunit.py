@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -130,11 +130,24 @@ class WorkUnit:
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def payload(self) -> tuple:
-        """The picklable form shipped to pool workers."""
-        return (self.evaluator_id, self.seed, dict(self.params),
-                self.backend, self.config_digest)
+        """The picklable form shipped to pool workers: a one-member
+        :func:`batch_payload`."""
+        return batch_payload([self])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"WorkUnit({self.evaluator_id!r}, seed={self.seed}, "
                 f"backend={self.backend!r}, "
                 f"digest={self.config_digest[:12]})")
+
+
+def batch_payload(units: Sequence[WorkUnit]) -> tuple:
+    """One evaluator call over ``units``, in picklable form.
+
+    Returns ``(evaluator id, backend, members)`` with one ``(seed, params,
+    digest)`` member per unit; every unit must share the evaluator id and
+    backend (see :func:`repro.runner.evaluators.execute_payload`).
+    """
+    first = units[0]
+    return (first.evaluator_id, first.backend,
+            [(unit.seed, dict(unit.params), unit.config_digest)
+             for unit in units])

@@ -15,7 +15,14 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from scipy import stats as _scipy_stats
+
+def _t_quantile(probability: float, df: int) -> float:
+    """Student-t quantile, equal to ``scipy.stats.t.ppf(probability, df)``
+    bit for bit without the cost of importing ``scipy.stats``."""
+    from scipy.special import stdtrit
+
+    quantile: float = stdtrit(df, probability)
+    return quantile
 
 
 class TallyStat:
@@ -163,7 +170,7 @@ class BatchMeans:
         k = len(means)
         grand = sum(means) / k
         variance = sum((m - grand) ** 2 for m in means) / (k - 1)
-        t_value = _scipy_stats.t.ppf(0.5 + confidence / 2.0, k - 1)
+        t_value = _t_quantile(0.5 + confidence / 2.0, k - 1)
         half_width = t_value * math.sqrt(variance / k)
         return half_width, grand
 
@@ -178,5 +185,5 @@ def confidence_interval(values, confidence: float = 0.95) -> Tuple[float, float]
     if n == 1:
         return mean, math.inf
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    t_value = _scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1)
+    t_value = _t_quantile(0.5 + confidence / 2.0, n - 1)
     return mean, t_value * math.sqrt(variance / n)

@@ -90,6 +90,39 @@ class TestCli:
                 main(["run", "fig4", "--engine", retired, "--no-cache"])
 
 
+    def test_run_counts_points_not_units(self, capsys):
+        """fig7's 32-cell table comes from 4 curve units."""
+        assert main(["run", "fig7", "--no-cache", "--quality", "fast"]) == 0
+        assert "32 points (4 units) in " in capsys.readouterr().out
+
+
+class TestStartup:
+    """``import repro.cli`` stays light: the heavy scientific modules load
+    only where a command uses them."""
+
+    HEAVY = ("scipy.stats", "scipy.sparse", "scipy.linalg", "networkx")
+
+    def _import_cli(self, prelude=""):
+        import subprocess
+        import sys
+
+        script = (f"{prelude}\nimport sys\nimport repro.cli\n"
+                  f"print(sorted(name for name in {self.HEAVY!r} "
+                  "if name in sys.modules))")
+        return subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=False)
+
+    def test_import_loads_no_heavy_module(self):
+        result = self._import_cli()
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_import_survives_without_networkx(self):
+        result = self._import_cli(
+            'import sys\nsys.modules["networkx"] = None')
+        assert result.returncode == 0, result.stderr
+
+
 #: Arguments each rejected where they enter, with a named reason.
 BAD_INPUT_ARGV = {
     "simulate-rho-0": ["simulate", "8/1x8x8 XBAR/1", "--rho", "0"],

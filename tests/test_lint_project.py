@@ -209,6 +209,33 @@ class TestSim007DigestDrift:
         assert codes(findings) == ["SIM007"]
         assert "params['beta']" in findings[0].message
 
+    def test_undeclared_read_in_list_protocol_body_flagged(self, tmp_path):
+        """``params`` bound per member (a loop or comprehension target)
+        is still the audited mapping."""
+        write_tree(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/evals.py": """\
+                from repro.runner.evaluators import evaluator
+
+
+                @evaluator("looped", reads=("alpha",))
+                def looped(members, backend="dense"):
+                    values = []
+                    for _seed, params in members:
+                        values.append(params["alpha"] + params["beta"])
+                    return values
+
+
+                @evaluator("comprehended", reads=("alpha",))
+                def comprehended(members, backend="dense"):
+                    return [params.get("gamma") for _seed, params in members]
+                """,
+        })
+        findings = run_lint(tmp_path)
+        assert codes(findings) == ["SIM007", "SIM007"]
+        assert "params['beta']" in findings[0].message
+        assert "params['gamma']" in findings[1].message
+
     def test_declared_reads_clean(self, tmp_path):
         write_tree(tmp_path, {
             "pkg/__init__.py": "",

@@ -31,13 +31,13 @@ from repro.workload.arrivals import Workload
 #: Deliberately failing evaluator, registered at import (module level so
 #: pool workers can unpickle it; SIM005).
 @evaluator("test-explode")
-def _explode(seed, params, backend="dense"):
-    raise ValueError(f"boom from seed {seed}")
+def _explode(members, backend="dense"):
+    raise ValueError(f"boom from seed {members[0][0]}")
 
 
 @evaluator("test-square")
-def _square(seed, params, backend="dense"):
-    return params["x"] ** 2 + seed
+def _square(members, backend="dense"):
+    return [params["x"] ** 2 + seed for seed, params in members]
 
 
 def _square_units(count, seed=0):
@@ -77,8 +77,8 @@ class TestWorkUnit:
     def test_payload_round_trips_through_pickle(self):
         unit = WorkUnit("sweep-point", 3, {"a": 1})
         payload = pickle.loads(pickle.dumps(unit.payload()))
-        assert payload == ("sweep-point", 3, {"a": 1}, "dense",
-                           unit.config_digest)
+        assert payload == ("sweep-point", "dense",
+                           [(3, {"a": 1}, unit.config_digest)])
 
     def test_backend_tag_separates_cache_identities(self):
         dense = WorkUnit("analytic-point", 0, {"x": 1})
@@ -461,10 +461,11 @@ class TestFigureParity:
         curve = get_evaluator("megabatch-figure")
         params = {"config": "16/1x16x8 XBAR/2", "mu_ratio": 0.1,
                   "horizon": 1_000.0, "engine": "batched"}
-        together = curve(9, {**params, "intensities": [0.2, 0.4, 5.0]})
+        [together] = curve([(9, {**params,
+                                 "intensities": [0.2, 0.4, 5.0]})])
         alone = [point for intensity in (0.2, 0.4, 5.0)
-                 for point in curve(9, {**params,
-                                        "intensities": [intensity]})]
+                 for [point] in curve([(9, {**params,
+                                            "intensities": [intensity]})])]
         assert together == alone
         assert [point.normalized_delay is None for point in together] == [
             False, False, True]
@@ -476,8 +477,8 @@ class TestFigureParity:
         curve = get_evaluator("megabatch-figure")
         params = {"config": "16/1x16x8 XBAR/2", "mu_ratio": 0.1,
                   "intensities": [0.4], "horizon": 1_000.0}
-        [scalar_point] = curve(9, {**params, "engine": "scalar"})
-        [batched_point] = curve(9, {**params, "engine": "batched"})
+        [[scalar_point]] = curve([(9, {**params, "engine": "scalar"})])
+        [[batched_point]] = curve([(9, {**params, "engine": "batched"})])
         assert scalar_point.normalized_delay is not None
         assert batched_point.normalized_delay is not None
         assert batched_point.normalized_delay != scalar_point.normalized_delay
@@ -674,19 +675,94 @@ class TestCacheIntegrity:
 
 
 @evaluator("test-engine-sensitive")
-def _engine_sensitive(seed, params, backend="dense"):
-    if params.get("engine") == "batched":
-        raise ValueError("batched path deliberately broken")
-    return {"seed": seed, "engine": params.get("engine"), "x": params["x"]}
+def _engine_sensitive(members, backend="dense"):
+    values = []
+    for seed, params in members:
+        if params.get("engine") == "batched":
+            raise ValueError("batched path deliberately broken")
+        values.append({"seed": seed, "engine": params.get("engine"),
+                       "x": params["x"]})
+    return values
 
 
 @evaluator("test-log-execution")
-def _log_execution(seed, params, backend="dense"):
+def _log_execution(members, backend="dense"):
     # Appends one line per *execution* to a file the test names; dedup
     # tests count lines to prove each unique digest ran exactly once.
-    with open(params["log"], "a", encoding="utf-8") as handle:
-        handle.write(f"{seed}:{params['x']}\n")
-    return params["x"] * 10 + seed
+    values = []
+    for seed, params in members:
+        with open(params["log"], "a", encoding="utf-8") as handle:
+            handle.write(f"{seed}:{params['x']}\n")
+        values.append(params["x"] * 10 + seed)
+    return values
+
+
+def _count_calls(monkeypatch, evaluator_id):
+    """Record the member count of every call of ``evaluator_id``."""
+    from repro.runner.evaluators import EVALUATORS
+
+    calls = []
+    original = EVALUATORS[evaluator_id]
+
+    def counted(members, backend="dense"):
+        calls.append(len(members))
+        return original(members, backend)
+
+    monkeypatch.setitem(EVALUATORS, evaluator_id, counted)
+    return calls
+
+
+class TestSerialRuns:
+    """The serial path hands each run of consecutive pending units of one
+    evaluator to a single call and splits the outcomes per unit."""
+
+    def test_consecutive_units_make_one_call(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "test-square")
+        other = WorkUnit("test-engine-sensitive", 0,
+                         {"x": 7, "engine": "scalar"})
+        units = _square_units(5) + [other] + _square_units(2, seed=10)
+        runner = SweepRunner(jobs=1)
+        values = runner.run_values(units)
+        assert calls == [5, 2]
+        assert values == ([x ** 2 for x in range(5)]
+                          + [{"seed": 0, "engine": "scalar", "x": 7}]
+                          + [10, 11])
+        outcomes = runner.last_outcomes
+        assert all(outcome.attempts == 1 for outcome in outcomes)
+        # The call's wall time is split evenly among its members.
+        assert len({outcome.wall_time for outcome in outcomes[:5]}) == 1
+        assert runner.last_report.computed == len(units)
+
+    def test_chaos_on_one_member_falls_back_per_unit(self, monkeypatch):
+        from repro.runner import ChaosPolicy
+
+        units = _square_units(6)
+        digests = [unit.config_digest for unit in units]
+
+        def fails(policy, digest, attempt):
+            return policy._draw("fail", digest, attempt) < policy.fail
+
+        # A policy whose injection hits exactly one member, once.
+        policy = next(
+            candidate for candidate in (ChaosPolicy(fail=0.2, seed=seed)
+                                        for seed in range(1000))
+            if sum(fails(candidate, digest, 1) for digest in digests) == 1
+            and not any(fails(candidate, digest, 2) for digest in digests))
+        target = next(index for index, digest in enumerate(digests)
+                      if fails(policy, digest, 1))
+        clean = SweepRunner(jobs=1).run_values(units)
+        calls = _count_calls(monkeypatch, "test-square")
+        runner = SweepRunner(jobs=1, chaos=policy)
+        values = runner.run_values(units)
+        assert pickle.dumps(values) == pickle.dumps(clean)
+        # Chaos fired before the shared call ran, so every member took
+        # the per-unit path: one evaluation each (the target's first
+        # attempt fails before its evaluator runs).
+        assert calls == [1] * len(units)
+        assert [outcome.attempts for outcome in runner.last_outcomes] == [
+            2 if index == target else 1 for index in range(len(units))]
+        assert runner.last_report.retries == 1
+        assert not runner.last_report.degradations
 
 
 class TestInFlightDedup:

@@ -32,24 +32,27 @@ from repro.runner.evaluators import evaluator
 
 
 @evaluator("chaos-square")
-def _square(seed, params, backend="dense"):
-    return params["x"] ** 2 + seed
+def _square(members, backend="dense"):
+    return [params["x"] ** 2 + seed for seed, params in members]
 
 
 @evaluator("chaos-marker-hang")
-def _marker_hang(seed, params, backend="dense"):
+def _marker_hang(members, backend="dense"):
     """Hangs on the first execution only: the marker file is the memory.
 
     The first worker to run the unit creates the marker and sleeps far past
     any test timeout; after the supervisor kills it, the retry sees the
     marker and returns immediately — a real hung worker, a real recovery.
     """
-    marker = params["marker"]
-    if not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as handle:
-            handle.write("hung once")
-        time.sleep(60.0)
-    return params["x"] * 10
+    values = []
+    for _seed, params in members:
+        marker = params["marker"]
+        if not os.path.exists(marker):
+            with open(marker, "w", encoding="utf-8") as handle:
+                handle.write("hung once")
+            time.sleep(60.0)
+        values.append(params["x"] * 10)
+    return values
 
 
 def _units(count, seed=0):

@@ -11,6 +11,7 @@ and then check the surrounding plumbing.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.config import SystemConfig
@@ -388,6 +389,142 @@ class TestMegaBatch:
                                warmup=warmup, seed_groups=[[1]])
 
 
+def _grouped_by_processors(cases):
+    """Cases bucketed into lockstep-compatible groups of two or more:
+    equal processor count and service distribution."""
+    buckets = {}
+    for config, workload in cases:
+        key = (config.processors, workload.service_distribution)
+        buckets.setdefault(key, []).append((config, workload))
+    return [group for group in buckets.values() if len(group) > 1]
+
+
+def _check_merged_group(cases, seed_base):
+    """Several configurations in one engine == one engine each == scalar.
+
+    ``_check_lockstep_grid`` pins each configuration's own engine to the
+    scalar engine; the merged engine must then reproduce every row of
+    those per-configuration engines bit for bit.
+    """
+    _check_lockstep_grid(cases, seed_base)
+    horizon, warmup = 400.0, 50.0
+    groups = [[seed_base + index * 10 + k for k in range(4)]
+              for index in range(len(cases))]
+    merged = batched_delays([config for config, _ in cases],
+                            [workload for _, workload in cases],
+                            horizon=horizon, warmup=warmup,
+                            seed_groups=groups)
+    for index, ((config, workload), seeds) in enumerate(zip(cases, groups)):
+        alone = _point_delays(config, workload, seeds, horizon, warmup)
+        for k in range(len(seeds)):
+            _assert_same_delay(alone[k], merged[index][k],
+                               f"{config} replication {k}")
+
+
+#: Fig. 7's four crossbar curves: equal processor count and kernel, one
+#: 64-column calendar, different partitions, ports and resources.
+FIG7_CONFIGS = ("16/1x16x32 XBAR/1", "16/1x16x16 XBAR/2",
+                "16/4x4x8 XBAR/1", "16/4x4x4 XBAR/2")
+
+
+class TestMergedGroups:
+    """Points of different configurations sharing one lockstep engine."""
+
+    def test_randomized_crossbar_groups_match_per_curve_and_scalar(self):
+        groups = _grouped_by_processors(_random_cases(16, master_seed=29))
+        assert groups
+        for number, group in enumerate(groups):
+            _check_merged_group(group, seed_base=9000 + number * 1000)
+
+    def test_randomized_bus_groups_match_per_curve_and_scalar(self):
+        groups = _grouped_by_processors(
+            _random_bus_cases(16, master_seed=31))
+        assert groups
+        for number, group in enumerate(groups):
+            _check_merged_group(group, seed_base=20000 + number * 1000)
+
+    def test_multistage_group_shares_one_wiring(self):
+        """Multistage points may differ in resources per port only."""
+        cases = [(SystemConfig.parse(f"8/2x4x4 CUBE/{r}"),
+                  Workload(0.08, 1.0, 0.1)) for r in (1, 2, 3)]
+        _check_merged_group(cases, seed_base=30000)
+
+    def test_fig7_curves_in_one_engine_match_four_engines(self):
+        from repro.analysis.sweep import workload_at
+
+        configs = [SystemConfig.parse(text) for text in FIG7_CONFIGS]
+        workloads = [workload_at(intensity, 0.1)
+                     for intensity in (0.4, 0.7)]
+        points = [(config, workload) for config in configs
+                  for workload in workloads]
+        groups = [[spawn_seed(1, str(config), index, k) for k in range(4)]
+                  for index, (config, _) in enumerate(points)]
+        horizon, warmup = 500.0, 50.0
+        engine = MegaBatchEngine([config for config, _ in points],
+                                 [workload for _, workload in points],
+                                 seed_groups=groups)
+        assert engine._calendar.shape[1] == 64
+        merged = engine.run(horizon=horizon, warmup=warmup).mean_delays
+        for config in configs:
+            indices = [index for index, (point_config, _)
+                       in enumerate(points) if point_config == config]
+            alone = batched_delays(config,
+                                   [points[index][1] for index in indices],
+                                   horizon=horizon, warmup=warmup,
+                                   seed_groups=[groups[index]
+                                                for index in indices])
+            for index, delays in zip(indices, alone):
+                assert list(merged[index]) == delays, config
+
+    def test_mismatched_points_name_the_reason(self):
+        workload = Workload(0.05, 1.0, 0.1)
+        faulted = SystemConfig.parse("16/4x4x4 XBAR/2").with_faults(
+            FaultConfig(schedule=FaultSchedule.of(
+                (0.0, "cell", (0, (0, 0)), "down"))))
+        mismatches = [
+            (("8/1x8x8 XBAR/2", "16/1x16x16 XBAR/2"), "processor counts"),
+            (("16/1x16x16 XBAR/2", "16/4x1x1 SBUS/2"), "dispatch kernels"),
+            (("16/1x16x16 OMEGA/2", "16/4x4x4 OMEGA/2"),
+             "multistage wirings"),
+            (("16/4x4x4 OMEGA/2", "16/4x4x4 CUBE/2"), "multistage wirings"),
+            (("16/4x4x4 XBAR/2", faulted), "cell-fault schedule"),
+        ]
+        for configs, needle in mismatches:
+            with pytest.raises(ConfigurationError, match=needle):
+                MegaBatchEngine(list(configs), [workload, workload],
+                                seed_groups=[[1], [2]])
+        with pytest.raises(ConfigurationError, match="one configuration"):
+            MegaBatchEngine(["16/1x16x16 XBAR/2"], [workload, workload],
+                            seed_groups=[[1], [2]])
+        # A fault-scheduled configuration still shares with itself.
+        MegaBatchEngine([faulted, faulted], [workload, workload],
+                        seed_groups=[[1], [2]])
+
+    def test_wrapped_queues_survive_doubling(self, monkeypatch):
+        """Overloaded rows grow their queue rings while wrapped around;
+        doubling in place must keep FIFO order (so the delays still equal
+        the scalar engine)."""
+        wrapped = []
+        grow = MegaBatchEngine._grow_queues
+
+        def spy(engine):
+            ends = engine._queue_start + engine._queue_length
+            wrapped.append(int((ends > engine._queue_capacity).sum()))
+            grow(engine)
+
+        monkeypatch.setattr(MegaBatchEngine, "_grow_queues", spy)
+        # Private 1x1 partitions: every processor pops, so rings wrap.
+        config = SystemConfig.parse("4/4x1x1 XBAR/1")
+        workload = Workload(0.8, 1.0, 1.0)
+        seeds = list(range(41, 57))
+        batched = _point_delays(config, workload, seeds, 300.0, 30.0)
+        assert len(wrapped) >= 2 and wrapped[0] >= 16
+        for k, seed in enumerate(seeds):
+            scalar = simulate(config, workload, horizon=300.0, warmup=30.0,
+                              seed=seed).mean_queueing_delay
+            _assert_same_delay(scalar, batched[k], f"replication {k}")
+
+
 class TestVariateStreams:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_uniform_block_sources_agree_with_random_random(self, vectorized):
@@ -409,10 +546,28 @@ class TestVariateStreams:
             for _ in range(40):
                 expected = sample_time(stream, 0.4, distribution)
                 assert table.draw_one(row) == expected
+        # Right-sized first blocks, one estimate far too small for the
+        # stream: block boundaries move, the sequence does not.
+        sized = VariateTable(seeds, rate=0.4, distribution=distribution,
+                             block=256, vectorized=vectorized,
+                             expected=[0.0, 30.0])
+        streams = [RngStream(seed) for seed in seeds]
+        for step in range(300):
+            rows = np.arange(len(seeds)) if step % 2 else None
+            values = (sized.draw(rows) if rows is not None else
+                      [sized.draw_one(row) for row in range(len(seeds))])
+            for row, stream in enumerate(streams):
+                assert values[row] == sample_time(stream, 0.4, distribution)
 
     def test_variate_table_validation(self):
         with pytest.raises(ConfigurationError):
             VariateTable([1], rate=0.0, distribution="exponential")
+        for rate in (math.nan, math.inf, [1.0, math.nan]):
+            with pytest.raises(ConfigurationError, match="finite"):
+                VariateTable([1, 2], rate=rate, distribution="exponential")
+        with pytest.raises(ConfigurationError, match="expected draw"):
+            VariateTable([1], rate=1.0, distribution="exponential",
+                         expected=math.nan)
         with pytest.raises(ConfigurationError):
             VariateTable([1], rate=1.0, distribution="weibull")
         with pytest.raises(ConfigurationError):
@@ -601,4 +756,4 @@ class TestBatchedEvaluator:
                              seeds, 600.0, 60.0)
         scalar = get_evaluator("replication-delay")
         for seed, value in zip(seeds, wave):
-            assert value == scalar(seed, params)
+            assert [value] == scalar([(seed, params)])
