@@ -9,7 +9,7 @@ cache corruption on a two-worker pool — and pins
 
 * byte-identity (``pickle.dumps``) of the assembled series, and
 * sweep completion with zero exhausted-budget failures and zero
-  engine/backend degradations (retries alone absorb this fault rate),
+  degradations (retries alone absorb this fault rate),
 
 while recording the fault-tolerance counters (retries, pool respawns,
 quarantined writes) and the wall-time overhead of surviving the chaos in
@@ -79,6 +79,5 @@ def test_chaos_sweep_is_byte_identical(benchmark, tmp_path):
         "value-transparent")
     assert not report.failures, "retry budget exhausted under 10% chaos"
     assert not report.degradations, (
-        "engine/backend degradation fired — retries should absorb this "
-        "fault rate")
+        "degradation fired — retries should absorb this fault rate")
     assert not verify.legacy

@@ -24,7 +24,6 @@ from typing import Optional, Union
 
 from repro.config import SystemConfig
 from repro.errors import AnalysisError, ConfigurationError, UnstableSystemError
-from repro.markov.assembly import SolverContext
 from repro.markov.solvers import SbusSolution, solve_sbus
 from repro.queueing.mm1 import mm1_metrics
 from repro.workload.arrivals import Workload
@@ -49,18 +48,12 @@ class AnalyticDelay:
 
 
 def sbus_delay(config: SystemConfig, workload: Workload,
-               method: str = "matrix-geometric",
-               context: Optional[SolverContext] = None) -> AnalyticDelay:
+               method: str = "matrix-geometric") -> AnalyticDelay:
     """Exact mean queueing delay of any SBUS configuration.
 
     Partitions are independent and identically loaded, so the system delay
     equals the per-partition delay.  Infinite private resources reduce to
     an M/M/1 queue on the bus.
-
-    With a :class:`~repro.markov.assembly.SolverContext` the finite-resource
-    solve goes through the sweep-aware parametric fast path, which amortizes
-    generator assembly and factorizations across the points of a sweep; the
-    fast path agrees with the dense reference solvers to well below 1e-10.
     """
     if config.network_type != "SBUS":
         raise ConfigurationError(f"{config} is not a bus system")
@@ -70,16 +63,6 @@ def sbus_delay(config: SystemConfig, workload: Workload,
         metrics = mm1_metrics(aggregate_arrivals, workload.transmission_rate)
         return AnalyticDelay(config=config, model="mm1-infinite-resources",
                              mean_delay=metrics.mean_waiting_time)
-    if context is not None:
-        solver = context.sbus_solver(
-            transmission_rate=workload.transmission_rate,
-            service_rate=workload.service_rate,
-            resources=int(config.resources_per_port),
-        )
-        solution = solver.solve(aggregate_arrivals)
-        return AnalyticDelay(config=config,
-                             model=f"sbus-chain/{solution.method}",
-                             mean_delay=solution.mean_delay)
     solution = solve_sbus(
         arrival_rate=aggregate_arrivals,
         transmission_rate=workload.transmission_rate,

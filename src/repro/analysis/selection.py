@@ -106,9 +106,9 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("resource_unit_cost", "box_cost", "bus_tap_cost"):
             value = getattr(self, name)
-            if not value >= 0:
+            if not 0 <= value < math.inf:
                 raise ConfigurationError(
-                    f"{name} must be non-negative, got {value}")
+                    f"{name} must be finite and non-negative, got {value}")
 
     def network_cost(self, config: SystemConfig) -> float:
         """Cost of the interconnect hardware alone."""

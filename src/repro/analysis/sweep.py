@@ -17,7 +17,6 @@ from repro.analysis.approximations import saturation_intensity, sbus_delay
 from repro.config import SystemConfig
 from repro.core.system import simulate
 from repro.errors import ConfigurationError, UnstableSystemError
-from repro.markov.assembly import SolverContext
 from repro.queueing.littles_law import arrival_rate_for_intensity
 from repro.workload.arrivals import Workload
 
@@ -93,19 +92,13 @@ def workload_at(intensity: float, mu_ratio: float,
 
 
 def analytic_point(config: Union[SystemConfig, str], mu_ratio: float,
-                   intensity: float,
-                   context: Optional[SolverContext] = None) -> SweepPoint:
-    """One exact Markov-chain delay point (SBUS configurations).
-
-    Passing a :class:`~repro.markov.assembly.SolverContext` routes the solve
-    through the sweep-aware parametric fast path; structure assembled for
-    one point is reused by every later point with the same chain shape.
-    """
+                   intensity: float) -> SweepPoint:
+    """One exact Markov-chain delay point (SBUS configurations)."""
     if isinstance(config, str):
         config = SystemConfig.parse(config)
     workload = workload_at(intensity, mu_ratio, processors=config.processors)
     try:
-        estimate = sbus_delay(config, workload, context=context)
+        estimate = sbus_delay(config, workload)
     except UnstableSystemError:
         return SweepPoint(intensity=intensity, normalized_delay=None)
     return SweepPoint(
@@ -115,25 +108,12 @@ def analytic_point(config: Union[SystemConfig, str], mu_ratio: float,
 
 def analytic_series(config: Union[SystemConfig, str], mu_ratio: float,
                     intensities: Sequence[float],
-                    label: Optional[str] = None,
-                    context: Optional[SolverContext] = None,
-                    solver: str = "sweep") -> Series:
-    """Exact Markov-chain delay curve (SBUS configurations).
-
-    The serial series uses the sweep-aware fast path by default (``solver=
-    "sweep"``): one :class:`~repro.markov.assembly.SolverContext` spans the
-    whole series so assembly and factorizations amortize and each point
-    warm-starts from its neighbour.  ``solver="dense"`` forces the
-    per-point reference solvers (the backend the parallel runner uses,
-    where points must not depend on solve order).
-    """
+                    label: Optional[str] = None) -> Series:
+    """Exact Markov-chain delay curve (SBUS configurations): one
+    :func:`analytic_point` per intensity, the points ``repro run`` prints."""
     if isinstance(config, str):
         config = SystemConfig.parse(config)
-    if solver not in ("sweep", "dense"):
-        raise ValueError(f"unknown solver backend: {solver!r}")
-    if context is None and solver == "sweep":
-        context = SolverContext()
-    points = [analytic_point(config, mu_ratio, intensity, context=context)
+    points = [analytic_point(config, mu_ratio, intensity)
               for intensity in intensities]
     return Series(label=label or str(config), config=config, mu_ratio=mu_ratio,
                   points=tuple(points), method="markov-chain")

@@ -369,9 +369,15 @@ def _command_recommend(args) -> int:
 
 def _command_blocking(args) -> int:
     from repro.analysis import blocking_comparison, full_permutation_blocking
+    from repro.errors import ConfigurationError
     from repro.experiments import format_blocking_table
+    request_sizes = [k for k in (3, 4, 5, 6) if k <= args.size]
+    if not request_sizes:
+        raise ConfigurationError(
+            f"--size must be at least 3 (the smallest request size), "
+            f"got {args.size}")
     points = blocking_comparison(size=args.size,
-                                 request_sizes=(3, 4, 5, 6),
+                                 request_sizes=request_sizes,
                                  trials=args.trials)
     full = full_permutation_blocking(size=args.size, trials=args.trials)
     print(format_blocking_table(points, full=full))

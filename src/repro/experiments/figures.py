@@ -103,20 +103,17 @@ def intensity_grid(step: float, start: float = 0.1, stop: float = 1.2) -> List[f
 
 def figure_work_units(exp_id: str, quality: str = "fast",
                       intensities: Optional[Sequence[float]] = None,
-                      seed: int = 1, solver: str = "dense",
-                      engine: str = DEFAULT_ENGINE):
+                      seed: int = 1, engine: str = DEFAULT_ENGINE):
     """Decompose a delay figure into independent work units.
 
     Returns ``(spec, grid, units)`` with units in curve-major order.
 
     Analytic (SBUS) curves become one ``analytic-point`` unit per
     intensity under either engine — the exact chain is both the reference
-    and the fastest path.  They carry seed 0 (the chain draws no
+    and the fastest path.  They carry seed 0: the chain draws no
     randomness, and a fixed seed lets cached points be shared across
-    master seeds) and a ``solver`` backend tag: "dense" per-point
-    reference solves, the default and independent of execution order, or
-    "sweep" for the parametric fast path.  The tag is digest material, so
-    the result cache never serves one backend's points for the other.
+    master seeds.  Each point is solved on its own, so its value does not
+    depend on execution order.
 
     Simulated curves become ``megabatch-figure`` units carrying the
     master ``seed``, the ``engine`` and their intensities; the point at
@@ -153,7 +150,7 @@ def figure_work_units(exp_id: str, quality: str = "fast",
                     "config": triplet,
                     "mu_ratio": spec.mu_ratio,
                     "intensity": intensity,
-                }, backend=solver))
+                }))
             continue
         for run in runs:
             if run:
@@ -169,8 +166,7 @@ def figure_work_units(exp_id: str, quality: str = "fast",
 
 def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
                              intensities: Optional[Sequence[float]] = None,
-                             seed: int = 1, solver: str = "dense",
-                             engine: str = DEFAULT_ENGINE):
+                             seed: int = 1, engine: str = DEFAULT_ENGINE):
     """Work units for several figures as one batch, duplicates included.
 
     Returns ``(specs, grid, units)``: the per-figure specs, the shared
@@ -195,7 +191,7 @@ def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
     for exp_id in exp_ids:
         spec, grid, figure_units = figure_work_units(
             exp_id, quality=quality, intensities=intensities, seed=seed,
-            solver=solver, engine=engine)
+            engine=engine)
         specs.append(spec)
         units.extend(figure_units)
     return specs, grid, units
@@ -204,8 +200,7 @@ def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
 def figure_series(exp_id: str, quality: str = "fast",
                   intensities: Optional[Sequence[float]] = None,
                   seed: int = 1, jobs: Optional[int] = None,
-                  runner=None, solver: str = "dense",
-                  engine: str = DEFAULT_ENGINE,
+                  runner=None, engine: str = DEFAULT_ENGINE,
                   resume: bool = False) -> List[Series]:
     """Materialize every curve of a delay figure.
 
@@ -225,13 +220,13 @@ def figure_series(exp_id: str, quality: str = "fast",
 
     spec, grid, units = figure_work_units(exp_id, quality=quality,
                                           intensities=intensities, seed=seed,
-                                          solver=solver, engine=engine)
+                                          engine=engine)
     if runner is None:
         runner = SweepRunner(jobs=jobs)
     if runner.journal is None and runner.cache is not None:
         runner.journal = SweepJournal.for_sweep(
-            runner.cache.root, "figure", exp_id, quality, seed, solver,
-            engine, code_version())
+            runner.cache.root, "figure", exp_id, quality, seed, engine,
+            code_version())
     if resume:
         if runner.cache is None:
             raise ConfigurationError(

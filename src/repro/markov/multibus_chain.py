@@ -84,7 +84,7 @@ class MultibusChain:
     def arrival_transitions(self, state: MultibusState
                             ) -> Iterator[Tuple[MultibusState, float]]:
         """The arrival transition — the ``lambda * B`` part of the
-        parametric split used by :mod:`repro.markov.assembly` (a chain with
+        generator split ``Q(lambda) = A + lambda * B`` (a chain with
         ``arrival_rate=1`` yields the unit coefficients)."""
         queued, ports = state
         # Arrival: dispatch immediately if some port can accept, else queue.

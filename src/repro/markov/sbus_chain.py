@@ -123,11 +123,10 @@ class SbusChain:
         """The arrival transition of ``state`` (rate proportional to Lambda).
 
         Exactly the entries of the generator scaled by the arrival rate —
-        the ``lambda * B`` part of the parametric split
-        ``Q(lambda) = A + lambda * B`` exploited by
-        :mod:`repro.markov.assembly` (the rate yielded here is
-        ``arrival_rate`` times the unit coefficient, so a chain built with
-        ``arrival_rate=1`` yields the coefficients themselves).
+        the ``lambda * B`` part of the split ``Q(lambda) = A + lambda * B``
+        (the rate yielded here is ``arrival_rate`` times the unit
+        coefficient, so a chain built with ``arrival_rate=1`` yields the
+        coefficients themselves).
         """
         queued, transmitting, busy = state
         r = self.resources

@@ -9,10 +9,10 @@ byte-identical to serial results for the same seeds.
 
 Execution is fault-tolerant: a :class:`Supervisor` retries failed or
 timed-out units with deterministic backoff and degrades gracefully
-(batched engine → scalar, sweep solver → dense, pool → serial) before
-giving up; a :class:`SweepJournal` checkpoints completed units so killed
-sweeps resume where they stopped; cache entries are checksummed envelopes
-and corruption is quarantined, never served.  A :class:`ChaosPolicy`
+(batched engine → scalar, pool → serial) before giving up; a
+:class:`SweepJournal` checkpoints completed units so killed sweeps resume
+where they stopped; cache entries are checksummed envelopes and
+corruption is quarantined, never served.  A :class:`ChaosPolicy`
 (``REPRO_CHAOS``) injects worker crashes, hangs, and cache corruption
 deterministically to prove all of the above under test.
 
@@ -74,7 +74,6 @@ from repro.runner.supervisor import (
 )
 from repro.runner.workunit import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_BACKEND,
     WorkUnit,
     canonical_params,
     code_version,
@@ -85,7 +84,6 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
     "CHAOS_ENV",
-    "DEFAULT_BACKEND",
     "ENVELOPE_VERSION",
     "QUARANTINE_DIR",
     "BackendBroken",

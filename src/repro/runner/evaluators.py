@@ -1,9 +1,9 @@
 """The evaluator registry: what a work unit actually computes.
 
-Evaluators are module-level functions of ``(members, backend)`` — the
-shape the process pool requires (workers unpickle the function by
-qualified name, so lambdas and closures cannot cross the boundary; lint
-rule SIM005 enforces this for every pool call site).  ``members`` is a
+Evaluators are module-level functions of ``(members)`` — the shape the
+process pool requires (workers unpickle the function by qualified name,
+so lambdas and closures cannot cross the boundary; lint rule SIM005
+enforces this for every pool call site).  ``members`` is a
 list of ``(seed, params)`` pairs, one per work unit, and the evaluator
 returns one picklable value per member, in order.  Each member is an
 independent seeded computation that the evaluator re-derives from its
@@ -42,12 +42,11 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.runner.chaos import resolve_chaos
-from repro.runner.workunit import DEFAULT_BACKEND
-
-Evaluator = Callable[..., List[Any]]
 
 #: The members of one evaluator call: ``(seed, params)`` per work unit.
 Members = Sequence[Tuple[int, Mapping[str, Any]]]
+
+Evaluator = Callable[[Members], List[Any]]
 
 #: Evaluator functions by id; workers resolve work units against this table.
 EVALUATORS: Dict[str, Evaluator] = {}
@@ -94,14 +93,14 @@ def get_evaluator(evaluator_id: str) -> Evaluator:
 
 
 def execute_payload(
-        payload: Tuple[str, str, List[Tuple[int, dict, str]]],
+        payload: Tuple[str, List[Tuple[int, dict, str]]],
         attempt: int = 0,
         chaos_spec: Optional[str] = None,
         in_worker: bool = True,
 ) -> Tuple[Optional[List[Any]], Optional[str], float]:
     """Run a payload's members in one evaluator call.
 
-    ``payload`` is ``(evaluator id, backend, members)`` with one
+    ``payload`` is ``(evaluator id, members)`` with one
     ``(seed, params, digest)`` member per work unit (see
     :func:`repro.runner.workunit.batch_payload`); the result is
     ``(values, error, wall_time)``, with one value per member, or
@@ -118,7 +117,7 @@ def execute_payload(
     process boundary; when absent, ``REPRO_CHAOS`` (inherited by workers)
     applies.
     """
-    evaluator_id, backend, members = payload
+    evaluator_id, members = payload
     start = time.perf_counter()
     try:
         chaos = resolve_chaos(spec=chaos_spec)
@@ -126,7 +125,7 @@ def execute_payload(
             for _seed, _params, digest in members:
                 chaos.maybe_inject(digest, attempt, in_worker=in_worker)
         values = list(get_evaluator(evaluator_id)(
-            [(seed, params) for seed, params, _digest in members], backend))
+            [(seed, params) for seed, params, _digest in members]))
         if len(values) != len(members):
             raise ConfigurationError(
                 f"evaluator {evaluator_id!r} returned {len(values)} "
@@ -136,30 +135,11 @@ def execute_payload(
     return values, None, time.perf_counter() - start
 
 
-#: Per-process solver context for the ``sweep`` backend.  Workers are
-#: long-lived, so chain structure assembled for one unit is reused by every
-#: later unit the same process executes.
-_WORKER_CONTEXT = None
-
-
-def _worker_context():
-    global _WORKER_CONTEXT
-    if _WORKER_CONTEXT is None:
-        from repro.markov.assembly import SolverContext
-
-        # Deliberate per-process memo: the context caches chain *structure*
-        # keyed by configuration, never results, so reuse cannot change any
-        # evaluator's output.
-        _WORKER_CONTEXT = SolverContext()  # lint: disable=SIM008
-    return _WORKER_CONTEXT
-
-
 @evaluator("megabatch-figure", reads=("config", "mu_ratio", "intensities",
                                       "horizon", "warmup_fraction",
                                       "arbitration", "saturation_guard",
                                       "engine"))
-def figure_curves(members: Members,
-                  backend: str = DEFAULT_BACKEND) -> List[list]:
+def figure_curves(members: Members) -> List[list]:
     """Simulated points of each member's figure curve, in intensity order.
 
     A member's ``seed`` is the figure's master seed and the point at
@@ -192,21 +172,13 @@ def figure_curves(members: Members,
 
 
 @evaluator("analytic-point", reads=("config", "mu_ratio", "intensity"))
-def analytic_points(members: Members, backend: str = DEFAULT_BACKEND) -> list:
-    """Exact SBUS delay points (the seeds are irrelevant and ignored).
-
-    ``backend="dense"`` is the per-point reference path; ``"sweep"`` routes
-    the solves through a per-process parametric
-    :class:`~repro.markov.assembly.SolverContext`.  The backend is digest
-    material, so cached results never cross backends.
-    """
+def analytic_points(members: Members) -> list:
+    """Exact SBUS delay points, one per-point solve per member (the seeds
+    are irrelevant and ignored)."""
     from repro.analysis.sweep import analytic_point as exact_point
 
-    if backend not in ("dense", "sweep"):
-        raise ConfigurationError(f"unknown solver backend: {backend!r}")
-    context = _worker_context() if backend == "sweep" else None
     return [exact_point(params["config"], params["mu_ratio"],
-                        params["intensity"], context=context)
+                        params["intensity"])
             for _seed, params in members]
 
 
@@ -214,8 +186,7 @@ def analytic_points(members: Members, backend: str = DEFAULT_BACKEND) -> list:
                                        "transmission_rate",
                                        "service_rate", "horizon",
                                        "warmup", "arbitration"))
-def replication_delays(members: Members,
-                       backend: str = DEFAULT_BACKEND) -> List[float]:
+def replication_delays(members: Members) -> List[float]:
     """Mean queueing delay of each member's independent replication."""
     from repro.core.system import simulate
     from repro.workload.arrivals import Workload

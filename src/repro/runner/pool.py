@@ -67,11 +67,11 @@ class UnitOutcome:
     cache hit); ``error`` carries the marshalled worker traceback when the
     unit failed even after supervision.  ``attempts`` counts executions
     started (1 for a clean first try); ``degraded`` lists the degradation
-    ladder steps taken (``engine:batched->scalar``,
-    ``backend:sweep->dense``, ``pool->serial``); ``resumed`` marks a cache
-    hit that a ``--resume`` journal predicted; ``deduped`` marks a unit
-    that followed an equal-digest leader in the same run (its value,
-    error, and provenance are the leader's, its wall time zero);
+    ladder steps taken (``engine:batched->scalar``, ``pool->serial``);
+    ``resumed`` marks a cache hit that a ``--resume`` journal predicted;
+    ``deduped`` marks a unit that followed an equal-digest leader in the
+    same run (its value, error, and provenance are the leader's, its wall
+    time zero);
     ``computed_digest`` is the digest of what was *actually* computed — it
     differs from ``unit.config_digest`` exactly when degradation changed
     the unit.

@@ -15,11 +15,10 @@ for the modeled fabrics:
 * **Graceful degradation.**  Once the budget is spent the unit walks a
   ladder, recorded step by step in the outcome's provenance:
   ``engine:batched->scalar`` (batched-engine units fall back to the scalar
-  reference engine), ``backend:sweep->dense`` (sweep-solver units fall
-  back to per-point dense solves), and finally ``pool->serial`` (the unit
-  runs inline in the parent, surviving even a broken worker environment).
-  The first two change the unit's digest — the computed value is cached
-  under what was actually computed, never under what was asked for.
+  reference engine), then ``pool->serial`` (the unit runs inline in the
+  parent, surviving even a broken worker environment).  The engine step
+  changes the unit's digest — the computed value is cached under what was
+  actually computed, never under what was asked for.
 
 * **Pool supervision.**  A broken pool is respawned and in-flight units
   resubmitted; a unit that out-lives ``unit_timeout`` gets its worker
@@ -28,7 +27,7 @@ for the modeled fabrics:
 
 * **One call per run of units.**  The serial path (``jobs == 1``) hands
   each maximal run of consecutive pending units — taken after dedup —
-  that share an evaluator id and backend to one evaluator call, and
+  that share an evaluator id to one evaluator call, and
   splits the values per unit: each gets its own outcome, cache write and
   journal record, and an even share of the call's wall time.  That is
   how the curves of one figure reach one lockstep engine.  If the call
@@ -51,7 +50,7 @@ for the modeled fabrics:
 
 The supervisor is deliberately value-transparent: retries and pool-level
 recovery recompute pure functions and cannot change results, so a sweep
-that completes without engine/backend degradation is byte-identical to a
+that completes without engine degradation is byte-identical to a
 fault-free run — the property the chaos suite pins.
 
 Transport is pluggable: the parallel path drives any
@@ -88,7 +87,7 @@ class SupervisorPolicy:
     at least 1 — zero attempts would never execute anything);
     ``unit_timeout`` bounds one in-flight execution in wall seconds
     (``None`` disables the watchdog); ``degrade`` enables the
-    engine/backend/serial fallback ladder; ``max_pool_respawns`` caps
+    engine/serial fallback ladder; ``max_pool_respawns`` caps
     consecutive pool rebuilds *without progress* before the remaining work
     degrades to serial; ``retry`` shapes the backoff (defaults to a fast
     0.05 s base, factor 2, capped at 2 s, ±50% seeded jitter); ``dedup``
@@ -138,20 +137,16 @@ def degrade_unit(unit: WorkUnit) -> Optional[Tuple[str, WorkUnit]]:
     """The next rung down the degradation ladder for ``unit``.
 
     Returns ``(step label, degraded unit)`` or ``None`` when the unit is
-    already at the reference configuration (scalar engine, dense backend).
-    The degraded unit has a *different digest*: it computes a different
-    (reference-path) estimate, and the cache must never conflate the two.
+    already at the reference configuration (the scalar engine, or no
+    engine at all).  The degraded unit has a *different digest*: it
+    computes a different (reference-path) estimate, and the cache must
+    never conflate the two.
     """
     if unit.params.get("engine") == "batched":
         params = dict(unit.params)
         params["engine"] = "scalar"
         return ("engine:batched->scalar",
-                WorkUnit(unit.evaluator_id, unit.seed, params,
-                         backend=unit.backend))
-    if unit.backend == "sweep":
-        return ("backend:sweep->dense",
-                WorkUnit(unit.evaluator_id, unit.seed, dict(unit.params),
-                         backend="dense"))
+                WorkUnit(unit.evaluator_id, unit.seed, params))
     return None
 
 
@@ -299,12 +294,10 @@ class Supervisor:
     @staticmethod
     def _runs(pending: Sequence[Tuple[int, WorkUnit]]
               ) -> List[List[Tuple[int, WorkUnit]]]:
-        """Maximal runs of consecutive units sharing evaluator and backend."""
+        """Maximal runs of consecutive units sharing an evaluator id."""
         runs: List[List[Tuple[int, WorkUnit]]] = []
         for index, unit in pending:
-            if runs and (runs[-1][0][1].evaluator_id,
-                         runs[-1][0][1].backend) == (unit.evaluator_id,
-                                                     unit.backend):
+            if runs and runs[-1][0][1].evaluator_id == unit.evaluator_id:
                 runs[-1].append((index, unit))
             else:
                 runs.append([(index, unit)])

@@ -40,11 +40,8 @@ from repro.errors import ConfigurationError
 #: 7: the engines collapsed to ``scalar`` and ``batched`` under one
 #:    figure-curve evaluator (a scalar point is a one-point curve), so
 #:    entries of the retired per-point and per-engine evaluators miss.
-CACHE_SCHEMA_VERSION = 7
-
-#: The reference solver backend: per-point dense solves with no cross-point
-#: state, the backend whose results every other backend must reproduce.
-DEFAULT_BACKEND = "dense"
+#: 8: the solver backend left the digest (one SBUS solve path remains).
+CACHE_SCHEMA_VERSION = 8
 
 #: Everything the work-unit digest covers, in hash order — the *complete*
 #: list of inputs an evaluator's result may depend on.  The whole-program
@@ -53,8 +50,7 @@ DEFAULT_BACKEND = "dense"
 #: to its ``reads=(...)`` registration, ``os.environ``, mutable module
 #: state) can change behavior without changing the digest, and the cache
 #: would serve stale results for it.
-DIGEST_MATERIAL = ("code_version", "evaluator_id", "seed", "backend",
-                   "params")
+DIGEST_MATERIAL = ("code_version", "evaluator_id", "seed", "params")
 
 
 def code_version() -> str:
@@ -82,19 +78,12 @@ def canonical_params(params: Mapping[str, Any]) -> str:
 
 
 def work_unit_digest(evaluator_id: str, seed: int,
-                     params: Mapping[str, Any],
-                     backend: str = DEFAULT_BACKEND) -> str:
-    """SHA-256 content hash of one work unit (hex).
-
-    The solver backend is digest material: a result computed by the dense
-    reference path and one computed by the sweep fast path agree only to
-    solver tolerance, so the cache must never serve one for the other.
-    """
+                     params: Mapping[str, Any]) -> str:
+    """SHA-256 content hash of one work unit (hex)."""
     material = "\n".join([
         code_version(),
         evaluator_id,
         str(int(seed)),
-        backend,
         canonical_params(params),
     ])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -112,16 +101,12 @@ class WorkUnit:
     evaluator_id: str
     seed: int
     params: Mapping[str, Any]
-    backend: str = DEFAULT_BACKEND
     config_digest: str = field(default="")
 
     def __post_init__(self) -> None:
         if not self.evaluator_id:
             raise ConfigurationError("work unit needs a non-empty evaluator id")
-        if not self.backend:
-            raise ConfigurationError("work unit needs a non-empty backend")
-        digest = work_unit_digest(self.evaluator_id, self.seed, self.params,
-                                  backend=self.backend)
+        digest = work_unit_digest(self.evaluator_id, self.seed, self.params)
         if self.config_digest and self.config_digest != digest:
             raise ConfigurationError(
                 f"work-unit digest mismatch: declared {self.config_digest!r} "
@@ -136,18 +121,16 @@ class WorkUnit:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"WorkUnit({self.evaluator_id!r}, seed={self.seed}, "
-                f"backend={self.backend!r}, "
                 f"digest={self.config_digest[:12]})")
 
 
 def batch_payload(units: Sequence[WorkUnit]) -> tuple:
     """One evaluator call over ``units``, in picklable form.
 
-    Returns ``(evaluator id, backend, members)`` with one ``(seed, params,
-    digest)`` member per unit; every unit must share the evaluator id and
-    backend (see :func:`repro.runner.evaluators.execute_payload`).
+    Returns ``(evaluator id, members)`` with one ``(seed, params,
+    digest)`` member per unit; every unit must share the evaluator id
+    (see :func:`repro.runner.evaluators.execute_payload`).
     """
-    first = units[0]
-    return (first.evaluator_id, first.backend,
+    return (units[0].evaluator_id,
             [(unit.seed, dict(unit.params), unit.config_digest)
              for unit in units])

@@ -57,6 +57,13 @@ class TestCli:
         output = capsys.readouterr().out
         assert "RSIN" in output
 
+    def test_blocking_runs_the_request_sizes_that_fit(self, capsys):
+        assert main(["blocking", "--size", "4", "--trials", "20"]) == 0
+        rows = [line.split()[0] for line in
+                capsys.readouterr().out.splitlines()
+                if line.split() and line.split()[0].isdigit()]
+        assert rows == ["3", "4"]
+
     def test_faults_resource(self, capsys):
         assert main(["faults", "4/4x1x1 SBUS/2", "--mttf", "400",
                      "--mttr", "50", "--horizon", "3000"]) == 0
@@ -136,8 +143,10 @@ BAD_INPUT_ARGV = {
     "recommend-ratio-0": ["recommend", "--resource-cost", "1",
                           "--ratio", "0"],
     "blocking-trials-0": ["blocking", "--trials", "0"],
+    "blocking-size-2": ["blocking", "--size", "2"],
     "cache-prune-negative-size": ["cache", "prune", "--max-size", "-5"],
     "recommend-negative-cost": ["recommend", "--resource-cost", "-1"],
+    "recommend-cost-inf": ["recommend", "--resource-cost", "inf"],
     "solve-arrival-nan": ["solve", "nan", "1", "1", "1"],
     "solve-service-inf": ["solve", "0.5", "1", "inf", "1"],
     "cache-prune-size-inf": ["cache", "prune", "--max-size", "inf"],

@@ -8,6 +8,7 @@ from repro.experiments import (
     EXPERIMENT_IDS,
     FIG11_EXPECTED_AVERAGE_HOPS,
     FIGURE_SPECS,
+    QUALITY_PRESETS,
     cycle_time_comparison,
     fig11_example,
     figure_series,
@@ -49,6 +50,23 @@ class TestFigureSpecs:
             figure_series("fig99")
         with pytest.raises(ConfigurationError):
             figure_series("fig4", quality="extreme")
+
+
+class TestLibraryAgreesWithRun:
+    @pytest.mark.parametrize("exp_id", ["fig4", "fig5"])
+    def test_sbus_curves_equal_analytic_series(self, exp_id):
+        """Every SBUS curve ``repro run`` prints is the library's
+        ``analytic_series`` over the same grid, bit for bit."""
+        from repro.analysis import analytic_series
+
+        spec = FIGURE_SPECS[exp_id]
+        grid = intensity_grid(QUALITY_PRESETS["fast"][0])
+        series = figure_series(exp_id, quality="fast")
+        assert len(series) == len(spec.curves)
+        for curve in series:
+            assert curve.config.network_type == "SBUS"
+            library = analytic_series(curve.config, spec.mu_ratio, grid)
+            assert curve.points == library.points
 
 
 class TestFig11:

@@ -201,7 +201,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("drifted", reads=("alpha",))
-                def drifted(seed, params, backend="dense"):
+                def drifted(seed, params):
                     return params["alpha"] + params["beta"]
                 """,
         })
@@ -219,7 +219,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("looped", reads=("alpha",))
-                def looped(members, backend="dense"):
+                def looped(members):
                     values = []
                     for _seed, params in members:
                         values.append(params["alpha"] + params["beta"])
@@ -227,7 +227,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("comprehended", reads=("alpha",))
-                def comprehended(members, backend="dense"):
+                def comprehended(members):
                     return [params.get("gamma") for _seed, params in members]
                 """,
         })
@@ -244,7 +244,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("honest", reads=("alpha", "beta"))
-                def honest(seed, params, backend="dense"):
+                def honest(seed, params):
                     return params["alpha"] * params.get("beta", 1.0)
                 """,
         })
@@ -258,7 +258,7 @@ class TestSim007DigestDrift:
 
 
                 @register("aliased", reads=())
-                def aliased(seed, params, backend="dense"):
+                def aliased(seed, params):
                     return params["gamma"]
                 """,
         })
@@ -274,7 +274,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("envy", reads=("alpha",))
-                def envy(seed, params, backend="dense"):
+                def envy(seed, params):
                     return params["alpha"] * float(os.environ["SCALE"])
                 """,
         })
@@ -290,7 +290,7 @@ class TestSim007DigestDrift:
 
 
                 @evaluator("dynamic", reads=("alpha",))
-                def dynamic(seed, params, backend="dense"):
+                def dynamic(seed, params):
                     key = "alpha"
                     return params[key]
                 """,
@@ -330,7 +330,7 @@ class TestSim008WorkerImpurity:
 
 
                 @evaluator("impure", reads=("alpha",))
-                def impure(seed, params, backend="dense"):
+                def impure(seed, params):
                     bump("impure")
                     return params["alpha"]
                 """,
@@ -361,7 +361,7 @@ class TestSim008WorkerImpurity:
 
 
                 @evaluator("pure", reads=("alpha",))
-                def pure(seed, params, backend="dense"):
+                def pure(seed, params):
                     acc = {}
                     acc["value"] = params["alpha"]
                     return acc
@@ -490,7 +490,7 @@ class TestVocabularySync:
         from repro.runner.workunit import DIGEST_MATERIAL
 
         assert DIGEST_MATERIAL == ("code_version", "evaluator_id", "seed",
-                                   "backend", "params")
+                                   "params")
 
     def test_every_production_evaluator_declares_reads(self):
         import repro.runner.evaluators as evaluators

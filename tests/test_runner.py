@@ -31,12 +31,12 @@ from repro.workload.arrivals import Workload
 #: Deliberately failing evaluator, registered at import (module level so
 #: pool workers can unpickle it; SIM005).
 @evaluator("test-explode")
-def _explode(members, backend="dense"):
+def _explode(members):
     raise ValueError(f"boom from seed {members[0][0]}")
 
 
 @evaluator("test-square")
-def _square(members, backend="dense"):
+def _square(members):
     return [params["x"] ** 2 + seed for seed, params in members]
 
 
@@ -55,8 +55,6 @@ class TestWorkUnit:
         assert work_unit_digest("analytic-point", 3, {"a": 1}) != base
         assert work_unit_digest("sweep-point", 4, {"a": 1}) != base
         assert work_unit_digest("sweep-point", 3, {"a": 2}) != base
-        assert work_unit_digest("sweep-point", 3, {"a": 1},
-                                backend="sweep") != base
 
     def test_unit_computes_and_pins_digest(self):
         unit = WorkUnit("sweep-point", 3, {"a": 1})
@@ -77,14 +75,8 @@ class TestWorkUnit:
     def test_payload_round_trips_through_pickle(self):
         unit = WorkUnit("sweep-point", 3, {"a": 1})
         payload = pickle.loads(pickle.dumps(unit.payload()))
-        assert payload == ("sweep-point", "dense",
+        assert payload == ("sweep-point",
                            [(3, {"a": 1}, unit.config_digest)])
-
-    def test_backend_tag_separates_cache_identities(self):
-        dense = WorkUnit("analytic-point", 0, {"x": 1})
-        sweep = WorkUnit("analytic-point", 0, {"x": 1}, backend="sweep")
-        assert dense.backend == "dense"
-        assert dense.config_digest != sweep.config_digest
 
 
 class TestResolveJobs:
@@ -289,7 +281,7 @@ class TestResultCache:
 
         from repro.runner import CACHE_SCHEMA_VERSION, ENVELOPE_VERSION
 
-        assert (ENVELOPE_VERSION, CACHE_SCHEMA_VERSION) == (1, 7)
+        assert (ENVELOPE_VERSION, CACHE_SCHEMA_VERSION) == (1, 8)
         digest = "05" + "2" * 62
         payload = pickle.dumps({"answer": 42})
         path = tmp_path / digest[:2] / f"{digest}.pkl"
@@ -502,33 +494,6 @@ class TestFigureParity:
         assert warm == cold
         assert all(o.cached for o in warm_runner.last_outcomes)
 
-    def test_sweep_backend_flows_through_pool(self):
-        """Analytic units tagged "sweep" run the fast path in workers and
-        agree with the dense reference backend."""
-        grid = [0.3, 0.5]
-        dense = figure_series("fig4", quality="fast", intensities=grid,
-                              jobs=1, solver="dense")
-        fast = figure_series("fig4", quality="fast", intensities=grid,
-                             jobs=2, solver="sweep")
-        for dense_series, fast_series in zip(dense, fast):
-            for dense_point, fast_point in zip(dense_series.points,
-                                               fast_series.points):
-                if dense_point.normalized_delay is None:
-                    assert fast_point.normalized_delay is None
-                    continue
-                assert fast_point.normalized_delay == pytest.approx(
-                    dense_point.normalized_delay, rel=1e-8)
-
-    def test_backends_never_share_cache_entries(self, tmp_path):
-        """The backend tag keeps dense and sweep results apart on disk."""
-        grid = [0.4]
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
-        figure_series("fig4", quality="fast", intensities=grid,
-                      runner=runner, solver="dense")
-        figure_series("fig4", quality="fast", intensities=grid,
-                      runner=runner, solver="sweep")
-        assert not any(o.cached for o in runner.last_outcomes)
-
 
 class TestReplicationWaves:
     WORKLOAD = Workload(arrival_rate=0.04, transmission_rate=1.0,
@@ -675,7 +640,7 @@ class TestCacheIntegrity:
 
 
 @evaluator("test-engine-sensitive")
-def _engine_sensitive(members, backend="dense"):
+def _engine_sensitive(members):
     values = []
     for seed, params in members:
         if params.get("engine") == "batched":
@@ -686,7 +651,7 @@ def _engine_sensitive(members, backend="dense"):
 
 
 @evaluator("test-log-execution")
-def _log_execution(members, backend="dense"):
+def _log_execution(members):
     # Appends one line per *execution* to a file the test names; dedup
     # tests count lines to prove each unique digest ran exactly once.
     values = []
@@ -704,9 +669,9 @@ def _count_calls(monkeypatch, evaluator_id):
     calls = []
     original = EVALUATORS[evaluator_id]
 
-    def counted(members, backend="dense"):
+    def counted(members):
         calls.append(len(members))
-        return original(members, backend)
+        return original(members)
 
     monkeypatch.setitem(EVALUATORS, evaluator_id, counted)
     return calls

@@ -32,12 +32,12 @@ from repro.runner.evaluators import evaluator
 
 
 @evaluator("chaos-square")
-def _square(members, backend="dense"):
+def _square(members):
     return [params["x"] ** 2 + seed for seed, params in members]
 
 
 @evaluator("chaos-marker-hang")
-def _marker_hang(members, backend="dense"):
+def _marker_hang(members):
     """Hangs on the first execution only: the marker file is the memory.
 
     The first worker to run the unit creates the marker and sleeps far past
@@ -155,14 +155,8 @@ class TestSupervisorPolicy:
         assert scalar.params["engine"] == "scalar"
         assert scalar.config_digest != batched.config_digest
 
-        sweep = WorkUnit("analytic-point", 0, {"x": 1}, backend="sweep")
-        label, dense = degrade_unit(sweep)
-        assert label == "backend:sweep->dense"
-        assert dense.backend == "dense"
-        assert dense.config_digest != sweep.config_digest
-
         assert degrade_unit(scalar) is None
-        assert degrade_unit(dense) is None
+        assert degrade_unit(WorkUnit("analytic-point", 0, {"x": 1})) is None
 
 
 class TestSupervisedRuns:
@@ -190,9 +184,10 @@ class TestSupervisedRuns:
 
     def test_injected_hangs_recover_via_retry(self):
         units = _units(6, seed=2)
-        chaos = ChaosPolicy(hang=0.5, hang_seconds=0.05, seed=13)
+        chaos = ChaosPolicy(hang=0.5, hang_seconds=0.05, seed=14)
         runner = SweepRunner(jobs=2, supervisor=_fast_policy(8), chaos=chaos)
         assert runner.run_values(units) == SweepRunner(jobs=1).run_values(units)
+        assert runner.last_report.retries >= 1
 
     def test_unit_timeout_kills_a_real_hang(self, tmp_path):
         marker = tmp_path / "hang.marker"
