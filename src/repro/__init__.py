@@ -84,13 +84,7 @@ from repro.networks import (
     OmegaTopology,
     SingleBusFabric,
 )
-from repro.workload import (
-    Scenario,
-    Workload,
-    dataflow_machine_scenario,
-    load_balancing_scenario,
-    pumps_scenario,
-)
+from repro.workload import Workload
 
 __version__ = "1.0.0"
 
@@ -142,10 +136,6 @@ __all__ = [
     "simulate_packet_switched",
     "SimulationResult",
     "Workload",
-    "Scenario",
-    "pumps_scenario",
-    "load_balancing_scenario",
-    "dataflow_machine_scenario",
     # networks
     "SingleBusFabric",
     "CrossbarFabric",

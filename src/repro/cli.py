@@ -3,10 +3,12 @@
 Commands:
 
 * ``list``       — show every registered experiment id;
-* ``experiment`` — regenerate one of the paper's tables/figures;
-* ``run``        — regenerate an experiment through the parallel sweep
-  runner: ``--jobs N`` fans figure points out over worker processes and
-  results are memoized in the content-addressed cache;
+* ``run``        — regenerate one of the paper's tables, figures or
+  studies.  A figure id goes through the parallel sweep runner:
+  ``--jobs N`` fans its points out over worker processes and results
+  are memoized in the content-addressed cache.  Any other id runs
+  through the experiment registry at its fixed seeds, so only
+  ``--quality`` applies to it;
 * ``cache``      — inspect (``stats [--json]``), empty (``clear``),
   size-bound (``prune --max-size``), or integrity-check
   (``verify [--repair]``) that cache;
@@ -39,19 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("list", help="list experiment ids")
 
-    experiment = commands.add_parser(
-        "experiment", help="regenerate a table or figure")
-    experiment.add_argument("exp_id", help="experiment id (see 'list')")
-    experiment.add_argument("--quality", default="fast",
-                            choices=["fast", "normal", "full"])
-    experiment.add_argument("--plot", action="store_true",
-                            help="draw delay figures as an ASCII chart")
-    experiment.add_argument("--jobs", type=int, default=None,
-                            help="worker processes for figure sweeps "
-                                 "(default: REPRO_JOBS or 1)")
-
     run = commands.add_parser(
-        "run", help="regenerate an experiment via the parallel sweep runner")
+        "run", help="regenerate a table, figure or study; every flag but "
+                    "--quality applies only to figure ids")
     run.add_argument("exp_id", help="experiment id (see 'list')")
     run.add_argument("--quality", default="fast",
                      choices=["fast", "normal", "full"])
@@ -187,21 +179,20 @@ def _command_list(_args) -> int:
     return 0
 
 
-def _command_experiment(args) -> int:
-    from repro.experiments import FIGURE_SPECS, run_experiment
-    result = run_experiment(args.exp_id, quality=args.quality, jobs=args.jobs)
-    print(result.report)
-    if args.plot and args.exp_id in FIGURE_SPECS:
-        from repro.experiments.render import render_series
-        print()
-        print(render_series(result.data, title=result.description))
-    return 0
+def _figure_only_flags(args) -> List[str]:
+    """The ``run`` flags other than --quality that ``args`` moved off
+    their parser defaults, spelled as on the command line."""
+    defaults = vars(build_parser().parse_args(["run", args.exp_id]))
+    return [f"--{name.replace('_', '-')}"
+            for name, value in vars(args).items()
+            if name != "quality" and value != defaults[name]]
 
 
 def _command_run(args) -> int:
     import time
 
     from repro.experiments import (
+        EXPERIMENT_IDS,
         FIGURE_SPECS,
         figure_series,
         format_series_table,
@@ -210,10 +201,17 @@ def _command_run(args) -> int:
     from repro.runner import ResultCache, SupervisorPolicy, SweepRunner
 
     if args.exp_id not in FIGURE_SPECS:
-        # Non-figure experiments have no point decomposition (and nothing
-        # cacheable); run them through the registry with the jobs knob.
-        result = run_experiment(args.exp_id, quality=args.quality,
-                                jobs=args.jobs)
+        # Non-figure experiments have no point decomposition, nothing
+        # cacheable and fixed seeds, so they run through the registry and
+        # refuse the figure-only flags, which would have no effect.
+        flags = _figure_only_flags(args) if args.exp_id in EXPERIMENT_IDS else []
+        if flags:
+            verb = "applies" if len(flags) == 1 else "apply"
+            print(f"error: {', '.join(flags)} {verb} only to figure ids "
+                  f"({', '.join(FIGURE_SPECS)}); {args.exp_id} takes only "
+                  f"--quality", file=sys.stderr)
+            return 2
+        result = run_experiment(args.exp_id, quality=args.quality)
         print(result.report)
         return 0
 
@@ -443,7 +441,6 @@ def _command_lint(args) -> int:
 
 _COMMANDS = {
     "list": _command_list,
-    "experiment": _command_experiment,
     "run": _command_run,
     "cache": _command_cache,
     "simulate": _command_simulate,

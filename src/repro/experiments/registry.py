@@ -1,8 +1,7 @@
 """Experiment registry: every table and figure, keyed by id.
 
-Maps the experiment ids of DESIGN.md to runnable entry points so the
-benchmark harness, the examples, and ad-hoc exploration all dispatch the
-same way::
+Maps the experiment ids of DESIGN.md to runnable entry points, so
+``repro run`` and ad-hoc exploration dispatch the same way::
 
     from repro.experiments import run_experiment
     print(run_experiment("fig4", quality="fast").report)
@@ -11,6 +10,7 @@ same way::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict
 
 from repro.errors import ConfigurationError
@@ -33,10 +33,9 @@ class ExperimentResult:
     report: str
 
 
-def _run_figure(exp_id: str, quality: str,
-                jobs: "int | None" = None) -> ExperimentResult:
+def _run_figure(exp_id: str, quality: str) -> ExperimentResult:
     spec = figures.FIGURE_SPECS[exp_id]
-    series = figures.figure_series(exp_id, quality=quality, jobs=jobs)
+    series = figures.figure_series(exp_id, quality=quality)
     return ExperimentResult(
         exp_id=exp_id,
         description=spec.title,
@@ -45,7 +44,7 @@ def _run_figure(exp_id: str, quality: str,
     )
 
 
-def _run_fig11(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_fig11(_quality: str) -> ExperimentResult:
     result = figures.fig11_example()
     lines = [f"P{o.source} -> port {o.port} in {o.hops} boxes "
              f"({o.attempts} attempt(s))"
@@ -60,7 +59,7 @@ def _run_fig11(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
     )
 
 
-def _run_sec2(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_sec2(_quality: str) -> ExperimentResult:
     data = figures.sec2_mapping_example()
     report = (
         f"good mappings conflict-free: {data['good_mappings_conflict_free']}\n"
@@ -69,7 +68,7 @@ def _run_sec2(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
     return ExperimentResult("sec2", "Section II mapping example", data, report)
 
 
-def _run_blocking(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_blocking(quality: str) -> ExperimentResult:
     trials = {"fast": 150, "normal": 400, "full": 1500}[quality]
     data = figures.blocking_experiment(trials=trials)
     report = format_blocking_table(data["by_request_size"],
@@ -78,7 +77,7 @@ def _run_blocking(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
                             data, report)
 
 
-def _run_sec6(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_sec6(quality: str) -> ExperimentResult:
     horizon = {"fast": 8_000.0, "normal": 30_000.0, "full": 120_000.0}[quality]
     data = figures.sec6_comparison(horizon=horizon)
     lines = [f"{name}: mu_s*d = {value:.4f}" for name, value in data.items()]
@@ -86,13 +85,13 @@ def _run_sec6(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
                             data, "\n".join(lines))
 
 
-def _run_table2(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_table2(_quality: str) -> ExperimentResult:
     rows = figures.table2_selection()
     return ExperimentResult("table2", "Table II network selection", rows,
                             format_mapping(rows))
 
 
-def _run_cycles(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_cycles(_quality: str) -> ExperimentResult:
     rows = figures.cycle_time_comparison()
     report = format_rows(
         rows,
@@ -103,7 +102,7 @@ def _run_cycles(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
                             rows, report)
 
 
-def _run_bottleneck(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_bottleneck(quality: str) -> ExperimentResult:
     from repro.analysis.sweep import workload_at
     from repro.core import simulate, simulate_centralized
     horizon = {"fast": 8_000.0, "normal": 16_000.0, "full": 60_000.0}[quality]
@@ -125,7 +124,7 @@ def _run_bottleneck(quality: str, _jobs: "int | None" = None) -> ExperimentResul
                             rows, report)
 
 
-def _run_switching(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_switching(quality: str) -> ExperimentResult:
     from repro.analysis.sweep import workload_at
     from repro.core import simulate, simulate_packet_switched
     horizon = {"fast": 8_000.0, "normal": 12_000.0, "full": 40_000.0}[quality]
@@ -147,7 +146,7 @@ def _run_switching(quality: str, _jobs: "int | None" = None) -> ExperimentResult
                             rows, report)
 
 
-def _run_deadlock(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_deadlock(quality: str) -> ExperimentResult:
     from repro.config import SystemConfig
     from repro.core.multi_resource import MultiResourceSystem
     from repro.workload import Workload
@@ -171,7 +170,7 @@ def _run_deadlock(quality: str, _jobs: "int | None" = None) -> ExperimentResult:
                             rows, report)
 
 
-def _run_multibus(_quality: str, _jobs: "int | None" = None) -> ExperimentResult:
+def _run_multibus(_quality: str) -> ExperimentResult:
     from repro.markov import solve_multibus, solve_sbus
     one = solve_sbus(0.5, 1.0, 0.3, 4)
     two = solve_multibus(0.5, 1.0, 0.3, buses=2, resources_per_bus=2)
@@ -185,13 +184,8 @@ def _run_multibus(_quality: str, _jobs: "int | None" = None) -> ExperimentResult
                             rows, report)
 
 
-_RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig4": lambda quality, jobs=None: _run_figure("fig4", quality, jobs),
-    "fig5": lambda quality, jobs=None: _run_figure("fig5", quality, jobs),
-    "fig7": lambda quality, jobs=None: _run_figure("fig7", quality, jobs),
-    "fig8": lambda quality, jobs=None: _run_figure("fig8", quality, jobs),
-    "fig12": lambda quality, jobs=None: _run_figure("fig12", quality, jobs),
-    "fig13": lambda quality, jobs=None: _run_figure("fig13", quality, jobs),
+_RUNNERS: Dict[str, Callable[[str], ExperimentResult]] = {
+    **{exp_id: partial(_run_figure, exp_id) for exp_id in figures.FIGURE_SPECS},
     "fig11": _run_fig11,
     "sec2": _run_sec2,
     "blocking": _run_blocking,
@@ -208,16 +202,10 @@ _RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
 EXPERIMENT_IDS = tuple(sorted(_RUNNERS))
 
 
-def run_experiment(exp_id: str, quality: str = "fast",
-                   jobs: "int | None" = None) -> ExperimentResult:
-    """Run one registered experiment and return its data and text report.
-
-    ``jobs`` fans figure sweeps out over worker processes (see
-    :mod:`repro.runner`); experiments without a parallel decomposition
-    accept and ignore it.
-    """
+def run_experiment(exp_id: str, quality: str = "fast") -> ExperimentResult:
+    """Run one registered experiment and return its data and text report."""
     runner = _RUNNERS.get(exp_id)
     if runner is None:
         raise ConfigurationError(
             f"unknown experiment {exp_id!r}; expected one of {EXPERIMENT_IDS}")
-    return runner(quality, jobs)
+    return runner(quality)

@@ -1,4 +1,4 @@
-"""Project-specific static analysis: the determinism sanitizer's static half.
+"""Project-specific static analysis: the determinism lint.
 
 ``repro lint`` analyzes the source tree in **two passes**.  Pass 1 walks
 each file with a small AST engine (:mod:`repro.lint.engine`) running the

@@ -150,8 +150,8 @@ class KernelEncapsulation(LintRule):
     Flags any access to an underscore-private attribute of a name bound to
     the environment (``env._queue``, ``self.env._now``, …) outside the
     ``sim/`` kernel itself.  Model code that pokes the heap or the clock
-    directly bypasses the tie-break and sanitizer machinery, so its event
-    ordering is unauditable.
+    directly bypasses the FIFO tie-break, so its event ordering is
+    unauditable.
     """
 
     code = "SIM003"

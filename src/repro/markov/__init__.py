@@ -16,7 +16,6 @@ from repro.markov.multibus_chain import (
     MultibusSolution,
     solve_multibus,
 )
-from repro.markov.transient import time_to_stationarity, transient_distribution
 
 __all__ = [
     "FiniteCTMC",
@@ -31,8 +30,6 @@ __all__ = [
     "solve_rate_matrix",
     "drift_condition",
     "geometric_tail_sums",
-    "transient_distribution",
-    "time_to_stationarity",
     "MultibusChain",
     "MultibusSolution",
     "solve_multibus",

@@ -27,7 +27,6 @@ from repro.networks.cells import (
     priority_match,
 )
 from repro.networks.crossbar import ARBITRATION_POLICIES, CrossbarFabric
-from repro.networks.cube import cube_fabric, cube_scheduler
 from repro.networks.interchange import (
     LOWER,
     UPPER,
@@ -48,7 +47,6 @@ from repro.networks.shuffle import (
     perfect_shuffle,
     with_bit,
 )
-from repro.networks.tokens import TokenRingArbiter, random_match
 from repro.networks.topology import (
     BaselineTopology,
     CubeTopology,
@@ -77,8 +75,6 @@ __all__ = [
     "MODE_RESET",
     "REQUEST_GATE_DELAY",
     "RESET_GATE_DELAY",
-    "TokenRingArbiter",
-    "random_match",
     "MultistageTopology",
     "OmegaTopology",
     "CubeTopology",
@@ -98,8 +94,6 @@ __all__ = [
     "max_conflict_free",
     "random_mapping_outcome",
     "permutation_passable",
-    "cube_fabric",
-    "cube_scheduler",
     "perfect_shuffle",
     "inverse_shuffle",
     "log2_exact",

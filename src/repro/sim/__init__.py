@@ -13,11 +13,8 @@ Public surface:
   call) — with its bit-identical vectorized streams
   (:class:`BatchedStreams`) and the batchability gate
   (:func:`batched_unsupported_reason`);
-* :class:`TieSanitizer` — the simultaneous-event race detector
-  (checkpoint/replay of same-timestamp ties, see :mod:`repro.sim.sanitizer`);
 * statistics collectors: :class:`TallyStat`, :class:`TimeWeightedStat`,
-  :class:`BatchMeans`, :func:`confidence_interval`;
-* :class:`Trace` — optional event log.
+  :class:`BatchMeans`, :func:`confidence_interval`.
 """
 
 from repro.sim.batched import (
@@ -34,14 +31,11 @@ from repro.sim.events import (
     PRIORITY_URGENT,
     Condition,
     Event,
-    QueueEntry,
     Timeout,
     all_of,
     any_of,
 )
-from repro.sim.monitor import Trace, TraceRecord
 from repro.sim.process import Process
-from repro.sim.resources import SimResource, SimStore
 from repro.sim.rng import (
     BatchedExpoStream,
     BatchedStreams,
@@ -50,13 +44,6 @@ from repro.sim.rng import (
     mt19937_generator,
     spawn_seed,
     uniform_block_source,
-)
-from repro.sim.sanitizer import (
-    RaceConditionDetected,
-    RaceFinding,
-    TieSanitizer,
-    metric_digest,
-    state_digest,
 )
 from repro.sim.stats import (
     BatchMeans,
@@ -69,12 +56,9 @@ __all__ = [
     "Environment",
     "EmptySchedule",
     "Event",
-    "QueueEntry",
     "Timeout",
     "Condition",
     "Process",
-    "SimResource",
-    "SimStore",
     "RandomStreams",
     "RngStream",
     "spawn_seed",
@@ -87,17 +71,10 @@ __all__ = [
     "VariateTable",
     "batched_delays",
     "batched_unsupported_reason",
-    "TieSanitizer",
-    "RaceFinding",
-    "RaceConditionDetected",
-    "metric_digest",
-    "state_digest",
     "TallyStat",
     "TimeWeightedStat",
     "BatchMeans",
     "confidence_interval",
-    "Trace",
-    "TraceRecord",
     "all_of",
     "any_of",
     "PRIORITY_URGENT",

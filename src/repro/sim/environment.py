@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import (
     PRIORITY_NORMAL,
     Condition,
     Event,
-    QueueEntry,
     Timeout,
     all_of,
     any_of,
@@ -18,7 +17,6 @@ from repro.sim.events import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.sim.process import Process
-    from repro.sim.sanitizer import TieSanitizer
 
 
 class EmptySchedule(SimulationError):
@@ -35,41 +33,33 @@ class Environment:
     Keeps the simulation clock (:attr:`now`), a time-ordered event queue, and
     helpers to create events, timeouts and processes.  Deterministic given
     the same sequence of schedule calls: ties in time are broken by priority
-    and then by insertion order (the :class:`~repro.sim.events.QueueEntry`
-    sequence number).
+    and then by insertion order (a monotonic sequence number).
 
     ``max_queue_length`` bounds the number of simultaneously pending events:
     a model that schedules without ever draining — the classic livelock shape
     of a pathological fault schedule endlessly severing and retrying — fails
     fast with a :class:`SimulationError` instead of consuming the machine.
     Pass ``None`` to disable the guard.
-
-    ``sanitizer`` attaches a :class:`~repro.sim.sanitizer.TieSanitizer`:
-    every batch of events sharing a ``(time, priority)`` slot is then
-    checkpointed, replayed under permuted pop orders, and compared by metric
-    digest, so order-dependent ties surface as race findings instead of
-    silently shaping the results.  With no sanitizer attached the run loop
-    is the plain fast path (a single ``is None`` test per step).
     """
 
     __slots__ = ("_now", "_queue", "_sequence", "_active_process",
-                 "max_queue_length", "sanitizer")
+                 "max_queue_length")
 
     def __init__(self, initial_time: float = 0.0,
-                 max_queue_length: Optional[int] = DEFAULT_MAX_QUEUE_LENGTH,
-                 sanitizer: Optional["TieSanitizer"] = None):
+                 max_queue_length: Optional[int] = DEFAULT_MAX_QUEUE_LENGTH):
         if max_queue_length is not None and max_queue_length < 1:
             raise SimulationError(
                 f"max_queue_length must be positive or None, got {max_queue_length}")
         self._now = float(initial_time)
-        # Heap slots are plain tuples shaped like QueueEntry (time, priority,
-        # sequence, event): tuple literals keep the schedule hot path cheap,
-        # and the sanitizer path wraps them as QueueEntry to read by name.
+        # Heap slots are plain (time, priority, sequence, event) tuples.  The
+        # sequence is a monotonic counter assigned at schedule time, so
+        # events sharing a time and a priority pop in FIFO order and the
+        # comparison never reaches the (unorderable) Event objects; tuple
+        # literals keep the schedule hot path cheap.
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._sequence = 0
         self._active_process: Optional["Process"] = None
         self.max_queue_length = max_queue_length
-        self.sanitizer = sanitizer
 
     # -- clock -----------------------------------------------------------
     @property
@@ -132,94 +122,11 @@ class Environment:
         """Process the next event, advancing the clock to its time."""
         if not self._queue:
             raise EmptySchedule("no more events scheduled")
-        if self.sanitizer is not None:
-            self._step_sanitized()
-            return
         time, _priority, _seq, event = heappop(self._queue)
         if time < self._now:
             raise SimulationError("event queue corrupted: time moved backwards")
         self._now = time
         event._run_callbacks()
-
-    # -- sanitizer mode ----------------------------------------------------
-    def _pop_tie_batch(self) -> List[QueueEntry]:
-        """Pop the head entry plus every entry tied with it on (time, priority)."""
-        first = QueueEntry._make(heappop(self._queue))
-        batch = [first]
-        while (self._queue
-               and self._queue[0][0] == first.time
-               and self._queue[0][1] == first.priority):
-            batch.append(QueueEntry._make(heappop(self._queue)))
-        return batch
-
-    def _step_sanitized(self) -> None:
-        """One step with same-timestamp ties checkpointed and replayed.
-
-        The committed outcome is always the FIFO order's, so a sanitized run
-        that reports no findings is event-for-event identical to the plain
-        run; see :mod:`repro.sim.sanitizer` for the replay contract.
-        """
-        from repro.sim.sanitizer import RaceFinding
-
-        sanitizer = self.sanitizer
-        assert sanitizer is not None
-        batch = self._pop_tie_batch()
-        if batch[0].time < self._now:
-            raise SimulationError("event queue corrupted: time moved backwards")
-        self._now = batch[0].time
-        if len(batch) == 1:
-            batch[0].event._run_callbacks()
-            return
-
-        sanitizer.observe_tie(len(batch))
-        # Checkpoint: model state (via hook), the queue tail, the sequence
-        # counter, and the tied events' callback lists (consumed by a run).
-        saved_callbacks: List[List[Callable[[Event], None]]] = []
-        for entry in batch:
-            if entry.event.callbacks is None:
-                raise SimulationError(
-                    "tied event was already processed (kernel bug)")
-            saved_callbacks.append(list(entry.event.callbacks))
-        pre_state = sanitizer.snapshot()
-        pre_queue = list(self._queue)
-        pre_sequence = self._sequence
-
-        # Baseline: the committed FIFO order.
-        for entry in batch:
-            entry.event._run_callbacks()
-        baseline_digest = sanitizer.digest()
-        post_state = sanitizer.snapshot()
-        post_queue = list(self._queue)
-        post_sequence = self._sequence
-
-        try:
-            for order in sanitizer.permutation_orders(len(batch)):
-                self._queue = list(pre_queue)
-                self._sequence = pre_sequence
-                sanitizer.restore(pre_state)
-                for entry, callbacks in zip(batch, saved_callbacks):
-                    entry.event.callbacks = list(callbacks)
-                    entry.event._processed = False
-                for index in order:
-                    batch[index].event._run_callbacks()
-                permuted_digest = sanitizer.digest()
-                if permuted_digest != baseline_digest:
-                    sanitizer.report(RaceFinding(
-                        time=batch[0].time,
-                        priority=batch[0].priority,
-                        events=len(batch),
-                        permutation=order,
-                        baseline_digest=baseline_digest,
-                        permuted_digest=permuted_digest,
-                    ))
-        finally:
-            # Commit the baseline outcome whatever the replays did.
-            self._queue = post_queue
-            self._sequence = post_sequence
-            sanitizer.restore(post_state)
-            for entry in batch:
-                entry.event.callbacks = None
-                entry.event._processed = True
 
     # -- run loops ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
@@ -235,56 +142,50 @@ class Environment:
                 raise SimulationError(
                     f"run(until={until}) is in the past (now={self._now})"
                 )
-        if self.sanitizer is not None:
-            while self._queue:
-                if until is not None and self._queue[0][0] > until:
-                    break
-                self.step()
+        # Hot path: the heap, the pop, and the clock are bound to locals
+        # so each step costs one tuple pop and one callback dispatch
+        # instead of a method call plus repeated attribute lookups.
+        # schedule() only ever mutates the queue list in place, so the
+        # local binding stays valid across callbacks.
+        # Callback dispatch is inlined (the body of
+        # Event._run_callbacks) to drop one frame per event; the two
+        # must stay in lockstep.
+        queue = self._queue
+        pop = heappop
+        if until is None:
+            while queue:
+                time, _priority, _seq, event = pop(queue)
+                if time < self._now:
+                    raise SimulationError(
+                        "event queue corrupted: time moved backwards")
+                self._now = time
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
         else:
-            # Hot path: the heap, the pop, and the clock are bound to locals
-            # so each step costs one tuple pop and one callback dispatch
-            # instead of a method call plus repeated attribute lookups.
-            # schedule() only ever mutates the queue list in place, so the
-            # local binding stays valid across callbacks.
-            # Callback dispatch is inlined (the body of
-            # Event._run_callbacks) to drop one frame per event; the two
-            # must stay in lockstep.
-            queue = self._queue
-            pop = heappop
-            if until is None:
-                while queue:
-                    time, _priority, _seq, event = pop(queue)
-                    if time < self._now:
-                        raise SimulationError(
-                            "event queue corrupted: time moved backwards")
-                    self._now = time
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        break
-                    time, _priority, _seq, event = pop(queue)
-                    if time < self._now:
-                        raise SimulationError(
-                            "event queue corrupted: time moved backwards")
-                    self._now = time
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
+            while queue:
+                if queue[0][0] > until:
+                    break
+                time, _priority, _seq, event = pop(queue)
+                if time < self._now:
+                    raise SimulationError(
+                        "event queue corrupted: time moved backwards")
+                self._now = time
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
         if until is not None:
             self._now = max(self._now, until)
 

@@ -14,7 +14,7 @@ scratch because no simulation package is available in this environment.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, List, NamedTuple, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -22,27 +22,6 @@ from repro.errors import SimulationError
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
-
-
-class QueueEntry(NamedTuple):
-    """The layout of one slot in the environment's event heap.
-
-    Heap order is ``(time, priority, sequence)``.  The ``sequence`` field is
-    a monotonic counter assigned at schedule time, so events that share a
-    timestamp *and* a priority pop in FIFO (schedule) order on every Python
-    version and platform — the comparison never falls through to the
-    :class:`Event` objects themselves, which are deliberately unorderable.
-    The hot path stores plain tuples of this shape (tuple literals are
-    several times cheaper to build); the sanitizer wraps popped slots with
-    :meth:`QueueEntry._make` to read fields by name, and the race detector
-    (:mod:`repro.sim.sanitizer`) permutes exactly these FIFO ties to prove
-    the model does not depend on the ordering.
-    """
-
-    time: float
-    priority: int
-    sequence: int
-    event: "Event"
 
 
 class Event:

@@ -120,9 +120,9 @@ class RandomStreams:
     def names(self) -> Tuple[str, ...]:
         """The stream names derived so far, sorted (introspection hook).
 
-        Lets audits — the race sanitizer's reports, tests asserting two
-        components do *not* share a stream, the static analyzer's fixtures
-        — enumerate exactly which streams a family has handed out.
+        Lets audits — tests asserting two components do *not* share a
+        stream, the static analyzer's fixtures — enumerate exactly which
+        streams a family has handed out.
         """
         return tuple(sorted(self._streams))
 

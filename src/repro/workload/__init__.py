@@ -1,19 +1,9 @@
-"""Workload models: arrival/demand statistics and domain scenarios."""
+"""Workload models: arrival and demand statistics."""
 
 from repro.workload.arrivals import DISTRIBUTIONS, Workload, sample_time
-from repro.workload.scenarios import (
-    Scenario,
-    dataflow_machine_scenario,
-    load_balancing_scenario,
-    pumps_scenario,
-)
 
 __all__ = [
     "Workload",
     "sample_time",
     "DISTRIBUTIONS",
-    "Scenario",
-    "pumps_scenario",
-    "load_balancing_scenario",
-    "dataflow_machine_scenario",
 ]

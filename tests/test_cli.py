@@ -28,12 +28,14 @@ class TestCli:
                      "--method", "stage-recursion"]) == 0
         assert "stage-recursion" in capsys.readouterr().out
 
-    def test_experiment_fig11(self, capsys):
-        assert main(["experiment", "fig11"]) == 0
+    def test_run_fig11(self, capsys):
+        assert main(["run", "fig11"]) == 0
+        assert "3.5" in capsys.readouterr().out
+        assert main(["run", "fig11", "--quality", "full"]) == 0
         assert "3.5" in capsys.readouterr().out
 
-    def test_experiment_unknown_id(self, capsys):
-        assert main(["experiment", "fig99"]) == 1
+    def test_run_unknown_id(self, capsys):
+        assert main(["run", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_simulate(self, capsys):
@@ -154,6 +156,11 @@ BAD_INPUT_ARGV = {
                              "--unit-timeout", "nan"],
     "faults-task-timeout-nan": ["faults", "4/4x1x1 SBUS/2",
                                 "--task-timeout", "nan"],
+    "run-sec6-seed": ["run", "sec6", "--seed", "5"],
+    "run-sec2-unit-timeout-nan": ["run", "sec2", "--unit-timeout", "nan"],
+    "run-fig11-resume-no-cache": ["run", "fig11", "--seed", "5",
+                                  "--engine", "scalar", "--resume",
+                                  "--no-cache"],
 }
 
 

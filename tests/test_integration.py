@@ -94,14 +94,6 @@ class TestFairness:
 
 
 class TestScenarioPipelines:
-    def test_pumps_scenario_end_to_end(self):
-        from repro.workload import pumps_scenario
-        scenario = pumps_scenario(intensity=0.5)
-        result = simulate(scenario.config, scenario.workload,
-                          horizon=5_000.0, warmup=500.0, seed=2)
-        assert result.completed_tasks > 100
-        assert result.resource_utilization > 0.2
-
     def test_experiment_registry_round_trip(self):
         from repro.experiments import run_experiment
         outcome = run_experiment("sec2")

@@ -1,17 +1,11 @@
-"""Tests for the fabric base class, bus fabric, crossbar fabric, tokens."""
+"""Tests for the fabric base class, bus fabric and crossbar fabric."""
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.networks import (
-    CrossbarFabric,
-    SingleBusFabric,
-    TokenRingArbiter,
-    random_match,
-)
+from repro.networks import CrossbarFabric, SingleBusFabric
 
 
 class TestSingleBusFabric:
@@ -87,49 +81,3 @@ class TestCrossbarFabric:
     def test_crossbar_hops_is_one(self):
         fabric = CrossbarFabric(2, 2)
         assert fabric.connect(0, {0}).hops == 1
-
-
-class TestTokenRing:
-    def test_every_request_served_when_buses_suffice(self):
-        arbiter = TokenRingArbiter(8, 8, rng=random.Random(0))
-        assignment = arbiter.arbitrate([0, 3, 5], [1, 2, 4])
-        assert set(assignment.keys()) == {0, 3, 5}
-        assert len(set(assignment.values())) == 3
-
-    def test_no_assignment_without_requests_or_buses(self):
-        arbiter = TokenRingArbiter(4, 4)
-        assert arbiter.arbitrate([], [0]) == {}
-        assert arbiter.arbitrate([0], []) == {}
-
-    def test_fairness_across_rounds(self):
-        """Token drift makes the winner roughly uniform over requesters."""
-        wins = {0: 0, 1: 0, 2: 0, 3: 0}
-        arbiter = TokenRingArbiter(4, 4, rng=random.Random(7))
-        for _ in range(600):
-            assignment = arbiter.arbitrate([0, 1, 2, 3], [0])
-            winner = next(iter(assignment))
-            wins[winner] += 1
-            arbiter.drift(3)
-        for count in wins.values():
-            assert 60 < count < 340  # no processor starves or dominates
-
-    def test_negative_drift_rejected(self):
-        with pytest.raises(ValueError):
-            TokenRingArbiter(2, 2).drift(-1)
-
-    def test_invalid_dimensions_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TokenRingArbiter(0, 4)
-
-
-class TestRandomMatch:
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_is_a_partial_matching(self, data):
-        rows = data.draw(st.lists(st.integers(0, 9), max_size=10))
-        columns = data.draw(st.lists(st.integers(0, 9), max_size=10))
-        assignment = random_match(rows, columns, random.Random(0))
-        assert len(assignment) == min(len(set(rows)), len(set(columns)))
-        assert len(set(assignment.values())) == len(assignment)
-        assert set(assignment.keys()) <= set(rows)
-        assert set(assignment.values()) <= set(columns)

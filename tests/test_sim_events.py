@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event, PRIORITY_URGENT
+from repro.sim import Environment, PRIORITY_URGENT
 
 
 def test_event_starts_pending():
@@ -149,7 +149,7 @@ def test_priority_orders_same_time_events():
 def test_same_time_same_priority_pops_fifo():
     """Regression: timestamp ties resolve by monotonic schedule order.
 
-    The heap entry is a QueueEntry(time, priority, sequence, event); the
+    The heap entry is a (time, priority, sequence, event) tuple; the
     sequence tie-break must make same-slot events pop in the order they
     were scheduled, on every Python version, and the comparison must never
     fall through to the Event objects themselves.
@@ -161,16 +161,6 @@ def test_same_time_same_priority_pops_fifo():
         timer.add_callback(lambda e, lab=label: order.append(lab))
     env.run()
     assert order == list(range(8))
-
-
-def test_queue_entry_orders_by_time_priority_sequence():
-    from repro.sim import QueueEntry
-
-    env = Environment()
-    a, b = Event(env), Event(env)
-    assert QueueEntry(1.0, 1, 0, a) < QueueEntry(2.0, 0, 1, b)
-    assert QueueEntry(1.0, 0, 5, a) < QueueEntry(1.0, 1, 0, b)
-    assert QueueEntry(1.0, 1, 0, a) < QueueEntry(1.0, 1, 1, b)
 
 
 def test_interleaved_schedules_keep_fifo_within_slot():

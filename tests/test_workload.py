@@ -1,4 +1,4 @@
-"""Tests for workload specifications and domain scenarios."""
+"""Tests for workload specifications."""
 
 import random
 
@@ -9,9 +9,6 @@ from repro.errors import ConfigurationError
 from repro.workload import (
     DISTRIBUTIONS,
     Workload,
-    dataflow_machine_scenario,
-    load_balancing_scenario,
-    pumps_scenario,
     sample_time,
 )
 
@@ -75,31 +72,3 @@ class TestWorkload:
         for distribution in DISTRIBUTIONS:
             assert sample_time(rng, rate, distribution) > 0
 
-
-class TestScenarios:
-    @pytest.mark.parametrize("factory", [
-        pumps_scenario, load_balancing_scenario, dataflow_machine_scenario])
-    def test_scenario_hits_requested_intensity(self, factory):
-        scenario = factory(intensity=0.5)
-        assert scenario.traffic_intensity == pytest.approx(0.5)
-        assert scenario.name
-        assert scenario.description
-
-    def test_pumps_is_resource_bound(self):
-        assert pumps_scenario().workload.service_to_transmission_ratio == 0.1
-
-    def test_load_balancing_is_balanced(self):
-        assert load_balancing_scenario().workload.service_to_transmission_ratio == 1.0
-
-    def test_scenarios_are_runnable(self):
-        from repro.core import simulate
-        scenario = dataflow_machine_scenario(intensity=0.4)
-        result = simulate(scenario.config, scenario.workload,
-                          horizon=2_000.0, seed=1)
-        assert result.completed_tasks > 0
-
-    def test_custom_configuration(self):
-        scenario = pumps_scenario(intensity=0.3,
-                                  configuration="16/1x16x32 XBAR/1")
-        assert scenario.config.network_type == "XBAR"
-        assert scenario.traffic_intensity == pytest.approx(0.3)
