@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "sweep (default: 3)")
     run.add_argument("--unit-timeout", type=float, default=None,
                      help="seconds before an in-flight point counts as "
-                          "hung and its worker pool is recycled "
-                          "(default: no timeout)")
+                          "hung and its worker pool is recycled; needs "
+                          "--jobs 2 or more (default: no timeout)")
     run.add_argument("--plot", action="store_true",
                      help="draw delay figures as an ASCII chart")
     run.add_argument("--profile", action="store_true",

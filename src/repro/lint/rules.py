@@ -176,7 +176,7 @@ class KernelEncapsulation(LintRule):
                     and self._is_environment_base(node.value)):
                 yield node, (
                     f"access to private kernel state .{node.attr}: go through "
-                    "the Environment API (schedule/timeout/step) so event "
+                    "the Environment API (schedule/timeout/run) so event "
                     "ordering stays auditable")
 
 

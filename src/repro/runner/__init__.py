@@ -17,8 +17,8 @@ corruption is quarantined, never served.  A :class:`ChaosPolicy`
 deterministically to prove all of the above under test.
 
 Equal-digest units within one run execute once (in-flight dedup,
-outcome-transparent), and the supervisor drives any
-:class:`ExecutorBackend` transport — serial or local process pool.
+outcome-transparent).  The supervisor runs units inline or drives a local
+process pool directly, through one retry-and-degrade step.
 
 Quick start::
 
@@ -47,13 +47,6 @@ from repro.runner.evaluators import (
     evaluator,
     execute_payload,
     get_evaluator,
-)
-from repro.runner.executors import (
-    BackendBroken,
-    ExecutorBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    terminate_pool,
 )
 from repro.runner.journal import (
     JournalSummary,
@@ -86,17 +79,13 @@ __all__ = [
     "CHAOS_ENV",
     "ENVELOPE_VERSION",
     "QUARANTINE_DIR",
-    "BackendBroken",
     "CacheStats",
     "ChaosPolicy",
     "EVALUATORS",
-    "ExecutorBackend",
     "JOBS_ENV",
     "JournalSummary",
-    "ProcessPoolBackend",
     "ResultCache",
     "RunReport",
-    "SerialBackend",
     "Supervisor",
     "SupervisorPolicy",
     "SweepJournal",
@@ -117,6 +106,5 @@ __all__ = [
     "resolve_chaos",
     "resolve_jobs",
     "sweep_digest",
-    "terminate_pool",
     "work_unit_digest",
 ]

@@ -9,10 +9,12 @@ material, results are reassembled in submission order, and the single-job
 path executes inline with no pool at all.
 
 Execution is *supervised* (see :mod:`repro.runner.supervisor`): per-unit
-failures, worker timeouts, and pool breakage are retried with
-deterministic backoff and then walked down a degradation ladder instead of
-aborting the sweep; a :class:`~repro.runner.journal.SweepJournal` can
-checkpoint completed units so a killed sweep resumes where it stopped.
+failures, worker timeouts (which only a pool can enforce, so a
+``unit_timeout`` needs two or more jobs), and pool breakage are retried
+with deterministic backoff and then walked down a degradation ladder
+instead of aborting the sweep; a
+:class:`~repro.runner.journal.SweepJournal` can checkpoint completed units
+so a killed sweep resumes where it stopped.
 Worker exceptions cannot cross the process boundary intact, so the worker
 wrapper (:func:`repro.runner.evaluators.execute_payload`) catches
 everything, marshals the traceback as text, and the parent re-raises it as
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, WorkerError
 from repro.runner.cache import ResultCache
@@ -106,10 +108,11 @@ class SweepRunner:
       (``None`` defers to the ``REPRO_CHAOS`` environment variable);
     * ``journal`` — a :class:`SweepJournal` appended per completed unit;
     * ``resume`` — serve units the journal already records as completed
-      from the cache and mark them ``resumed`` (requires both);
-    * ``backend_factory`` — an :class:`~repro.runner.executors`
-      ``ExecutorBackend`` factory for the parallel path (``None`` uses
-      the local process pool).
+      from the cache and mark them ``resumed`` (requires both).
+
+    A policy with a ``unit_timeout`` needs two or more jobs: only a pool
+    worker can be stopped, so ``run`` refuses it when ``jobs`` resolves
+    to 1.
 
     ``run`` returns outcomes in submission order regardless of completion
     order, so serial and parallel execution assemble identical series.  The
@@ -124,14 +127,12 @@ class SweepRunner:
                  supervisor: Optional[SupervisorPolicy] = None,
                  chaos: Optional[ChaosPolicy] = None,
                  journal: Optional[SweepJournal] = None,
-                 resume: bool = False,
-                 backend_factory: Optional[Callable] = None):
+                 resume: bool = False):
         self.jobs = jobs
         self.cache = (ResultCache(cache)
                       if isinstance(cache, (str, os.PathLike)) else cache)
         self.supervisor = supervisor if supervisor is not None \
             else SupervisorPolicy()
-        self.backend_factory = backend_factory
         self.chaos = chaos
         if chaos is not None and self.cache is not None \
                 and self.cache.chaos is None:
@@ -152,6 +153,10 @@ class SweepRunner:
             raise_on_error: bool = True) -> List[UnitOutcome]:
         """Execute ``units``; outcomes come back in submission order."""
         jobs = resolve_jobs(self.jobs)
+        if jobs == 1 and self.supervisor.unit_timeout is not None:
+            raise ConfigurationError(
+                "a unit timeout needs 2 or more jobs (--jobs 2): a unit "
+                "running inline cannot be stopped")
         journal = self.journal
         resume_set = (journal.completed_digests()
                       if journal is not None and self.resume else set())
@@ -206,8 +211,7 @@ class SweepRunner:
                         final_digest=outcome.computed_digest or None,
                         error=outcome.error)
 
-            Supervisor(self.supervisor, chaos=self.chaos,
-                       backend_factory=self.backend_factory).execute(
+            Supervisor(self.supervisor, chaos=self.chaos).execute(
                 pending, jobs, report, on_complete)
 
         final = [outcome for outcome in outcomes if outcome is not None]

@@ -20,10 +20,19 @@ for the modeled fabrics:
   changes the unit's digest — the computed value is cached under what was
   actually computed, never under what was asked for.
 
-* **Pool supervision.**  A broken pool is respawned and in-flight units
-  resubmitted; a unit that out-lives ``unit_timeout`` gets its worker
-  killed and the pool rebuilt; repeated respawns without any completed
-  unit degrade the remaining work to serial execution.
+* **Pool supervision.**  The parallel path drives a
+  :class:`~concurrent.futures.ProcessPoolExecutor` directly.  A broken pool
+  (``BrokenProcessPool`` from ``submit`` or a future) is respawned and
+  in-flight units resubmitted; a unit that out-lives ``unit_timeout`` gets
+  its worker killed and the pool rebuilt; repeated respawns without any
+  completed unit degrade the remaining work to serial execution.  Only the
+  pool can stop a unit, so ``unit_timeout`` needs two or more jobs.
+
+* **One ladder step.**  Serial runs, the pool, and the drain after the
+  pool gives up all charge a failed execution through the same step
+  (:meth:`Supervisor._charge`) on the unit's flight, and build every
+  outcome from that flight: the requested unit, what was computed, how
+  many executions it took.
 
 * **One call per run of units.**  The serial path (``jobs == 1``) hands
   each maximal run of consecutive pending units — taken after dedup —
@@ -52,19 +61,15 @@ The supervisor is deliberately value-transparent: retries and pool-level
 recovery recompute pure functions and cannot change results, so a sweep
 that completes without engine degradation is byte-identical to a
 fault-free run — the property the chaos suite pins.
-
-Transport is pluggable: the parallel path drives any
-:class:`~repro.runner.executors.ExecutorBackend` (by default the local
-process pool), so distributed executors slot in under the same retry,
-timeout, and respawn logic.
 """
 
 from __future__ import annotations
 
 import time  # lint: disable=SIM002 - supervises wall-clock execution
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -72,11 +77,7 @@ from repro.errors import ConfigurationError
 from repro.faults.retry import RetryPolicy, backoff_stream
 from repro.runner.chaos import ChaosPolicy
 from repro.runner.evaluators import execute_payload
-from repro.runner.executors import ExecutorBackend, ProcessPoolBackend
 from repro.runner.workunit import WorkUnit, batch_payload
-
-#: How the supervisor builds its default transport for ``workers`` slots.
-BackendFactory = Callable[[int], ExecutorBackend]
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class SupervisorPolicy:
     ``max_attempts`` is the total execution budget per ladder rung (must be
     at least 1 — zero attempts would never execute anything);
     ``unit_timeout`` bounds one in-flight execution in wall seconds
-    (``None`` disables the watchdog); ``degrade`` enables the
+    (``None`` disables the watchdog; only a pool worker can be stopped, so
+    a run with a timeout needs two or more jobs); ``degrade`` enables the
     engine/serial fallback ladder; ``max_pool_respawns`` caps
     consecutive pool rebuilds *without progress* before the remaining work
     degrades to serial; ``retry`` shapes the backoff (defaults to a fast
@@ -198,10 +200,10 @@ class RunReport:
 
 
 class _Flight:
-    """Mutable supervision state of one submitted work unit."""
+    """Mutable supervision state of one pending work unit."""
 
     __slots__ = ("index", "original", "unit", "attempt", "tries",
-                 "degradations", "deadline", "not_before", "serial_tried")
+                 "degradations", "deadline", "not_before")
 
     def __init__(self, index: int, unit: WorkUnit):
         self.index = index
@@ -212,11 +214,29 @@ class _Flight:
         self.degradations: Tuple[str, ...] = ()
         self.deadline: Optional[float] = None
         self.not_before = 0.0
-        self.serial_tried = False
 
 
 #: ``on_complete(index, outcome)`` — the runner's cache/journal hook.
 CompletionHook = Callable[[int, object], None]
+
+
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut a pool down hard: cancel queued work, kill worker processes."""
+    try:
+        processes = list(pool._processes.values())  # noqa: SLF001
+    except AttributeError:  # pragma: no cover - CPython implementation detail
+        processes = []
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - already dead
+            pass
+    for process in processes:
+        try:
+            process.join(timeout=1.0)
+        except Exception:  # pragma: no cover - already reaped
+            pass
 
 
 class Supervisor:
@@ -229,13 +249,9 @@ class Supervisor:
     """
 
     def __init__(self, policy: SupervisorPolicy,
-                 chaos: Optional[ChaosPolicy] = None,
-                 backend_factory: Optional[BackendFactory] = None):
+                 chaos: Optional[ChaosPolicy] = None):
         self.policy = policy
         self.chaos = chaos
-        self.backend_factory: BackendFactory = (
-            backend_factory if backend_factory is not None
-            else ProcessPoolBackend)
         self._chaos_spec = (chaos.spec()
                             if chaos is not None and chaos.active else None)
 
@@ -248,11 +264,12 @@ class Supervisor:
             return
         if self.policy.dedup:
             pending, on_complete = self._dedup(pending, report, on_complete)
-        if jobs == 1 or len(pending) == 1:
+        if jobs == 1 or (len(pending) == 1
+                         and self.policy.unit_timeout is None):
             for run in self._runs(pending):
                 self._run_serial(run, report, on_complete)
             return
-        self._execute_backend(pending, jobs, report, on_complete)
+        self._execute_pool(pending, jobs, report, on_complete)
 
     @staticmethod
     def _dedup(pending: Sequence[Tuple[int, WorkUnit]], report: RunReport,
@@ -289,6 +306,42 @@ class Supervisor:
 
         return leaders, hook
 
+    # -- the ladder -------------------------------------------------------
+
+    def _charge(self, flight: _Flight, report: RunReport) -> Optional[float]:
+        """Charge one failed execution to ``flight``'s ladder.
+
+        Returns the backoff in seconds before the next attempt on the same
+        rung, ``0.0`` after a degradation step (the new rung starts at
+        once), or ``None`` once the ladder is spent.
+        """
+        policy = self.policy
+        if flight.attempt < policy.max_attempts:
+            delay = policy.delay_for(flight.unit.config_digest,
+                                     flight.attempt)
+            flight.attempt += 1
+            report.retries += 1
+            return delay
+        step = degrade_unit(flight.unit) if policy.degrade else None
+        if step is None:
+            return None
+        label, flight.unit = step
+        flight.degradations += (label,)
+        flight.attempt = 1
+        report.degradations.append((flight.original.config_digest, label))
+        return 0.0
+
+    @staticmethod
+    def _outcome(flight: _Flight, value, wall: float,
+                 error: Optional[str] = None):
+        from repro.runner.pool import UnitOutcome
+
+        return UnitOutcome(
+            unit=flight.original, value=value, wall_time=wall, error=error,
+            attempts=flight.tries, degraded=flight.degradations,
+            computed_digest="" if error is not None
+            else flight.unit.config_digest)
+
     # -- serial path ------------------------------------------------------
 
     @staticmethod
@@ -320,89 +373,90 @@ class Supervisor:
                         computed_digest=unit.config_digest))
                 return
         for index, unit in run:
-            on_complete(index, self._run_inline(unit, report))
+            on_complete(index, self._run_inline(_Flight(index, unit), report))
 
-    def _run_inline(self, unit: WorkUnit, report: RunReport,
-                    degradations: Tuple[str, ...] = ()):
-        """Supervised inline execution (the serial path and final fallback)."""
-        from repro.runner.pool import UnitOutcome
-
-        current = unit
-        attempt = 1
-        tries = 0
+    def _run_inline(self, flight: _Flight, report: RunReport):
+        """Execute ``flight`` in this process until it succeeds or the
+        ladder is spent; at least one execution, whatever its budget."""
         while True:
-            tries += 1
+            flight.tries += 1
             values, error, wall = execute_payload(
-                current.payload(), attempt=tries,
+                flight.unit.payload(), attempt=flight.tries,
                 chaos_spec=self._chaos_spec, in_worker=False)
             if values is not None:
-                return UnitOutcome(unit=unit, value=values[0], wall_time=wall,
-                                   attempts=tries, degraded=degradations,
-                                   computed_digest=current.config_digest)
-            if attempt < self.policy.max_attempts:
-                delay = self.policy.delay_for(current.config_digest, attempt)
-                attempt += 1
-                report.retries += 1
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            step = degrade_unit(current) if self.policy.degrade else None
-            if step is not None:
-                label, current = step
-                degradations += (label,)
-                report.degradations.append((unit.config_digest, label))
-                attempt = 1
-                continue
-            report.failures.append(unit.config_digest)
-            return UnitOutcome(unit=unit, value=None, wall_time=wall,
-                               error=error, attempts=tries,
-                               degraded=degradations)
+                return self._outcome(flight, values[0], wall)
+            delay = self._charge(flight, report)
+            if delay is None:
+                report.failures.append(flight.original.config_digest)
+                return self._outcome(flight, None, wall, error=error)
+            if delay > 0:
+                time.sleep(delay)
 
-    # -- backend path -----------------------------------------------------
+    def _to_serial(self, flight: _Flight, report: RunReport,
+                   on_complete: CompletionHook) -> None:
+        """The ``pool->serial`` rung: finish ``flight`` inline, in the
+        parent process, which survives even a worker environment that
+        cannot start at all."""
+        flight.degradations += ("pool->serial",)
+        report.degradations.append(
+            (flight.original.config_digest, "pool->serial"))
+        report.serial_fallbacks += 1
+        on_complete(flight.index, self._run_inline(flight, report))
 
-    def _execute_backend(self, pending: Sequence[Tuple[int, WorkUnit]],
-                         jobs: int, report: RunReport,
-                         on_complete: CompletionHook) -> None:
+    # -- pool path --------------------------------------------------------
+
+    def _execute_pool(self, pending: Sequence[Tuple[int, WorkUnit]],
+                      jobs: int, report: RunReport,
+                      on_complete: CompletionHook) -> None:
         policy = self.policy
         workers = min(jobs, len(pending))
         ready: Deque[_Flight] = deque(_Flight(index, unit)
                                       for index, unit in pending)
         delayed: List[_Flight] = []
         inflight: Dict[Future, _Flight] = {}
-        backend: Optional[ExecutorBackend] = self.backend_factory(workers)
-        backend.start()
+
+        def fail(flight: _Flight, now: float) -> None:
+            delay = self._charge(flight, report)
+            if delay is None:
+                self._to_serial(flight, report, on_complete)
+            else:
+                flight.not_before = now + delay
+                delayed.append(flight)
+
+        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
+            max_workers=workers)
         respawns_without_progress = 0
         try:
             while ready or delayed or inflight:
                 now = time.monotonic()
-                if delayed:
-                    due = [fl for fl in delayed if fl.not_before <= now]
-                    if due:
-                        delayed = [fl for fl in delayed
-                                   if fl.not_before > now]
-                        ready.extend(due)
-                if backend is None:
+                due = [fl for fl in delayed if fl.not_before <= now]
+                if due:
+                    delayed[:] = [fl for fl in delayed if fl.not_before > now]
+                    ready.extend(due)
+                if pool is None:
                     # Pool gave up: the rest of the sweep runs serially.
-                    for flight in self._drain(ready, delayed, inflight):
-                        flight.degradations += ("pool->serial",)
-                        report.degradations.append(
-                            (flight.original.config_digest, "pool->serial"))
-                        report.serial_fallbacks += 1
-                        on_complete(flight.index, self._run_inline(
-                            flight.unit, report,
-                            degradations=flight.degradations))
+                    for flight in sorted([*ready, *delayed],
+                                         key=lambda fl: fl.index):
+                        self._to_serial(flight, report, on_complete)
                     return
                 pool_broken = False
                 while ready and len(inflight) < workers * 2:
                     flight = ready.popleft()
-                    if not self._submit(backend, flight, inflight, now):
-                        # The backend broke and submit refused the unit —
-                        # it never started, so no attempt is charged; it
-                        # goes back to the head of the queue for the
+                    try:
+                        future = pool.submit(
+                            execute_payload, flight.unit.payload(),
+                            flight.tries + 1, self._chaos_spec, True)
+                    except BrokenProcessPool:
+                        # The unit never started, so no attempt is charged;
+                        # it goes back to the head of the queue for the
                         # respawn.
                         ready.appendleft(flight)
                         pool_broken = True
                         break
+                    flight.tries += 1
+                    if policy.unit_timeout is not None:
+                        flight.deadline = now + policy.unit_timeout
+                    inflight[future] = flight
                 if not pool_broken:
                     if not inflight:
                         # Everything is backing off; sleep to the next due.
@@ -416,28 +470,18 @@ class Supervisor:
                     for future in done:
                         flight = inflight.pop(future)
                         try:
-                            values, error, wall = future.result()
-                        except backend.broken_exceptions as exc:
+                            values, _error, wall = future.result()
+                        except BrokenProcessPool:
                             pool_broken = True
-                            self._handle_failure(
-                                flight, f"executor backend broke "
-                                f"({type(exc).__name__}) while unit was in "
-                                "flight", 0.0, now, ready, delayed, report,
-                                on_complete)
-                            continue
-                        except BaseException as exc:
-                            values, wall = None, 0.0
-                            error = (f"{type(exc).__name__}: {exc} "
-                                     "(future failed without a worker result)")
-                        if values is not None:
+                            values = None
+                        except Exception:  # no worker result at all
+                            values = None
+                        if values is None:
+                            fail(flight, now)
+                        else:
                             respawns_without_progress = 0
                             on_complete(flight.index,
                                         self._outcome(flight, values[0], wall))
-                        else:
-                            assert error is not None
-                            self._handle_failure(flight, error, wall, now,
-                                                 ready, delayed, report,
-                                                 on_complete)
                     expired = [(future, fl)
                                for future, fl in inflight.items()
                                if fl.deadline is not None
@@ -446,69 +490,35 @@ class Supervisor:
                         report.timeouts += len(expired)
                         pool_broken = True  # the hung workers must be killed
                         for future, flight in expired:
-                            inflight.pop(future, None)
-                            timeout = policy.unit_timeout
-                            self._handle_failure(
-                                flight, f"unit exceeded the {timeout}s "
-                                "unit_timeout (worker killed)",
-                                0.0, now, ready, delayed, report, on_complete)
+                            del inflight[future]
+                            fail(flight, now)
                 if pool_broken:
                     report.pool_respawns += 1
                     respawns_without_progress += 1
-                    # Units still in flight died with the backend: resubmit
-                    # them through the normal failure path (their chaos
-                    # salt advances, their budget is charged).
-                    for future, flight in list(inflight.items()):
-                        self._handle_failure(
-                            flight, "executor backend restarted while unit "
-                            "was in flight", 0.0, now, ready, delayed,
-                            report, on_complete)
+                    # Units still in flight die with the pool: charge them
+                    # through the normal failure path (their chaos salt
+                    # advances, their budget is charged).
+                    for flight in inflight.values():
+                        fail(flight, now)
                     inflight.clear()
-                    if respawns_without_progress > policy.max_pool_respawns:
-                        backend.terminate()
-                        backend = None  # degrade the rest to serial
-                    else:
-                        backend.restart()
+                    _terminate_pool(pool)
+                    pool = (None if respawns_without_progress
+                            > policy.max_pool_respawns  # degrade to serial
+                            else ProcessPoolExecutor(max_workers=workers))
         except BaseException:
             # KeyboardInterrupt (and anything else fatal): cancel what has
             # not started, kill what has, and leave no orphan workers.
             for future in inflight:
                 future.cancel()
-            if backend is not None:
-                backend.terminate()
+            if pool is not None:
+                _terminate_pool(pool)
             raise
         else:
-            if backend is not None:
-                backend.shutdown()
-
-    # -- helpers ----------------------------------------------------------
+            if pool is not None:
+                pool.shutdown(wait=True)
 
     @staticmethod
-    def _drain(ready: Deque[_Flight], delayed: List[_Flight],
-               inflight: Dict[Future, _Flight]) -> List[_Flight]:
-        """Every not-yet-resolved flight, in submission order."""
-        flights = list(ready) + delayed + list(inflight.values())
-        ready.clear()
-        delayed.clear()
-        inflight.clear()
-        return sorted(flights, key=lambda flight: flight.index)
-
-    def _submit(self, backend: ExecutorBackend, flight: _Flight,
-                inflight: Dict[Future, _Flight], now: float) -> bool:
-        """Submit one flight; ``False`` when the backend refused it (broken)."""
-        flight.tries += 1
-        try:
-            future = backend.submit(flight.unit.payload(), flight.tries,
-                                    self._chaos_spec)
-        except backend.broken_exceptions:
-            flight.tries -= 1  # never started: no attempt, no chaos salt
-            return False
-        if self.policy.unit_timeout is not None:
-            flight.deadline = now + self.policy.unit_timeout
-        inflight[future] = flight
-        return True
-
-    def _wait_timeout(self, delayed: List[_Flight],
+    def _wait_timeout(delayed: List[_Flight],
                       inflight: Dict[Future, _Flight],
                       now: float) -> Optional[float]:
         horizons = []
@@ -521,59 +531,3 @@ class Supervisor:
         if not horizons:
             return None
         return max(0.01, min(horizons))
-
-    def _outcome(self, flight: _Flight, value, wall: float):
-        from repro.runner.pool import UnitOutcome
-
-        return UnitOutcome(unit=flight.original, value=value, wall_time=wall,
-                           attempts=flight.tries,
-                           degraded=flight.degradations,
-                           computed_digest=flight.unit.config_digest)
-
-    def _handle_failure(self, flight: _Flight, error: str, wall: float,
-                        now: float, ready: Deque[_Flight],
-                        delayed: List[_Flight], report: RunReport,
-                        on_complete: CompletionHook) -> None:
-        from repro.runner.pool import UnitOutcome
-
-        policy = self.policy
-        if flight.attempt < policy.max_attempts:
-            delay = policy.delay_for(flight.unit.config_digest,
-                                     flight.attempt)
-            flight.attempt += 1
-            flight.not_before = now + delay
-            report.retries += 1
-            delayed.append(flight)
-            return
-        step = degrade_unit(flight.unit) if policy.degrade else None
-        if step is not None:
-            label, degraded = step
-            flight.unit = degraded
-            flight.degradations += (label,)
-            flight.attempt = 1
-            report.degradations.append((flight.original.config_digest, label))
-            ready.append(flight)
-            return
-        if not flight.serial_tried:
-            # Last rung: one inline execution in the parent process, which
-            # survives even a worker environment that cannot start at all.
-            flight.serial_tried = True
-            flight.degradations += ("pool->serial",)
-            report.degradations.append(
-                (flight.original.config_digest, "pool->serial"))
-            report.serial_fallbacks += 1
-            flight.tries += 1
-            values, inline_error, inline_wall = execute_payload(
-                flight.unit.payload(), attempt=flight.tries,
-                chaos_spec=self._chaos_spec, in_worker=False)
-            if values is not None:
-                on_complete(flight.index,
-                            self._outcome(flight, values[0], inline_wall))
-                return
-            assert inline_error is not None
-            error, wall = inline_error, inline_wall
-        report.failures.append(flight.original.config_digest)
-        on_complete(flight.index, UnitOutcome(
-            unit=flight.original, value=None, wall_time=wall, error=error,
-            attempts=flight.tries, degraded=flight.degradations))
-

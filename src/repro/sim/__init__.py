@@ -2,9 +2,8 @@
 
 Public surface:
 
-* :class:`Environment` — clock, event queue, run loop;
-* :class:`Event`, :class:`Timeout`, :class:`Condition` — event primitives;
-* :class:`Process` — generator-based processes;
+* :class:`Environment` — clock, event queue, run loop; models schedule
+  callbacks on :class:`Timeout` events (:class:`Event` is their base);
 * :class:`RandomStreams` / :class:`RngStream` — reproducible named random
   streams (the only sanctioned randomness in the package, rule SIM001);
 * the batched lockstep engine — the points-times-replications
@@ -24,18 +23,14 @@ from repro.sim.batched import (
     batched_delays,
     batched_unsupported_reason,
 )
-from repro.sim.environment import EmptySchedule, Environment
+from repro.sim.environment import Environment
 from repro.sim.events import (
     PRIORITY_LOW,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
-    Condition,
     Event,
     Timeout,
-    all_of,
-    any_of,
 )
-from repro.sim.process import Process
 from repro.sim.rng import (
     BatchedExpoStream,
     BatchedStreams,
@@ -54,11 +49,8 @@ from repro.sim.stats import (
 
 __all__ = [
     "Environment",
-    "EmptySchedule",
     "Event",
     "Timeout",
-    "Condition",
-    "Process",
     "RandomStreams",
     "RngStream",
     "spawn_seed",
@@ -75,8 +67,6 @@ __all__ = [
     "TimeWeightedStat",
     "BatchMeans",
     "confidence_interval",
-    "all_of",
-    "any_of",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",

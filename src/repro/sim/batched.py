@@ -102,7 +102,6 @@ fault schedule on them falls back to the scalar engine.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
@@ -139,11 +138,6 @@ _TABLE_DISTRIBUTIONS = _CONTINUOUS_DISTRIBUTIONS + ("deterministic",)
 #: generation — see :func:`repro.sim.rng.uniform_block_source`).
 _VECTORIZED_REFILL_CROSSOVER = 4096
 
-#: Environment variable overriding the refill crossover (an integer; 0
-#: forces every stream onto the vectorized numpy backend).  Both backends
-#: emit bit-identical sequences, so the knob tunes throughput only.
-_CROSSOVER_ENV = "REPRO_VARIATE_BLOCK"
-
 _INF = math.inf
 
 _FloatArray = NDArray[np.float64]
@@ -153,24 +147,15 @@ _IntArray = NDArray[np.int64]
 def variate_refill_crossover(override: Optional[int] = None) -> int:
     """The effective numpy/scalar refill crossover (expected draws).
 
-    Resolution order: explicit ``override`` (an engine's ``crossover``
-    constructor argument), then the ``REPRO_VARIATE_BLOCK`` environment
-    variable, then the built-in default.  The crossover selects between
-    two bit-identical uniform backends, so it can never change results —
-    only where the generator-construction overhead is paid.
+    ``override`` is an engine's ``crossover`` constructor argument (0
+    forces every stream onto the numpy backend); ``None`` takes the
+    built-in default.  The crossover selects between two bit-identical
+    uniform backends, so it can never change results — only where the
+    generator-construction overhead is paid.
     """
     if override is None:
-        raw = os.environ.get(_CROSSOVER_ENV, "").strip()
-        if not raw:
-            return _VECTORIZED_REFILL_CROSSOVER
-        try:
-            value = int(raw)
-        except ValueError as error:
-            raise ConfigurationError(
-                f"{_CROSSOVER_ENV} must be an integer, got {raw!r}"
-            ) from error
-    else:
-        value = int(override)
+        return _VECTORIZED_REFILL_CROSSOVER
+    value = int(override)
     if value < 0:
         raise ConfigurationError(
             f"variate refill crossover must be non-negative, got {value}")

@@ -154,6 +154,8 @@ BAD_INPUT_ARGV = {
     "cache-prune-size-inf": ["cache", "prune", "--max-size", "inf"],
     "run-unit-timeout-nan": ["run", "fig4", "--no-cache",
                              "--unit-timeout", "nan"],
+    "run-unit-timeout-serial": ["run", "fig4", "--no-cache", "--jobs", "1",
+                                "--unit-timeout", "5"],
     "faults-task-timeout-nan": ["faults", "4/4x1x1 SBUS/2",
                                 "--task-timeout", "nan"],
     "run-sec6-seed": ["run", "sec6", "--seed", "5"],

@@ -8,6 +8,7 @@ the sequential stopping rule bit for bit.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 
@@ -38,6 +39,14 @@ def _explode(members):
 @evaluator("test-square")
 def _square(members):
     return [params["x"] ** 2 + seed for seed, params in members]
+
+
+@evaluator("test-crash-in-pool")
+def _crash_in_pool(members):
+    # Kills any pool worker that runs it; computes in the parent.
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return [params["x"] ** 2 for _seed, params in members]
 
 
 def _square_units(count, seed=0):
@@ -832,66 +841,37 @@ class TestInFlightDedup:
         assert "hit rate" in text
 
 
-class TestExecutorBackendSeam:
-    def test_custom_backend_drives_the_parallel_path(self):
-        from repro.runner import SerialBackend
+class TestPoolRecovery:
+    def test_broken_pool_walks_recovery_to_serial(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        class CountingBackend(SerialBackend):
-            def __init__(self, workers):
-                self.workers = workers
-                self.submitted = 0
-                self.lifecycle = []
+        def broken(self, *args, **kwargs):
+            raise BrokenProcessPool("no workers today")
 
-            def start(self):
-                self.lifecycle.append("start")
-
-            def submit(self, payload, attempt, chaos_spec):
-                self.submitted += 1
-                return super().submit(payload, attempt, chaos_spec)
-
-            def terminate(self):
-                self.lifecycle.append("terminate")
-
-            def shutdown(self):
-                self.lifecycle.append("shutdown")
-
-        built = []
-
-        def factory(workers):
-            backend = CountingBackend(workers)
-            built.append(backend)
-            return backend
-
-        units = _square_units(6)
-        runner = SweepRunner(jobs=3, backend_factory=factory)
-        values = runner.run_values(units)
-        assert values == SweepRunner(jobs=1).run_values(units)
-        [backend] = built
-        assert backend.workers == 3
-        assert backend.submitted == 6
-        assert backend.lifecycle == ["start", "shutdown"]
-
-    def test_broken_backend_walks_recovery_to_serial(self):
-        from repro.runner import BackendBroken, SerialBackend
-
-        class FlakyBackend(SerialBackend):
-            """Breaks on every submit: the supervisor must respawn it and
-            eventually degrade the work to inline serial execution."""
-
-            broken_exceptions = (BackendBroken,)
-
-            def __init__(self, workers):
-                self.workers = workers
-
-            def submit(self, payload, attempt, chaos_spec):
-                raise BackendBroken("no transport today")
-
+        # Every submit fails: the supervisor must respawn the pool and
+        # eventually degrade the work to inline serial execution.
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", broken)
         policy = SupervisorPolicy(max_attempts=1, max_pool_respawns=1)
-        runner = SweepRunner(jobs=2, backend_factory=FlakyBackend,
-                             supervisor=policy)
+        runner = SweepRunner(jobs=2, supervisor=policy)
         units = _square_units(4)
         values = runner.run_values(units)
         assert values == [x ** 2 for x in range(4)]
         report = runner.last_report
         assert report.pool_respawns >= 1
         assert report.serial_fallbacks == 4
+
+    def test_drain_keeps_requested_units(self):
+        # Once the pool gives up, the drained outcomes still name the
+        # requested units, even degraded ones, so dedup completes every
+        # follower.
+        units = [WorkUnit("test-crash-in-pool", 0,
+                          {"x": x, "engine": "batched"})
+                 for x in (1, 1, 2)]
+        policy = SupervisorPolicy(max_attempts=2, max_pool_respawns=1)
+        runner = SweepRunner(jobs=2, supervisor=policy)
+        assert runner.run_values(units) == [1, 1, 4]
+        outcomes = runner.last_outcomes
+        assert [outcome.unit for outcome in outcomes] == units
+        assert all("pool->serial" in outcome.degraded
+                   for outcome in outcomes)

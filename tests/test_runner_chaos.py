@@ -204,6 +204,20 @@ class TestSupervisedRuns:
         assert runner.last_report.pool_respawns >= 1
         assert marker.exists()
 
+    def test_unit_timeout_covers_a_lone_unit(self, tmp_path):
+        # One pending unit must still run in the pool when a timeout is
+        # set: inline execution could not stop it.
+        marker = tmp_path / "hang.marker"
+        units = [WorkUnit("chaos-marker-hang", 0,
+                          {"x": 7, "marker": str(marker)})]
+        runner = SweepRunner(
+            jobs=2, supervisor=_fast_policy(4, unit_timeout=1.0))
+        start = time.monotonic()
+        assert runner.run_values(units) == [70]
+        assert time.monotonic() - start < 30.0
+        assert runner.last_report.timeouts >= 1
+        assert marker.exists()
+
     def test_budget_exhaustion_surfaces_worker_error(self):
         chaos = ChaosPolicy(fail=1.0)
         runner = SweepRunner(jobs=1, supervisor=_fast_policy(2), chaos=chaos)

@@ -602,34 +602,26 @@ class TestVariateStreams:
 
 
 class TestVariateCrossover:
-    def test_override_resolution(self, monkeypatch):
+    def test_override_resolution(self):
         from repro.sim.batched import (_VECTORIZED_REFILL_CROSSOVER,
                                        variate_refill_crossover)
 
-        monkeypatch.delenv("REPRO_VARIATE_BLOCK", raising=False)
         assert variate_refill_crossover() == _VECTORIZED_REFILL_CROSSOVER
-        monkeypatch.setenv("REPRO_VARIATE_BLOCK", "128")
-        assert variate_refill_crossover() == 128
         assert variate_refill_crossover(override=7) == 7
-        monkeypatch.setenv("REPRO_VARIATE_BLOCK", "soon")
-        with pytest.raises(ConfigurationError):
-            variate_refill_crossover()
         with pytest.raises(ConfigurationError):
             variate_refill_crossover(override=-1)
 
-    def test_crossover_choice_is_bit_identical(self, monkeypatch):
-        """Both refill backends emit the same variates; the knob cannot
-        change results, only where generator construction is paid."""
+    def test_crossover_choice_is_bit_identical(self):
+        """Both refill backends emit the same variates; the crossover
+        cannot change results, only where generator construction is
+        paid."""
         config = SystemConfig.parse("4/1x4x2 XBAR/2")
         workload = Workload(0.05, 1.0, 0.1)
         seeds = [21, 22]
-        monkeypatch.delenv("REPRO_VARIATE_BLOCK", raising=False)
         default = MegaBatchEngine(
             config, [workload], [seeds]).run(400.0, 40.0)
-        monkeypatch.setenv("REPRO_VARIATE_BLOCK", "0")
         forced_numpy = MegaBatchEngine(
-            config, [workload], [seeds]).run(400.0, 40.0)
-        monkeypatch.delenv("REPRO_VARIATE_BLOCK")
+            config, [workload], [seeds], crossover=0).run(400.0, 40.0)
         forced_scalar = MegaBatchEngine(
             config, [workload], [seeds], crossover=10 ** 9).run(400.0, 40.0)
         assert all(not math.isnan(d) for d in default.mean_delays[0])

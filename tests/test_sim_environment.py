@@ -4,17 +4,12 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment
-from repro.sim.environment import EmptySchedule
+from repro.sim.events import Event
 
 
 def test_clock_starts_at_initial_time():
     assert Environment().now == 0.0
     assert Environment(initial_time=7.5).now == 7.5
-
-
-def test_step_on_empty_queue_raises():
-    with pytest.raises(EmptySchedule):
-        Environment().step()
 
 
 def test_run_until_advances_clock_even_without_events():
@@ -45,15 +40,15 @@ def test_run_into_the_past_rejected():
 def test_schedule_into_past_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
-        env.schedule(env.event(), delay=-0.5)
+        env.schedule(Event(env), delay=-0.5)
 
 
 def test_events_process_in_time_order():
     env = Environment()
     seen = []
     for delay in (3.0, 1.0, 2.0):
-        env.timeout(delay, value=delay).add_callback(
-            lambda e: seen.append(e.value))
+        env.timeout(delay).add_callback(
+            lambda e, delay=delay: seen.append(delay))
     env.run()
     assert seen == [1.0, 2.0, 3.0]
 
@@ -62,32 +57,9 @@ def test_ties_break_fifo():
     env = Environment()
     seen = []
     for tag in ("a", "b", "c"):
-        env.timeout(1.0, value=tag).add_callback(lambda e: seen.append(e.value))
+        env.timeout(1.0).add_callback(lambda e, tag=tag: seen.append(tag))
     env.run()
     assert seen == ["a", "b", "c"]
-
-
-def test_peek_reports_next_event_time():
-    env = Environment()
-    assert env.peek() == float("inf")
-    env.timeout(4.0)
-    env.timeout(2.0)
-    assert env.peek() == 2.0
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-    event = env.timeout(3.0, value="payload")
-    assert env.run_until_event(event) == "payload"
-    assert env.now == 3.0
-
-
-def test_run_until_event_never_fires_raises():
-    env = Environment()
-    orphan = env.event()  # never triggered
-    env.timeout(1.0)
-    with pytest.raises(SimulationError):
-        env.run_until_event(orphan)
 
 
 def test_livelock_guard_bounds_queue_growth():
