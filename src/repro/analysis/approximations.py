@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.config import SystemConfig
 from repro.errors import AnalysisError, ConfigurationError, UnstableSystemError
-from repro.markov.solvers import SbusSolution, solve_sbus
+from repro.markov.solvers import solve_sbus
 from repro.queueing.mm1 import mm1_metrics
 from repro.workload.arrivals import Workload
 

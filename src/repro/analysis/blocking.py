@@ -35,7 +35,7 @@ from repro.networks.address_mapping import (
     sequential_tag_routing,
 )
 from repro.networks.omega import ClockedMultistageScheduler
-from repro.networks.topology import MultistageTopology, make_topology
+from repro.networks.topology import make_topology
 from repro.sim.rng import RandomStreams
 
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.runner import SweepRunner
+from typing import List, Tuple, Union
 
 from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES
 from repro.config import SystemConfig
@@ -47,35 +44,14 @@ class ReplicationEstimate:
                 self.ci_halfwidth * service_rate)
 
 
-def _replication_units(config: SystemConfig, workload: Workload,
-                       horizon: float, warmup: float, arbitration: str,
-                       base_seed: int, first: int, count: int) -> list:
-    """Work units for replications ``first .. first + count - 1``."""
-    from repro.runner import WorkUnit
-
-    params = {
-        "config": str(config),
-        "arrival_rate": workload.arrival_rate,
-        "transmission_rate": workload.transmission_rate,
-        "service_rate": workload.service_rate,
-        "horizon": horizon,
-        "warmup": warmup,
-        "arbitration": arbitration,
-    }
-    return [WorkUnit("replication-delay", base_seed + index, params)
-            for index in range(first, first + count)]
-
-
 def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
                     horizon: float, warmup: float,
                     target_relative_halfwidth: float = 0.05,
                     confidence: float = 0.95,
                     min_replications: int = 5, max_replications: int = 50,
                     base_seed: int = 100,
-                    arbitration: str = "priority",
-                    jobs: Optional[int] = None,
-                    runner: Optional["SweepRunner"] = None) -> ReplicationEstimate:
-    """Replicate until the delay CI is tight enough, in waves of ``jobs``.
+                    arbitration: str = "priority") -> ReplicationEstimate:
+    """Replicate until the delay CI is tight enough.
 
     Each replication uses an independent seed (``base_seed + i``); the
     procedure stops at the first point past ``min_replications`` where the
@@ -83,13 +59,14 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
     raises if ``max_replications`` cannot achieve it (the caller should
     lengthen the horizon instead of silently accepting a loose answer).
 
-    With ``jobs > 1`` (or a ``runner``), replications are submitted in
-    waves of the worker count instead of strictly one at a time.  The
-    stopping rule still scans values in replication order and truncates at
-    the first index that satisfies the target, so the estimate is
-    bit-identical to the sequential procedure — a wave may merely compute a
-    few replications past the stopping point, whose values are discarded.
-    The ``jobs=1`` path is exactly the original sequential loop.
+    Replications run in waves of ``min_replications`` seeds, each wave one
+    lockstep batch when the model is in the batched engine's scope (the
+    scalar engine otherwise).  Batched replications equal scalar ones bit
+    for bit, and the stopping rule scans values in replication order and
+    truncates at the first index that satisfies the target, so the
+    estimate is the sequential scalar procedure's — a wave may merely
+    compute a few replications past the stopping point, whose values are
+    discarded.
     """
     if isinstance(config, str):
         config = SystemConfig.parse(config)
@@ -101,45 +78,23 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
         raise ConfigurationError("need at least 2 replications for a CI")
 
     values: List[float] = []
-
-    def estimate_at(count: int) -> Optional[ReplicationEstimate]:
-        """The sequential stopping rule, applied to values[:count]."""
-        if count < min_replications:
-            return None
-        prefix = values[:count]
-        mean, halfwidth = confidence_interval(prefix, confidence=confidence)
-        if mean > 0 and halfwidth / mean <= target_relative_halfwidth:
-            return ReplicationEstimate(mean_delay=mean,
-                                       ci_halfwidth=halfwidth,
-                                       replications=count,
-                                       values=tuple(prefix))
-        return None
-
-    if runner is None and (jobs is None or jobs == 1):
-        for replication in range(max_replications):
-            result = simulate(config, workload, horizon=horizon, warmup=warmup,
-                              seed=base_seed + replication,
-                              arbitration=arbitration)
-            values.append(result.mean_queueing_delay)
-            estimate = estimate_at(len(values))
-            if estimate is not None:
-                return estimate
-    else:
-        from repro.runner import SweepRunner
-
-        if runner is None:
-            runner = SweepRunner(jobs=jobs)
-        wave_size = max(1, runner.effective_jobs)
-        while len(values) < max_replications:
-            count = min(wave_size, max_replications - len(values))
-            units = _replication_units(config, workload, horizon, warmup,
-                                       arbitration, base_seed,
-                                       first=len(values), count=count)
-            values.extend(runner.run_values(units))
-            for stop in range(len(values) - count + 1, len(values) + 1):
-                estimate = estimate_at(stop)
-                if estimate is not None:
-                    return estimate
+    while len(values) < max_replications:
+        count = min(min_replications, max_replications - len(values))
+        seeds = [base_seed + index
+                 for index in range(len(values), len(values) + count)]
+        values.extend(_replication_delays(config, workload, horizon, warmup,
+                                          seeds, DEFAULT_ENGINE,
+                                          arbitration))
+        for stop in range(max(len(values) - count + 1, min_replications),
+                          len(values) + 1):
+            prefix = values[:stop]
+            mean, halfwidth = confidence_interval(prefix,
+                                                  confidence=confidence)
+            if mean > 0 and halfwidth / mean <= target_relative_halfwidth:
+                return ReplicationEstimate(mean_delay=mean,
+                                           ci_halfwidth=halfwidth,
+                                           replications=stop,
+                                           values=tuple(prefix))
 
     mean, halfwidth = confidence_interval(values, confidence=confidence)
     raise AnalysisError(
@@ -150,7 +105,8 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
 
 def _replication_delays(config: Union[SystemConfig, str], workload: Workload,
                         horizon: float, warmup: float, seeds: List[int],
-                        engine: str) -> List[float]:
+                        engine: str,
+                        arbitration: str = "priority") -> List[float]:
     """Per-seed mean delays via the requested engine (scalar fallback)."""
     from repro.sim.batched import batched_delays, batched_unsupported_reason
 
@@ -158,11 +114,12 @@ def _replication_delays(config: Union[SystemConfig, str], workload: Workload,
         raise ConfigurationError(
             f"unknown simulation engine {engine!r}; expected one of {ENGINES}")
     if engine == "batched" and batched_unsupported_reason(
-            config, workload) is None:
+            config, workload, arbitration) is None:
         return batched_delays(config, [workload], horizon=horizon,
-                              warmup=warmup, seed_groups=[seeds])[0]
+                              warmup=warmup, seed_groups=[seeds],
+                              arbitration=arbitration)[0]
     return [simulate(config, workload, horizon=horizon, warmup=warmup,
-                     seed=seed).mean_queueing_delay
+                     seed=seed, arbitration=arbitration).mean_queueing_delay
             for seed in seeds]
 
 

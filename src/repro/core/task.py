@@ -8,7 +8,7 @@ occupies the bus while it is transmitted, then is served by the resource
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

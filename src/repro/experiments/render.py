@@ -7,7 +7,6 @@ as character rasters for terminals, logs and docs.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 from repro.analysis.sweep import Series

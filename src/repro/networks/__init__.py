@@ -8,13 +8,7 @@ from repro.networks.address_mapping import (
     sequential_tag_routing,
 )
 from repro.networks.base import Connection, NetworkFabric, SingleBusFabric
-from repro.networks.batched_crossbar import (
-    BatchedCrossbar,
-    BatchedCycleResult,
-    masked_match_pairs_batch,
-    match_pairs_batch,
-    match_requests_batch,
-)
+from repro.networks.batched_crossbar import match_pairs_batch
 from repro.networks.cells import (
     MODE_REQUEST,
     MODE_RESET,
@@ -23,7 +17,6 @@ from repro.networks.cells import (
     CycleResult,
     DistributedCrossbar,
     cell_logic,
-    cell_logic_batch,
     priority_match,
 )
 from repro.networks.crossbar import ARBITRATION_POLICIES, CrossbarFabric
@@ -64,12 +57,7 @@ __all__ = [
     "DistributedCrossbar",
     "CycleResult",
     "cell_logic",
-    "cell_logic_batch",
-    "BatchedCrossbar",
-    "BatchedCycleResult",
-    "masked_match_pairs_batch",
     "match_pairs_batch",
-    "match_requests_batch",
     "priority_match",
     "MODE_REQUEST",
     "MODE_RESET",

@@ -29,7 +29,7 @@ multistage fabrics makes requests reroute/backtrack around dead boxes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, FaultInjectionError, SchedulingError

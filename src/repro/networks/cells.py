@@ -29,20 +29,12 @@ not look like an available bus to the rows below it)::
 Signals settle in a 45-degree wavefront from the top-left cell to the
 bottom-right one, so a request cycle takes at most ``4 (p + m)`` gate
 delays (4 gate levels per cell) and a reset cycle at most ``p + m``.
-
-A *dead* cell (crosspoint fault, Section VI) is transparent: it can never
-latch, and it passes both signals through unchanged (``X' = X``,
-``Y' = Y``, ``S = R = 0``) — output ``j`` simply becomes unreachable from
-input ``i`` while every other pair keeps working, the per-crosspoint
-degradation of :class:`~repro.networks.crossbar.CrossbarFabric`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, SchedulingError
 
@@ -54,18 +46,12 @@ MODE_REQUEST = "request"
 MODE_RESET = "reset"
 
 
-def cell_logic(mode: str, x: int, y: int, latch: bool,
-               alive: bool = True) -> Tuple[int, int, int, int]:
-    """Combinational function of one cell: ``(x_next, y_next, set, reset)``.
-
-    A dead cell (``alive=False``) is transparent in both modes: signals
-    pass through and the latch lines stay low.
-    """
+def cell_logic(mode: str, x: int, y: int,
+               latch: bool) -> Tuple[int, int, int, int]:
+    """Combinational function of one cell: ``(x_next, y_next, set, reset)``."""
     if x not in (0, 1) or y not in (0, 1):
         raise ValueError(f"signals must be 0/1, got X={x} Y={y}")
     if mode == MODE_REQUEST:
-        if not alive:
-            return x, y, 0, 0
         if x and y:
             return 0, 0, 1, 0
         if x:
@@ -74,51 +60,7 @@ def cell_logic(mode: str, x: int, y: int, latch: bool,
             return 0, 0 if latch else 1, 0, 0
         return 0, 0, 0, 0
     if mode == MODE_RESET:
-        if not alive:
-            return x, y, 0, 0
         return x, y, 0, x
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def cell_logic_batch(mode: str, x: np.ndarray, y: np.ndarray,
-                     latch: np.ndarray,
-                     alive: Optional[np.ndarray] = None
-                     ) -> Tuple[np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
-    """Vectorized :func:`cell_logic`: ``(x_next, y_next, set, reset)``.
-
-    Evaluates the 11-gate cell function as bitwise operations on 0/1
-    ``uint8`` arrays of any common shape — one call settles a whole
-    anti-diagonal of cells across every replication of a batched run at
-    once, where the scalar function costs one Python call per cell.  Table
-    I reduces to::
-
-        request:  X' = X and not Y          reset:  X' = X
-                  Y' = not X and Y and not L         Y' = Y
-                  S  = X and Y                       S  = 0
-                  R  = 0                             R  = X
-
-    ``alive`` is an optional 0/1 ``uint8`` mask (broadcastable against the
-    signal arrays) marking live cells; dead cells pass both signals
-    through with the latch lines low, so faulted crosspoints mask straight
-    into the gate planes.  An exhaustive property test checks all 32
-    ``(mode, x, y, latch, alive)`` combinations against :func:`cell_logic`.
-    """
-    if mode == MODE_REQUEST:
-        if alive is None:
-            x_next = x & (y ^ 1)
-            y_next = (x ^ 1) & y & (latch ^ 1)
-            set_latch = x & y
-            return x_next, y_next, set_latch, np.zeros_like(x)
-        dead = alive ^ 1
-        x_next = x & ((y ^ 1) | dead)
-        y_next = y & (((x ^ 1) & (latch ^ 1)) | dead)
-        set_latch = x & y & alive
-        return x_next, y_next, set_latch, np.zeros_like(x)
-    if mode == MODE_RESET:
-        if alive is None:
-            return x, y, np.zeros_like(x), x
-        return x, y, np.zeros_like(x), x & alive
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -148,38 +90,11 @@ class DistributedCrossbar:
         self.processors = processors
         self.buses = buses
         self._latch = [[False] * buses for _ in range(processors)]
-        self._alive = [[True] * buses for _ in range(processors)]
 
     # -- state inspection ----------------------------------------------------
     def latch(self, row: int, column: int) -> bool:
         """Whether cell ``(row, column)`` currently connects row to column."""
         return self._latch[row][column]
-
-    def alive(self, row: int, column: int) -> bool:
-        """Whether cell ``(row, column)`` is functional (not faulted)."""
-        return self._alive[row][column]
-
-    # -- fault injection -----------------------------------------------------
-    def fail_cell(self, row: int, column: int) -> None:
-        """Mark cell ``(row, column)`` dead: transparent to both wavefronts.
-
-        The fabric layer severs any circuit through a failing crosspoint
-        *before* the gate model sees the fault, so failing a latched cell
-        here is a modelling bug, not a supported transition.
-        """
-        self._validate_rows([row])
-        self._validate_columns([column])
-        if self._latch[row][column]:
-            raise SchedulingError(
-                f"cell ({row}, {column}) failed while latched; "
-                f"sever the circuit first")
-        self._alive[row][column] = False
-
-    def repair_cell(self, row: int, column: int) -> None:
-        """Return cell ``(row, column)`` to service (latch stays clear)."""
-        self._validate_rows([row])
-        self._validate_columns([column])
-        self._alive[row][column] = True
 
     def connections(self) -> Dict[int, int]:
         """Current row -> column latched connections."""
@@ -219,8 +134,7 @@ class DistributedCrossbar:
             for column in range(self.buses):
                 x_next, y_next, set_latch, _reset = cell_logic(
                     MODE_REQUEST, x[row][column], y[row][column],
-                    self._latch[row][column],
-                    alive=self._alive[row][column])
+                    self._latch[row][column])
                 x[row][column + 1] = x_next
                 y[row + 1][column] = y_next
                 settle = max(x_time[row][column], y_time[row][column]) + REQUEST_GATE_DELAY

@@ -9,9 +9,8 @@ request connects to, mirroring the hardware arbitration:
 * ``"random"``  — the POLYP-style token scheme (uniform among eligible).
 
 Fault injection targets individual crosspoint cells: a failed cell
-``("cell", (i, j))`` makes output ``j`` unreachable from input ``i`` (the
-wavefront simply never sees an X-signal from a dead cell), and an active
-circuit through the cell is severed.  Other input/output pairs are
+``("cell", (i, j))`` makes output ``j`` unreachable from input ``i``, and
+an active circuit through the cell is severed.  Other input/output pairs are
 untouched — the crossbar degrades per-crosspoint, not per-port.
 """
 

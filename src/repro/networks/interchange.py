@@ -29,7 +29,7 @@ increased so that there is one register for each type").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.errors import SchedulingError
 

@@ -21,8 +21,8 @@ binary n-cube):
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.networks.base import Connection, NetworkFabric

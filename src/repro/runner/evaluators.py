@@ -20,9 +20,7 @@ Registered evaluators:
   either engine (one ``list[SweepPoint]`` per member, intensity order); a
   single point is a one-point curve;
 * ``analytic-point``     — exact Markov-chain figure points (one
-  ``SweepPoint`` per member);
-* ``replication-delay``  — one replication's mean queueing delay per
-  member (``float``).
+  ``SweepPoint`` per member).
 """
 
 from __future__ import annotations
@@ -180,25 +178,3 @@ def analytic_points(members: Members) -> list:
     return [exact_point(params["config"], params["mu_ratio"],
                         params["intensity"])
             for _seed, params in members]
-
-
-@evaluator("replication-delay", reads=("config", "arrival_rate",
-                                       "transmission_rate",
-                                       "service_rate", "horizon",
-                                       "warmup", "arbitration"))
-def replication_delays(members: Members) -> List[float]:
-    """Mean queueing delay of each member's independent replication."""
-    from repro.core.system import simulate
-    from repro.workload.arrivals import Workload
-
-    delays = []
-    for seed, params in members:
-        workload = Workload(arrival_rate=params["arrival_rate"],
-                            transmission_rate=params["transmission_rate"],
-                            service_rate=params["service_rate"])
-        result = simulate(params["config"], workload,
-                          horizon=params["horizon"], warmup=params["warmup"],
-                          seed=seed,
-                          arbitration=params.get("arbitration", "priority"))
-        delays.append(result.mean_queueing_delay)
-    return delays

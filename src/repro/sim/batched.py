@@ -23,10 +23,9 @@ live row by exactly one event** with vectorized NumPy updates:
 * FIFO queues are ring buffers of task creation times in one
   ``(K, P, capacity)`` array, doubled in place when one fills;
 * dispatch is one call per step of a per-fabric batched kernel (see
-  ``FABRIC_CAPABILITIES``): the priority matcher of
+  ``FABRIC_DISPATCH``): the priority matcher of
   :mod:`repro.networks.batched_crossbar` — the closed form of the
-  crossbar cells' wavefront, or the masked wavefront itself when the
-  fabric carries dead crosspoints; its single-column degenerate form in
+  crossbar cells' wavefront; its single-column degenerate form in
   :mod:`repro.networks.batched_sbus` for the shared bus; and the plane
   router of :mod:`repro.networks.batched_omega` for multistage fabrics,
   which grants in the scalar broadcast's ascending input order.  A step
@@ -51,8 +50,8 @@ are gathered zero-padded to the widest partition (padded cells never
 request or accept, so rank pairing grants what it grants unpadded), and
 per-partition stream rows are offset by a prefix sum of partition counts.
 :func:`lockstep_mismatch` states which configurations can share an engine
-— one processor count, one dispatch kernel, one multistage wiring, no
-fault schedule — so fig. 7's four crossbar curves run as one batch.
+— one processor count, one dispatch kernel, one multistage wiring — so
+fig. 7's four crossbar curves run as one batch.
 Because rows never interact, the merged run is the per-point runs
 interleaved — same draws, same float operations, same order within each
 row — while the outer Python loop runs ``max`` instead of ``sum`` of the
@@ -78,25 +77,18 @@ regression test checks equality of per-row delay estimates over a
 randomized ``(p, m, r, rho)`` grid.
 
 Scope (see :func:`batched_unsupported_reason` for the precise gate):
-every fabric family in the ``FABRIC_CAPABILITIES`` table — ``XBAR``,
+every fabric family in the ``FABRIC_DISPATCH`` table — ``XBAR``,
 ``SBUS``, and the multistage wirings (``OMEGA``, ``CUBE``,
-``BASELINE``) — under ``"priority"`` arbitration, with a finite resource
-count per port and continuous interarrival and transmission
+``BASELINE``) — healthy, under ``"priority"`` arbitration, with a finite
+resource count per port and continuous interarrival and transmission
 distributions.  The service distribution may additionally be
 ``"deterministic"``: service ends inherit continuous transmission-end
 timestamps plus a constant, so their ties stay measure-zero, whereas a
 deterministic transmission or interarrival time lattices event
 timestamps and tie order is a heap-insertion property the lockstep
-argmin cannot reproduce.  Fault configurations are supported exactly
-when they reduce to a *static* degraded fabric the dispatch kernel can
-mask: every stochastic model silent (``mttf = inf``), an infinite task
-timeout, and — on ``XBAR`` only — an explicit schedule of cell-down
-events at time 0, when the scalar run equals a healthy run with those
-crosspoints masked out of dispatch (no circuit exists at time 0 to
-sever, so no retries, no backoff draws, no queue expiry), which is
-precisely what masking the dead cells into the matcher's gate planes
-computes.  Bus and multistage kernels carry no fault planes, so any
-fault schedule on them falls back to the scalar engine.
+argmin cannot reproduce.  A configuration with faults attached runs on
+the scalar engine, which models failures, repairs, retries and queue
+expiry.
 """
 
 from __future__ import annotations
@@ -110,10 +102,7 @@ from numpy.typing import NDArray
 
 from repro.config import SystemConfig, check_window
 from repro.errors import ConfigurationError
-from repro.networks.batched_crossbar import (
-    masked_match_pairs_batch,
-    match_pairs_batch,
-)
+from repro.networks.batched_crossbar import match_pairs_batch
 from repro.networks.batched_omega import BatchedMultistageRouter
 from repro.networks.batched_sbus import match_bus_batch
 from repro.networks.topology import make_topology
@@ -142,24 +131,6 @@ _INF = math.inf
 
 _FloatArray = NDArray[np.float64]
 _IntArray = NDArray[np.int64]
-
-
-def variate_refill_crossover(override: Optional[int] = None) -> int:
-    """The effective numpy/scalar refill crossover (expected draws).
-
-    ``override`` is an engine's ``crossover`` constructor argument (0
-    forces every stream onto the numpy backend); ``None`` takes the
-    built-in default.  The crossover selects between two bit-identical
-    uniform backends, so it can never change results — only where the
-    generator-construction overhead is paid.
-    """
-    if override is None:
-        return _VECTORIZED_REFILL_CROSSOVER
-    value = int(override)
-    if value < 0:
-        raise ConfigurationError(
-            f"variate refill crossover must be non-negative, got {value}")
-    return value
 
 
 def first_block_size(expected: float, cap: int) -> int:
@@ -349,93 +320,21 @@ class MegaBatchResult:
     measurement_start: float
 
 
-@dataclass(frozen=True)
-class FabricCapability:
-    """What the lockstep engine can do for one fabric family.
-
-    ``dispatch`` names the batched dispatch kernel — ``"crossbar"`` (the
-    rank-paired priority matcher, or the masked wavefront on a degraded
-    switch), ``"bus"`` (the single-column grant of
-    :func:`~repro.networks.batched_sbus.match_bus_batch`), or
-    ``"multistage"`` (the plane router of
-    :class:`~repro.networks.batched_omega.BatchedMultistageRouter`).
-    ``maskable_faults`` says whether a static time-0 component-down
-    schedule can be masked into the kernel's gate planes; fabrics without
-    it fall back to the scalar engine for any fault schedule.
-    """
-
-    dispatch: str
-    maskable_faults: bool
-
-
-#: The per-fabric batchability table: which dispatch kernel serves each
-#: network type, and whether static fault schedules mask into it.  A
+#: The batched dispatch kernel serving each network type: ``"crossbar"``
+#: (the rank-paired priority matcher of
+#: :func:`~repro.networks.batched_crossbar.match_pairs_batch`), ``"bus"``
+#: (the single-column grant of
+#: :func:`~repro.networks.batched_sbus.match_bus_batch`), or
+#: ``"multistage"`` (the plane router of
+#: :class:`~repro.networks.batched_omega.BatchedMultistageRouter`).  A
 #: network type missing from this table has no batched kernel at all.
-FABRIC_CAPABILITIES = {
-    "XBAR": FabricCapability(dispatch="crossbar", maskable_faults=True),
-    "SBUS": FabricCapability(dispatch="bus", maskable_faults=False),
-    "OMEGA": FabricCapability(dispatch="multistage", maskable_faults=False),
-    "CUBE": FabricCapability(dispatch="multistage", maskable_faults=False),
-    "BASELINE": FabricCapability(dispatch="multistage",
-                                 maskable_faults=False),
+FABRIC_DISPATCH = {
+    "XBAR": "crossbar",
+    "SBUS": "bus",
+    "OMEGA": "multistage",
+    "CUBE": "multistage",
+    "BASELINE": "multistage",
 }
-
-
-def _fault_reason(config: SystemConfig,
-                  capability: FabricCapability) -> Optional[str]:
-    """Why ``config.faults`` is not batchable, or None when it is.
-
-    The batched engines support exactly the *static degraded fabric*: a
-    fault configuration whose only effect is a fixed set of dead crossbar
-    cells from time 0.  Then no circuit exists to sever when the events
-    fire, no retry (and no backoff draw) ever happens, queue expiry is
-    off, and the stochastic processes are provably silent — so the scalar
-    run equals a healthy run with those crosspoints masked out of
-    dispatch, which the masked wavefront matcher reproduces.  Only the
-    crossbar kernel carries such gate planes
-    (``capability.maskable_faults``); any fault schedule on another
-    fabric blocks batching.
-    """
-    faults = config.faults
-    if faults is None:
-        return None
-    for model in faults.models:
-        if model.mttf != math.inf:
-            return ("stochastic fault processes (only a static time-0 "
-                    "cell-down schedule masks into the batched gate planes)")
-    if faults.retry.task_timeout != math.inf:
-        return ("a finite task timeout (queue expiry is a scalar-engine "
-                "feature)")
-    schedule = faults.schedule
-    if schedule is None or len(schedule) == 0:
-        return None
-    if not capability.maskable_faults:
-        return (f"a fault schedule on a {config.network_type} fabric "
-                "(only crossbar cell-down schedules mask into the batched "
-                "gate planes)")
-    seen = set()
-    for event in schedule.events:
-        if event.kind != "cell":
-            return (f"a {event.kind!r} fault schedule (only crossbar "
-                    "cell faults mask into the batched kernel)")
-        if event.time != 0.0 or event.action != "down":
-            return ("a dynamic fault schedule (only cells dead from time "
-                    "0 keep the run equal to a statically masked healthy "
-                    "run)")
-        try:
-            partition, pair = event.component
-            key = (int(partition), (int(pair[0]), int(pair[1])))
-        except (TypeError, ValueError, IndexError):
-            return (f"a malformed cell component {event.component!r} "
-                    "(expected (partition, (input, output)))")
-        if not (0 <= key[0] < config.num_networks
-                and 0 <= key[1][0] < config.processors_per_network
-                and 0 <= key[1][1] < config.outputs_per_network):
-            return f"an out-of-range cell component {event.component!r}"
-        if key in seen:
-            return f"duplicate cell-down events for {event.component!r}"
-        seen.add(key)
-    return None
 
 
 def batched_unsupported_reason(config: Union[SystemConfig, str],
@@ -448,15 +347,15 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
     CLI surfaces when a curve falls back to the scalar engine.  The gate,
     in order:
 
-    * a fabric family with a dispatch kernel in ``FABRIC_CAPABILITIES``
+    * a fabric family with a dispatch kernel in ``FABRIC_DISPATCH``
       (all five grammar network types have one);
     * ``"priority"`` arbitration only (random arbitration draws
       per-dispatch randomness the dispatch kernels do not model);
     * a finite resource count per port (the calendar needs a fixed
       service-slot axis);
-    * faults, if any, must reduce to a static time-0 cell-down schedule
-      on a fabric whose kernel can mask it — ``XBAR`` only (see
-      :func:`_fault_reason`);
+    * no fault configuration, not even an inert ``FaultConfig()``
+      (failures, repairs, retries and queue expiry are scalar-engine
+      features);
     * continuous interarrival and transmission distributions (discrete
       holding times tie event timestamps, and tie order is a
       heap-insertion property the lockstep argmin cannot reproduce); the
@@ -466,19 +365,18 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
     """
     if isinstance(config, str):
         config = SystemConfig.parse(config)
-    capability = FABRIC_CAPABILITIES.get(config.network_type)
-    if capability is None:
+    if config.network_type not in FABRIC_DISPATCH:
         return (f"{config.network_type} fabrics (no batched dispatch "
-                "kernel in the capability table)")
+                "kernel in the dispatch table)")
     if arbitration != "priority":
         return (f"{arbitration!r} arbitration (per-dispatch randomness "
                 "the lockstep dispatch kernels do not model)")
     if config.resources_per_port == math.inf:
         return ("an infinite resource pool (the calendar needs a fixed "
                 "service-slot axis)")
-    fault_reason = _fault_reason(config, capability)
-    if fault_reason is not None:
-        return fault_reason
+    if config.faults is not None:
+        return ("a fault configuration (failures, repairs, retries and "
+                "queue expiry are scalar-engine features)")
     for name, distribution in (
             ("interarrival", workload.interarrival_distribution),
             ("transmission", workload.transmission_distribution)):
@@ -503,26 +401,6 @@ def _require_batchable(config: SystemConfig, workload: Workload,
             "use the scalar engine")
 
 
-def _static_cell_masks(config: SystemConfig) -> Optional[np.ndarray]:
-    """Per-partition live-cell masks of a statically degraded fabric.
-
-    Returns a ``(partitions, per_partition, ports)`` ``uint8`` array with
-    0 at each dead crosspoint, or None for a healthy fabric.  Callers
-    must have validated the configuration via the batchability gate; this
-    only translates the schedule into mask form.
-    """
-    faults = config.faults
-    if (faults is None or faults.schedule is None
-            or len(faults.schedule) == 0):
-        return None
-    masks = np.ones((config.num_networks, config.processors_per_network,
-                     config.outputs_per_network), dtype=np.uint8)
-    for event in faults.schedule.events:
-        partition, pair = event.component
-        masks[int(partition), int(pair[0]), int(pair[1])] = 0
-    return masks
-
-
 def lockstep_mismatch(config: SystemConfig,
                       other: SystemConfig) -> Optional[str]:
     """Why ``other`` cannot share a lockstep engine with ``config``, or None.
@@ -534,10 +412,8 @@ def lockstep_mismatch(config: SystemConfig,
     are per-row arrays.  So two configurations share an engine exactly
     when they have the same processor count and dispatch kernel, and
     multistage ones also the same wiring (network type, network size and
-    partition count).  A static cell-fault schedule masks the kernel for
-    every row, so a fault-scheduled configuration shares its engine only
-    with itself.  The engine's validation and the sweep's grouping both
-    apply this rule.
+    partition count).  The engine's validation and the sweep's grouping
+    both apply this rule.
     """
     if other == config:
         return None
@@ -546,8 +422,8 @@ def lockstep_mismatch(config: SystemConfig,
                 f"{config.processors}, {other} has {other.processors}); "
                 "rows share the calendar's arrival and transmission "
                 "columns")
-    kind = FABRIC_CAPABILITIES[config.network_type].dispatch
-    other_kind = FABRIC_CAPABILITIES[other.network_type].dispatch
+    kind = FABRIC_DISPATCH[config.network_type]
+    other_kind = FABRIC_DISPATCH[other.network_type]
     if kind != other_kind:
         return (f"dispatch kernels differ ({config} dispatches by {kind}, "
                 f"{other} by {other_kind})")
@@ -558,10 +434,6 @@ def lockstep_mismatch(config: SystemConfig,
                 other.num_networks)):
         return (f"multistage wirings differ ({config} and {other}); one "
                 "router serves every row")
-    for faulted in (config, other):
-        if _static_cell_masks(faulted) is not None:
-            return (f"{faulted} carries a static cell-fault schedule, and "
-                    "its masked dispatch keeps its own engine")
     return None
 
 
@@ -617,8 +489,7 @@ class MegaBatchEngine:
                                      Sequence[Union[SystemConfig, str]]],
                  workloads: Sequence[Workload],
                  seed_groups: Sequence[Sequence[int]],
-                 arbitration: str = "priority",
-                 crossover: Optional[int] = None):
+                 arbitration: str = "priority"):
         workload_list = list(workloads)
         if not workload_list:
             raise ConfigurationError(
@@ -655,8 +526,6 @@ class MegaBatchEngine:
         self.seed_groups: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(group) for group in group_list)
         self._started = False
-        self._crossover = variate_refill_crossover(crossover)
-        self._alive_masks = _static_cell_masks(lead)
 
         self._row_seeds: List[int] = [seed for group in group_list
                                       for seed in group]
@@ -701,10 +570,9 @@ class MegaBatchEngine:
         self._max_resources = int(resources.max())
         self._mixed_resources = int(resources.min()) != self._max_resources
 
-        capability = FABRIC_CAPABILITIES[lead.network_type]
-        self._dispatch_kind = capability.dispatch
+        self._dispatch_kind = FABRIC_DISPATCH[lead.network_type]
         self._router: Optional[BatchedMultistageRouter] = None
-        if capability.dispatch == "multistage":
+        if self._dispatch_kind == "multistage":
             self._router = BatchedMultistageRouter(
                 make_topology(lead.network_type, lead.inputs_per_network),
                 rows=rows, partitions=lead.num_networks)
@@ -765,7 +633,7 @@ class MegaBatchEngine:
         service streams on long horizons will).
         """
         processors = self._processors
-        crossover = self._crossover
+        crossover = _VECTORIZED_REFILL_CROSSOVER
         first = self.workloads[0]
 
         arrival_seeds: List[int] = []
@@ -1006,29 +874,24 @@ class MegaBatchEngine:
                                        inputs, outputs, times, warmup)
                 continue
             positions, grant_rows, grant_cols = self._match(
-                parts, requests, acceptable)
+                requests, acceptable)
             if positions.size:
                 self._apply_grants(parts[positions], reps[positions],
                                    grant_rows, grant_cols, times, warmup)
 
-    def _match(self, parts: _IntArray, requests: np.ndarray,
-               acceptable: np.ndarray
+    def _match(self, requests: np.ndarray, acceptable: np.ndarray
                ) -> Tuple[_IntArray, _IntArray, _IntArray]:
         """One batched dispatch of crossbar or bus partitions.
 
-        Row ``i`` of ``requests``/``acceptable`` is one partition
-        (``parts[i]``) of one batch row, zero-padded to the widest
-        partition; padded cells are False, so rank pairing grants what it
-        grants on the unpadded partition.  All three matchers return the
-        same row-major, processor-ascending ``(positions, rows, columns)``
-        triple layout.
+        Row ``i`` of ``requests``/``acceptable`` is one partition of one
+        batch row, zero-padded to the widest partition; padded cells are
+        False, so rank pairing grants what it grants on the unpadded
+        partition.  Both matchers return the same row-major,
+        processor-ascending ``(positions, rows, columns)`` triple layout.
         """
         if self._dispatch_kind == "bus":
             return match_bus_batch(requests, acceptable)
-        masks = self._alive_masks
-        if masks is None:
-            return match_pairs_batch(requests, acceptable)
-        return masked_match_pairs_batch(requests, acceptable, masks[parts])
+        return match_pairs_batch(requests, acceptable)
 
     def _apply_grants(self, parts: _IntArray, grant_reps: _IntArray,
                       grant_rows: _IntArray, grant_cols: _IntArray,

@@ -13,7 +13,7 @@ the method of non-overlapping batch means.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 def _t_quantile(probability: float, df: int) -> float:

@@ -35,6 +35,34 @@ class TestReplication:
         assert estimate.relative_halfwidth <= 0.10
         assert estimate.replications >= 5
 
+    def test_replications_simulate_the_requested_model(self):
+        """Every replication runs the configuration and workload asked
+        for: a non-exponential service distribution, and a fabric with
+        faults attached (the batched engine takes the first and leaves
+        the second to the scalar engine)."""
+        from repro.config import SystemConfig
+        from repro.core.system import simulate
+        from repro.faults.models import FaultConfig, FaultSchedule
+
+        deterministic = Workload(0.04, 1.0, 0.2,
+                                 service_distribution="deterministic")
+        degraded = SystemConfig.parse("8/1x8x4 XBAR/2").with_faults(
+            FaultConfig(schedule=FaultSchedule.of(
+                *[(0.0, "cell", (0, (row, column)), "down")
+                  for row in range(8) for column in (0, 1)])))
+        cases = [
+            ("8/1x1x1 SBUS/4", deterministic, 2_000.0, 200.0, 0.2),
+            (degraded, self.WORKLOAD, 3_000.0, 300.0, 0.25),
+        ]
+        for config, workload, horizon, warmup, target in cases:
+            estimate = replicate_delay(config, workload, horizon=horizon,
+                                       warmup=warmup,
+                                       target_relative_halfwidth=target)
+            assert estimate.values == tuple(
+                simulate(config, workload, horizon=horizon, warmup=warmup,
+                         seed=100 + index).mean_queueing_delay
+                for index in range(estimate.replications)), str(config)
+
     def test_unreachable_target_raises(self):
         with pytest.raises(AnalysisError):
             replicate_delay("8/1x1x1 SBUS/4", self.WORKLOAD,

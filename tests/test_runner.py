@@ -508,28 +508,18 @@ class TestReplicationWaves:
     WORKLOAD = Workload(arrival_rate=0.04, transmission_rate=1.0,
                         service_rate=0.2)
 
-    def _replicate(self, **kwargs):
-        from repro.analysis.replication import replicate_delay
-
-        return replicate_delay("8/1x1x1 SBUS/4", self.WORKLOAD,
-                               horizon=2_000.0, warmup=200.0,
-                               target_relative_halfwidth=0.2,
-                               max_replications=30, **kwargs)
-
     def test_wave_estimate_matches_sequential(self):
-        sequential = self._replicate(jobs=1)
-        for jobs in (2, 3, 7):
-            waved = self._replicate(jobs=jobs)
-            assert waved.mean_delay == sequential.mean_delay
-            assert waved.ci_halfwidth == sequential.ci_halfwidth
-            assert waved.replications == sequential.replications
-            assert waved.values == sequential.values
+        from repro.analysis.replication import replicate_delay
+        from repro.core.system import simulate
 
-    def test_wave_runner_path_at_jobs_one_matches_sequential(self):
-        # Force the wave code path with an explicit runner even at one job.
-        sequential = self._replicate(jobs=1)
-        waved = self._replicate(runner=SweepRunner(jobs=1))
-        assert waved == sequential
+        estimate = replicate_delay("8/1x1x1 SBUS/4", self.WORKLOAD,
+                                   horizon=2_000.0, warmup=200.0,
+                                   target_relative_halfwidth=0.2,
+                                   max_replications=30)
+        assert estimate.values == tuple(
+            simulate("8/1x1x1 SBUS/4", self.WORKLOAD, horizon=2_000.0,
+                     warmup=200.0, seed=100 + index).mean_queueing_delay
+            for index in range(estimate.replications))
 
 
 class TestJobsEnvIntegration:

@@ -262,36 +262,6 @@ class TestMegaBatch:
                               seed=seed).mean_queueing_delay
             _assert_same_delay(scalar, batched[k], f"replication {k}")
 
-    def test_static_cell_faults_match_scalar(self):
-        """The widened gate: a statically degraded fabric runs masked.
-
-        The 4-partition switch has dead cells in three partitions, each
-        with its own pattern, so one masked dispatch must give every row
-        the alive plane of its own partition.
-        """
-        degraded = {
-            "8/2x4x4 XBAR/2": ((0, (0, 0)), (0, (1, 2)), (1, (3, 1))),
-            "16/4x4x4 XBAR/2": ((0, (0, 0)), (0, (1, 2)), (1, (3, 1)),
-                                (1, (0, 3)), (3, (2, 0)), (3, (2, 1))),
-        }
-        workload = Workload(0.06, 1.0, 0.1)
-        seeds = [911, 912, 913]
-        for triplet, cells in degraded.items():
-            schedule = FaultSchedule.of(
-                *[(0.0, "cell", cell, "down") for cell in cells])
-            config = SystemConfig.parse(triplet).with_faults(
-                FaultConfig(schedule=schedule))
-            assert batched_unsupported_reason(config, workload) is None
-            batched = _point_delays(config, workload, seeds, 500.0, 50.0)
-            healthy = _point_delays(config.with_faults(None), workload,
-                                    seeds, 500.0, 50.0)
-            assert batched != healthy, triplet  # the dead cells must bite
-            for k, seed in enumerate(seeds):
-                scalar = simulate(config, workload, horizon=500.0,
-                                  warmup=50.0, seed=seed).mean_queueing_delay
-                _assert_same_delay(scalar, batched[k],
-                                   f"{triplet} replication {k}")
-
     def test_unsupported_reason_names_the_gate(self):
         workload = Workload(0.05, 1.0, 0.1)
         for triplet in ("16/1x16x8 XBAR/2", "16/1x16x16 OMEGA/2",
@@ -306,18 +276,23 @@ class TestMegaBatch:
                            interarrival_distribution="deterministic")
         assert "interarrival" in batched_unsupported_reason(
             "16/1x16x8 XBAR/2", lattice)
-        stochastic = SystemConfig.parse("16/1x16x8 XBAR/2").with_faults(
-            FaultConfig(models=(CellFault(mttf=100.0, mttr=10.0),)))
-        assert "stochastic" in batched_unsupported_reason(stochastic,
-                                                          workload)
-        dynamic = SystemConfig.parse("16/1x16x8 XBAR/2").with_faults(
-            FaultConfig(schedule=FaultSchedule.of(
-                (5.0, "cell", (0, (0, 0)), "down"))))
-        assert "dynamic" in batched_unsupported_reason(dynamic, workload)
-        faulted_omega = SystemConfig.parse("16/1x16x16 OMEGA/2").with_faults(
-            FaultConfig(schedule=FaultSchedule.of(
-                (0.0, "cell", (0, (0, 0)), "down"))))
-        assert "OMEGA" in batched_unsupported_reason(faulted_omega, workload)
+        # Faults attached, whatever their shape, mean the scalar engine.
+        time_zero = FaultConfig(schedule=FaultSchedule.of(
+            (0.0, "cell", (0, (0, 0)), "down")))
+        faulted = [
+            ("16/1x16x8 XBAR/2",
+             FaultConfig(models=(CellFault(mttf=100.0, mttr=10.0),))),
+            ("16/1x16x8 XBAR/2", FaultConfig(schedule=FaultSchedule.of(
+                (5.0, "cell", (0, (0, 0)), "down")))),
+            ("16/1x16x8 XBAR/2", time_zero),
+            ("16/1x16x8 XBAR/2", FaultConfig()),
+            ("16/1x16x16 OMEGA/2", time_zero),
+            ("16/16x1x1 SBUS/2", FaultConfig()),
+        ]
+        for triplet, faults in faulted:
+            config = SystemConfig.parse(triplet).with_faults(faults)
+            assert "fault configuration" in batched_unsupported_reason(
+                config, workload), triplet
 
     def test_every_reason_names_the_blocking_property(self):
         """Regression for the stale "XBAR fabrics only" phrasing.
@@ -343,10 +318,12 @@ class TestMegaBatch:
              Workload(0.05, 1.0, 0.1,
                       interarrival_distribution="deterministic"),
              {}, "'deterministic' interarrival distribution"),
+            (SystemConfig.parse("16/1x16x8 XBAR/2").with_faults(faulted),
+             workload, {}, "fault configuration"),
             (SystemConfig.parse("16/1x16x16 OMEGA/2").with_faults(faulted),
-             workload, {}, "fault schedule on a OMEGA fabric"),
-            (SystemConfig.parse("16/16x1x1 SBUS/2").with_faults(faulted),
-             workload, {}, "fault schedule on a SBUS fabric"),
+             workload, {}, "fault configuration"),
+            (SystemConfig.parse("16/16x1x1 SBUS/2").with_faults(
+                FaultConfig()), workload, {}, "fault configuration"),
         ]
         for config, case_workload, kwargs, needle in gated:
             reason = batched_unsupported_reason(config, case_workload,
@@ -487,7 +464,9 @@ class TestMergedGroups:
             (("16/1x16x16 OMEGA/2", "16/4x4x4 OMEGA/2"),
              "multistage wirings"),
             (("16/4x4x4 OMEGA/2", "16/4x4x4 CUBE/2"), "multistage wirings"),
-            (("16/4x4x4 XBAR/2", faulted), "cell-fault schedule"),
+            (("16/4x4x4 XBAR/2", faulted), "fault configuration"),
+            # A faulted configuration builds no engine, not even with itself.
+            ((faulted, faulted), "fault configuration"),
         ]
         for configs, needle in mismatches:
             with pytest.raises(ConfigurationError, match=needle):
@@ -496,9 +475,6 @@ class TestMergedGroups:
         with pytest.raises(ConfigurationError, match="one configuration"):
             MegaBatchEngine(["16/1x16x16 XBAR/2"], [workload, workload],
                             seed_groups=[[1], [2]])
-        # A fault-scheduled configuration still shares with itself.
-        MegaBatchEngine([faulted, faulted], [workload, workload],
-                        seed_groups=[[1], [2]])
 
     def test_wrapped_queues_survive_doubling(self, monkeypatch):
         """Overloaded rows grow their queue rings while wrapped around;
@@ -602,28 +578,23 @@ class TestVariateStreams:
 
 
 class TestVariateCrossover:
-    def test_override_resolution(self):
-        from repro.sim.batched import (_VECTORIZED_REFILL_CROSSOVER,
-                                       variate_refill_crossover)
-
-        assert variate_refill_crossover() == _VECTORIZED_REFILL_CROSSOVER
-        assert variate_refill_crossover(override=7) == 7
-        with pytest.raises(ConfigurationError):
-            variate_refill_crossover(override=-1)
-
-    def test_crossover_choice_is_bit_identical(self):
+    def test_crossover_choice_is_bit_identical(self, monkeypatch):
         """Both refill backends emit the same variates; the crossover
         cannot change results, only where generator construction is
         paid."""
+        import repro.sim.batched as batched
+
         config = SystemConfig.parse("4/1x4x2 XBAR/2")
         workload = Workload(0.05, 1.0, 0.1)
         seeds = [21, 22]
         default = MegaBatchEngine(
             config, [workload], [seeds]).run(400.0, 40.0)
+        monkeypatch.setattr(batched, "_VECTORIZED_REFILL_CROSSOVER", 0)
         forced_numpy = MegaBatchEngine(
-            config, [workload], [seeds], crossover=0).run(400.0, 40.0)
+            config, [workload], [seeds]).run(400.0, 40.0)
+        monkeypatch.setattr(batched, "_VECTORIZED_REFILL_CROSSOVER", 10 ** 9)
         forced_scalar = MegaBatchEngine(
-            config, [workload], [seeds], crossover=10 ** 9).run(400.0, 40.0)
+            config, [workload], [seeds]).run(400.0, 40.0)
         assert all(not math.isnan(d) for d in default.mean_delays[0])
         assert default.mean_delays == forced_numpy.mean_delays
         assert default.mean_delays == forced_scalar.mean_delays
@@ -722,30 +693,28 @@ class TestCommonRandomNumbers:
         workload = workload_at(0.4, 0.1)
         shared = dict(workload=workload, horizon=800.0, warmup=80.0,
                       replications=4, base_seed=50, crn=True)
-        first, second = "8/1x8x4 XBAR/2", "8/1x8x8 XBAR/1"
-        scalar = compare_with_replications(first, second, engine="scalar",
-                                           **shared)
-        batched = compare_with_replications(first, second, engine="batched",
-                                            **shared)
-        assert scalar[0] == batched[0]
-        assert scalar[1] == batched[1]
+        healthy = SystemConfig.parse("8/1x8x4 XBAR/2")
+        # A statically faulted fabric falls back to scalar replications.
+        faulted = healthy.with_faults(FaultConfig(schedule=FaultSchedule.of(
+            (0.0, "cell", (0, (0, 0)), "down"),
+            (0.0, "cell", (0, (1, 2)), "down"))))
+        for first, second in ((healthy, "8/1x8x8 XBAR/1"),
+                              (faulted, healthy)):
+            scalar = compare_with_replications(first, second,
+                                               engine="scalar", **shared)
+            batched = compare_with_replications(first, second,
+                                                engine="batched", **shared)
+            assert scalar[0] == batched[0]
+            assert scalar[1] == batched[1]
 
 
 class TestBatchedEvaluator:
     def test_batched_wave_matches_scalar_units(self):
-        """The front door's replications == one replication-delay unit
-        per seed."""
-        from repro.runner.evaluators import get_evaluator
-
-        params = {
-            "config": "8/1x8x4 XBAR/2",
-            "arrival_rate": 0.05, "transmission_rate": 1.0,
-            "service_rate": 0.1,
-            "horizon": 600.0, "warmup": 60.0,
-        }
+        """The front door's replications == one scalar run per seed."""
+        workload = Workload(0.05, 1.0, 0.1)
         seeds = [300 + index for index in range(4)]
-        wave = _point_delays(params["config"], Workload(0.05, 1.0, 0.1),
-                             seeds, 600.0, 60.0)
-        scalar = get_evaluator("replication-delay")
+        wave = _point_delays("8/1x8x4 XBAR/2", workload, seeds, 600.0, 60.0)
         for seed, value in zip(seeds, wave):
-            assert [value] == scalar([(seed, params)])
+            scalar = simulate("8/1x8x4 XBAR/2", workload, horizon=600.0,
+                              warmup=60.0, seed=seed).mean_queueing_delay
+            assert value == scalar
