@@ -7,8 +7,8 @@ def timed_figure_series(benchmark, exp_id, quality="fast", intensities=None,
                         jobs=None):
     """Generate a figure once under the benchmark clock, with unit timings.
 
-    Drives :func:`repro.experiments.figure_series` — on the default engine,
-    the one ``repro run`` ships — through a dedicated uncached
+    Drives :func:`repro.experiments.figure_series` — the path ``repro
+    run`` ships — through a dedicated uncached
     :class:`repro.runner.SweepRunner` so every point is really computed,
     then attaches the per-unit wall times reported by the workers (one
     unit per simulated curve, one per analytic point), the total runtime,

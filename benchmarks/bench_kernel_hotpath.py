@@ -16,22 +16,34 @@ reduction of the seed implementation (pre-tuning ``environment.py`` /
 against live code would understate the win (the seed's ``Timeout`` and
 callback dispatch no longer exist in the tree), so the seed shape is
 preserved here as the regression yardstick.  The tuned kernel must clear
-it by >= 1.2x (best of three on each side).
+it by >= 1.2x: the median ratio over interleaved pairs of runs.
+
+``REPRO_BENCH_SMOKE=1`` shortens the chains so CI can execute the
+benchmark end to end in about a second; the floor is asserted only at
+full size.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
+import statistics
 from time import perf_counter
 
 from repro.sim import Environment
 
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+
 #: Events processed per measured run (chains * events per chain).
 CHAINS = 100
-EVENTS_PER_CHAIN = 2_000
+EVENTS_PER_CHAIN = 200 if SMOKE else 2_000
 TOTAL_EVENTS = CHAINS * EVENTS_PER_CHAIN
 #: Run horizon: past the last event of the slowest chain (delay < 2.0).
 HORIZON = 2.0 * EVENTS_PER_CHAIN
+
+#: Interleaved (tuned, seed-shape) run pairs behind the floor.
+PAIRS = 7
+SPEEDUP_FLOOR = 1.2
 
 
 # -- reference kernel (seed shape) ----------------------------------------
@@ -176,20 +188,40 @@ def test_kernel_hotpath_throughput(benchmark):
     assert rate > 0
 
 
-def test_kernel_hotpath_speedup_floor():
+def _pair_ratios():
+    """``tuned / seed`` throughput ratio of each of :data:`PAIRS` pairs,
+    alternating which kernel runs first."""
+    ratios = []
+    for index in range(PAIRS):
+        if index % 2:
+            seed = _throughput(_SeedEnvironment)
+            tuned = _throughput(Environment)
+        else:
+            tuned = _throughput(Environment)
+            seed = _throughput(_SeedEnvironment)
+        ratios.append(tuned / seed)
+    return ratios
+
+
+def test_kernel_hotpath_speedup_floor(benchmark):
     """The tuned kernel must beat the seed shape by >= 1.2x.
 
-    Best-of-three on both sides to damp scheduler noise.  The two kernels
-    take turns, so a drift in host speed over the measurement reaches
-    both sides alike.
+    The speedup is the median of per-pair ratios: the two runs of a pair
+    follow each other, so a drift in host speed reaches both alike, and
+    the median discards the pairs a burst of host load landed on.  The
+    pair ratios go into the payload.  Smoke runs record them without
+    asserting the floor: short chains are dominated by set-up costs.
     """
-    tuned = seed = 0.0
-    for _ in range(3):
-        tuned = max(tuned, _throughput(Environment))
-        seed = max(seed, _throughput(_SeedEnvironment))
-    speedup = tuned / seed
-    print(f"\nspeedup: {speedup:.2f}x "
-          f"({tuned:,.0f} vs {seed:,.0f} steps/s)")
-    assert speedup >= 1.2, (
-        f"kernel hot path regressed: tuned run() only {speedup:.2f}x over "
-        f"the seed-shape reference kernel (floor 1.2x)")
+    ratios = benchmark.pedantic(_pair_ratios, rounds=1, iterations=1)
+    speedup = statistics.median(ratios)
+    benchmark.extra_info["pair_ratios"] = [round(ratio, 3)
+                                           for ratio in ratios]
+    benchmark.extra_info["median_speedup"] = round(speedup, 3)
+    benchmark.extra_info["smoke"] = SMOKE
+    print(f"\nmedian speedup: {speedup:.2f}x over {PAIRS} pairs "
+          f"({', '.join(f'{ratio:.2f}' for ratio in ratios)})")
+    if not SMOKE:
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"kernel hot path regressed: tuned run() only {speedup:.2f}x "
+            f"over the seed-shape reference kernel (median of {PAIRS} "
+            f"pairs, floor {SPEEDUP_FLOOR}x)")

@@ -21,12 +21,15 @@ The same measurement runs on the figure's four 4x8 crossbar partitions
 (``16/4x4x8 XBAR/1``), where each lockstep step re-offers a different
 partition per row; it records its speedup without a floor.  A third case
 takes the whole figure: Figure 7's four crossbar curves as one engine
-(per-point configurations) against one engine per curve, with
-bit-identity asserted and the speedup recorded, again without a floor.
+(per-point configurations) against one engine per curve and against the
+scalar engine, one ``simulate()`` run per (point, replication) row —
+the same rows on both engines.  Bit-identity is asserted on both
+comparisons and the speedups are recorded, again without a floor.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid and horizon so CI can execute
-the benchmark end to end in seconds; the speedup floor is asserted only
-at full size (tiny runs are dominated by fixed setup costs).
+the benchmark end to end in seconds, and times the scalar engine on a
+fixed sample of the rows; the speedup floor is asserted only at full
+size (tiny runs are dominated by fixed setup costs).
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from time import perf_counter
 
 from repro.analysis.approximations import saturation_intensity
 from repro.analysis.sweep import (
-    BATCHED_POINT_REPLICATIONS,
+    POINT_REPLICATIONS,
     workload_at,
 )
 from repro.config import SystemConfig
+from repro.core.system import simulate
 from repro.sim.batched import batched_delays
 from repro.sim.rng import spawn_seed
 
@@ -60,6 +64,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 INTENSITY_STEP = 0.3 if SMOKE else 0.1
 HORIZON = 800.0 if SMOKE else 8_000.0
 SPEEDUP_FLOOR = 2.0
+#: Smoke runs time every this-many-th row of the figure on the scalar
+#: engine; full runs time every row.
+SCALAR_SMOKE_STRIDE = 8
 
 
 def _curve(triplet=CONFIG):
@@ -73,7 +80,7 @@ def _curve(triplet=CONFIG):
             point_seed = spawn_seed(MASTER_SEED, triplet,
                                     round(intensity, 6))
             seeds = [spawn_seed(point_seed, "batched-replication", index)
-                     for index in range(BATCHED_POINT_REPLICATIONS)]
+                     for index in range(POINT_REPLICATIONS)]
             workload = workload_at(intensity, MU_RATIO,
                                    processors=config.processors)
             points.append((round(intensity, 6), workload, seeds))
@@ -83,7 +90,7 @@ def _curve(triplet=CONFIG):
 
 def _run_megabatch(config, points):
     """The whole curve as one 2-D batch; (delays, seconds)."""
-    per_replication = HORIZON / BATCHED_POINT_REPLICATIONS
+    per_replication = HORIZON / POINT_REPLICATIONS
     start = perf_counter()
     delays = batched_delays(
         config, [workload for _, workload, _ in points],
@@ -95,7 +102,7 @@ def _run_megabatch(config, points):
 
 def _run_per_point(config, points):
     """One batched 16-replication wave per point; (delays, seconds)."""
-    per_replication = HORIZON / BATCHED_POINT_REPLICATIONS
+    per_replication = HORIZON / POINT_REPLICATIONS
     start = perf_counter()
     delays = [
         batched_delays(
@@ -123,12 +130,12 @@ def _measure(benchmark, triplet):
     per_point_delays, per_point_time = _run_per_point(config, points)
     mega_delays, mega_time = benchmark.pedantic(
         lambda: _run_megabatch(config, points), rounds=1, iterations=1)
-    grid_size = len(points) * BATCHED_POINT_REPLICATIONS
+    grid_size = len(points) * POINT_REPLICATIONS
     speedup = per_point_time / mega_time
     benchmark.extra_info["config"] = triplet
     benchmark.extra_info["points"] = len(points)
     benchmark.extra_info["replications_per_point"] = (
-        BATCHED_POINT_REPLICATIONS)
+        POINT_REPLICATIONS)
     benchmark.extra_info["horizon"] = HORIZON
     benchmark.extra_info["per_point_s"] = round(per_point_time, 6)
     benchmark.extra_info["megabatch_s"] = round(mega_time, 6)
@@ -138,7 +145,7 @@ def _measure(benchmark, triplet):
     benchmark.extra_info["agreement"] = _mismatches(mega_delays,
                                                     per_point_delays) == 0
     benchmark.extra_info["smoke"] = SMOKE
-    print(f"\n{len(points)} points x {BATCHED_POINT_REPLICATIONS} "
+    print(f"\n{len(points)} points x {POINT_REPLICATIONS} "
           f"replications of {triplet}: per-point {per_point_time:.2f}s, "
           f"mega-batch {mega_time:.2f}s, speedup {speedup:.2f}x")
     assert _mismatches(mega_delays, per_point_delays) == 0, (
@@ -181,7 +188,7 @@ def test_megabatch_figure_speedup_floor():
 
 def _run_curves(curves, merged):
     """Whole-figure delays, one engine or one per curve; (delays, s)."""
-    per_replication = HORIZON / BATCHED_POINT_REPLICATIONS
+    per_replication = HORIZON / POINT_REPLICATIONS
     window = dict(horizon=per_replication,
                   warmup=per_replication * WARMUP_FRACTION)
     start = perf_counter()
@@ -200,27 +207,56 @@ def _run_curves(curves, merged):
     return delays, perf_counter() - start
 
 
+def _run_scalar(rows):
+    """One scalar ``simulate()`` run per ``(config, workload, seed)`` row;
+    (delays, seconds)."""
+    per_replication = HORIZON / POINT_REPLICATIONS
+    start = perf_counter()
+    delays = [simulate(config, workload, horizon=per_replication,
+                       warmup=per_replication * WARMUP_FRACTION,
+                       seed=seed).mean_queueing_delay
+              for config, workload, seed in rows]
+    return delays, perf_counter() - start
+
+
 def test_megabatch_whole_figure(benchmark):
-    """Figure 7's four curves in one engine against one engine each."""
+    """Figure 7's four curves in one engine against one engine each and
+    against one scalar run per row."""
     curves = [_curve(triplet) for triplet in FIGURE_CONFIGS]
     per_curve_delays, per_curve_time = _run_curves(curves, merged=False)
     merged_delays, merged_time = benchmark.pedantic(
         lambda: _run_curves(curves, merged=True), rounds=1, iterations=1)
-    rows = sum(len(points) for _, points in curves) * (
-        BATCHED_POINT_REPLICATIONS)
+    rows = [(config, workload, seed) for config, points in curves
+            for _, workload, seeds in points for seed in seeds]
+    sample = range(0, len(rows), SCALAR_SMOKE_STRIDE if SMOKE else 1)
+    scalar_delays, scalar_time = _run_scalar([rows[i] for i in sample])
+    merged_rows = [delay for group in merged_delays for delay in group]
+    scalar_mismatches = _mismatches(
+        [scalar_delays], [[merged_rows[i] for i in sample]])
     speedup = per_curve_time / merged_time
+    # Per-row rates, so a sampled smoke run compares like with like.
+    speedup_over_scalar = ((scalar_time / len(sample))
+                           / (merged_time / len(rows)))
     benchmark.extra_info["configs"] = list(FIGURE_CONFIGS)
-    benchmark.extra_info["rows"] = rows
+    benchmark.extra_info["rows"] = len(rows)
     benchmark.extra_info["horizon"] = HORIZON
     benchmark.extra_info["per_curve_s"] = round(per_curve_time, 6)
     benchmark.extra_info["merged_s"] = round(merged_time, 6)
     benchmark.extra_info["speedup"] = round(speedup, 3)
+    benchmark.extra_info["scalar_rows"] = len(sample)
+    benchmark.extra_info["scalar_s"] = round(scalar_time, 6)
+    benchmark.extra_info["speedup_over_scalar"] = round(
+        speedup_over_scalar, 3)
     benchmark.extra_info["agreement"] = _mismatches(
-        merged_delays, per_curve_delays) == 0
+        merged_delays, per_curve_delays) == 0 and scalar_mismatches == 0
     benchmark.extra_info["smoke"] = SMOKE
-    print(f"\nfig7, {rows} rows: one engine per curve "
+    print(f"\nfig7, {len(rows)} rows: one engine per curve "
           f"{per_curve_time:.2f}s, one engine {merged_time:.2f}s, "
-          f"speedup {speedup:.2f}x")
+          f"speedup {speedup:.2f}x; scalar {scalar_time:.2f}s over "
+          f"{len(sample)} rows, {speedup_over_scalar:.2f}x per row")
     assert _mismatches(merged_delays, per_curve_delays) == 0, (
         "the whole-figure engine diverged from the per-curve engines — "
         "the lockstep invariant is broken")
+    assert scalar_mismatches == 0, (
+        "the whole-figure engine diverged from the scalar engine — the "
+        "lockstep invariant is broken")

@@ -1,11 +1,12 @@
 """Replication methodology: CI-driven sequential simulation.
 
-The figure benchmarks use single long runs with batch-means intervals; for
-point estimates that must carry a defensible confidence interval (the
-EXPERIMENTS.md tables), the textbook-correct procedure is independent
-replications with a sequential stopping rule: keep adding replications
-until the Student-t interval on the mean queueing delay is narrower than
-the requested relative half-width.
+A figure point carries the Student-t interval over a fixed number of
+replications (:data:`repro.analysis.sweep.POINT_REPLICATIONS`); for point
+estimates that must reach a requested precision (the EXPERIMENTS.md
+tables), the textbook-correct procedure is independent replications with
+a sequential stopping rule: keep adding replications until the Student-t
+interval on the mean queueing delay is narrower than the requested
+relative half-width.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
-from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES
+from repro.analysis.sweep import replication_delays
 from repro.config import SystemConfig
-from repro.core.system import simulate
 from repro.errors import AnalysisError, ConfigurationError
 from repro.sim.stats import confidence_interval
 from repro.workload.arrivals import Workload
@@ -82,9 +82,8 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
         count = min(min_replications, max_replications - len(values))
         seeds = [base_seed + index
                  for index in range(len(values), len(values) + count)]
-        values.extend(_replication_delays(config, workload, horizon, warmup,
-                                          seeds, DEFAULT_ENGINE,
-                                          arbitration))
+        values.extend(replication_delays(config, workload, horizon, warmup,
+                                         seeds, arbitration))
         for stop in range(max(len(values) - count + 1, min_replications),
                           len(values) + 1):
             prefix = values[:stop]
@@ -103,26 +102,6 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
         f"{target_relative_halfwidth:.1%}); lengthen the horizon")
 
 
-def _replication_delays(config: Union[SystemConfig, str], workload: Workload,
-                        horizon: float, warmup: float, seeds: List[int],
-                        engine: str,
-                        arbitration: str = "priority") -> List[float]:
-    """Per-seed mean delays via the requested engine (scalar fallback)."""
-    from repro.sim.batched import batched_delays, batched_unsupported_reason
-
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown simulation engine {engine!r}; expected one of {ENGINES}")
-    if engine == "batched" and batched_unsupported_reason(
-            config, workload, arbitration) is None:
-        return batched_delays(config, [workload], horizon=horizon,
-                              warmup=warmup, seed_groups=[seeds],
-                              arbitration=arbitration)[0]
-    return [simulate(config, workload, horizon=horizon, warmup=warmup,
-                     seed=seed, arbitration=arbitration).mean_queueing_delay
-            for seed in seeds]
-
-
 def compare_with_replications(first: Union[SystemConfig, str],
                               second: Union[SystemConfig, str],
                               workload: Workload, horizon: float,
@@ -130,8 +109,7 @@ def compare_with_replications(first: Union[SystemConfig, str],
                               confidence: float = 0.95,
                               replications: int = 10,
                               base_seed: int = 100,
-                              crn: bool = True,
-                              engine: str = DEFAULT_ENGINE
+                              crn: bool = True
                               ) -> Tuple[float, float, bool]:
     """Replicated comparison of two configurations.
 
@@ -148,11 +126,11 @@ def compare_with_replications(first: Union[SystemConfig, str],
     one on the bench workload).  ``crn=False`` runs the second system on
     disjoint seeds and reports the two-sample Welch interval.
 
-    ``engine="batched"`` (the default) computes each configuration's
-    replication wave with the lockstep engine of :mod:`repro.sim.batched`
-    when the model is in its scope (per-replication results are
-    bit-identical to the scalar engine, so ``crn`` pairing is
-    unaffected); out-of-scope models fall back to scalar runs.
+    Each configuration's replications run through
+    :func:`~repro.analysis.sweep.replication_delays`: one lockstep batch
+    when the model is in the batched engine's scope, scalar runs
+    otherwise, with the same values either way, so ``crn`` pairing does
+    not depend on the engine.
     """
     if replications < 2:
         raise ConfigurationError("need at least 2 paired replications")
@@ -160,10 +138,10 @@ def compare_with_replications(first: Union[SystemConfig, str],
     second_seeds = (first_seeds if crn else
                     [base_seed + replications + index
                      for index in range(replications)])
-    first_values = _replication_delays(first, workload, horizon, warmup,
-                                       first_seeds, engine)
-    second_values = _replication_delays(second, workload, horizon, warmup,
-                                        second_seeds, engine)
+    first_values = replication_delays(first, workload, horizon, warmup,
+                                      first_seeds)
+    second_values = replication_delays(second, workload, horizon, warmup,
+                                       second_seeds)
     if crn:
         differences = [a - b for a, b in zip(first_values, second_values)]
         mean, halfwidth = confidence_interval(differences,

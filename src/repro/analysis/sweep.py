@@ -18,24 +18,15 @@ from repro.config import SystemConfig
 from repro.core.system import simulate
 from repro.errors import ConfigurationError, UnstableSystemError
 from repro.queueing.littles_law import arrival_rate_for_intensity
+from repro.sim.rng import spawn_seed
+from repro.sim.stats import confidence_interval
 from repro.workload.arrivals import Workload
 
 #: Number of resources in the x-axis reference system (the paper's 32).
 REFERENCE_RESOURCES = 32
 
-#: Lockstep replications one batched sweep point splits its horizon over.
-BATCHED_POINT_REPLICATIONS = 16
-
-#: The simulation engines.  ``scalar`` is the event loop, the reference:
-#: one run of the full horizon per point, with a batch-means interval.
-#: ``batched`` is the lockstep engine of :mod:`repro.sim.batched`: each
-#: point becomes :data:`BATCHED_POINT_REPLICATIONS` replications and a
-#: whole curve advances as one batch (points outside its gate run on the
-#: scalar loop).
-ENGINES = ("scalar", "batched")
-
-#: The engine of every library entry point and of ``repro run``.
-DEFAULT_ENGINE = "batched"
+#: Replications every simulated sweep point splits its horizon over.
+POINT_REPLICATIONS = 16
 
 
 @dataclass(frozen=True)
@@ -123,8 +114,7 @@ def simulated_series(config: Union[SystemConfig, str], mu_ratio: float,
                      intensities: Sequence[float], label: Optional[str] = None,
                      horizon: float = 30_000.0, warmup_fraction: float = 0.1,
                      seed: int = 1, arbitration: str = "priority",
-                     saturation_guard: float = 0.98,
-                     engine: str = DEFAULT_ENGINE) -> Series:
+                     saturation_guard: float = 0.98) -> Series:
     """Event-simulation delay curve (crossbar / multistage configurations).
 
     Every point runs with ``seed``; see :func:`simulated_curves`.
@@ -136,8 +126,7 @@ def simulated_series(config: Union[SystemConfig, str], mu_ratio: float,
                               horizon=horizon,
                               warmup_fraction=warmup_fraction,
                               arbitration=arbitration,
-                              saturation_guard=saturation_guard,
-                              engine=engine)
+                              saturation_guard=saturation_guard)
     return Series(label=label or str(config), config=config, mu_ratio=mu_ratio,
                   points=tuple(points), method="event-simulation")
 
@@ -145,7 +134,7 @@ def simulated_series(config: Union[SystemConfig, str], mu_ratio: float,
 @dataclass(frozen=True)
 class SimulatedCurve:
     """One simulated curve request: a configuration, its mu ratio, the
-    intensities with one seed per point, and how to simulate them."""
+    intensities with one seed per point, and the run parameters."""
 
     config: Union[SystemConfig, str]
     mu_ratio: float
@@ -155,7 +144,6 @@ class SimulatedCurve:
     warmup_fraction: float = 0.1
     arbitration: str = "priority"
     saturation_guard: float = 0.98
-    engine: str = DEFAULT_ENGINE
 
 
 @dataclass
@@ -175,14 +163,13 @@ def simulated_points(config: Union[SystemConfig, str], mu_ratio: float,
                      point_seeds: Sequence[int], horizon: float = 30_000.0,
                      warmup_fraction: float = 0.1,
                      arbitration: str = "priority",
-                     saturation_guard: float = 0.98,
-                     engine: str = DEFAULT_ENGINE) -> List[SweepPoint]:
+                     saturation_guard: float = 0.98) -> List[SweepPoint]:
     """Event-simulation delay points of one curve, one seed per point: the
     one-curve case of :func:`simulated_curves`."""
     [points] = simulated_curves([SimulatedCurve(
         config, mu_ratio, intensities, point_seeds, horizon=horizon,
         warmup_fraction=warmup_fraction, arbitration=arbitration,
-        saturation_guard=saturation_guard, engine=engine)])
+        saturation_guard=saturation_guard)])
     return points
 
 
@@ -198,39 +185,32 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
 
     Points at or beyond ``saturation_guard`` times the configuration's
     saturation intensity are reported as saturated rather than burning
-    simulation time on a queue that only grows.  With ``engine="batched"``
-    every other point the batchability gate admits
-    (:func:`repro.sim.batched.batched_unsupported_reason`) splits its
-    horizon over :data:`BATCHED_POINT_REPLICATIONS` replications seeded
-    ``spawn_seed(seed, "batched-replication", k)`` and carries the
-    Student-t interval across its replications.  Batchable points of all
-    the curves are grouped by :func:`repro.sim.batched.lockstep_mismatch`
-    plus equal horizon, warmup, arbitration and holding-time
-    distributions, and each group advances as one lockstep batch: fig. 7's
-    four crossbar curves run as one engine.  With ``engine="scalar"``,
-    and for points the gate refuses (random/fifo arbiters, infinite
-    resource pools, dynamic faults, discrete holding times), each point is
-    one scalar run of the full horizon with its batch-means interval.  The
-    two estimators differ by replication noise, not by model, which is
-    why the engine is cache-digest material.
+    simulation time on a queue that only grows.  Every other point has one
+    estimator: :data:`POINT_REPLICATIONS` replications of ``horizon /
+    POINT_REPLICATIONS``, seeded ``spawn_seed(seed, "batched-replication",
+    k)``, and the Student-t interval across them (:func:`_replicated_point`).
+    The batchability gate (:func:`repro.sim.batched.batched_unsupported_reason`)
+    picks only the engine.  Points it admits are grouped by
+    :func:`repro.sim.batched.lockstep_mismatch` plus equal horizon, warmup,
+    arbitration and holding-time distributions, and each group advances as
+    one lockstep batch: fig. 7's four crossbar curves run as one engine.
+    Points it refuses (random/fifo arbiters, infinite resource pools,
+    fault configurations, discrete holding times) run the same
+    replications through :func:`~repro.core.system.simulate`.  A lockstep
+    row equals the scalar run of its seed bit for bit, so a point's value
+    never depends on which engine computed it.
     """
     from repro.sim.batched import (
         batched_delays,
         batched_unsupported_reason,
         lockstep_mismatch,
     )
-    from repro.sim.rng import spawn_seed
-    from repro.sim.stats import confidence_interval
 
     results: List[List[Optional[SweepPoint]]] = []
     groups: List[_LockstepGroup] = []
     for number, curve in enumerate(curves):
         config = (SystemConfig.parse(curve.config)
                   if isinstance(curve.config, str) else curve.config)
-        if curve.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown simulation engine {curve.engine!r}; expected one "
-                f"of {ENGINES}")
         grid = list(curve.intensities)
         if len(curve.point_seeds) != len(grid):
             raise ConfigurationError(
@@ -238,6 +218,7 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
                 f"{len(curve.point_seeds)} seeds")
         limit = curve.saturation_guard * saturation_intensity(
             config, curve.mu_ratio)
+        per_replication = curve.horizon / POINT_REPLICATIONS
         points: List[Optional[SweepPoint]] = [None] * len(grid)
         results.append(points)
         for index, (intensity, seed) in enumerate(
@@ -248,55 +229,79 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
                 continue
             workload = workload_at(intensity, curve.mu_ratio,
                                    processors=config.processors)
-            if curve.engine == "batched" and batched_unsupported_reason(
-                    config, workload, curve.arbitration) is None:
-                key = (curve.horizon, curve.warmup_fraction,
-                       curve.arbitration,
-                       workload.interarrival_distribution,
-                       workload.transmission_distribution,
-                       workload.service_distribution)
-                group = next(
-                    (group for group in groups if group.key == key
-                     and lockstep_mismatch(group.config, config) is None),
-                    None)
-                if group is None:
-                    group = _LockstepGroup(config, key)
-                    groups.append(group)
-                group.slots.append((number, index, intensity))
-                group.configs.append(config)
-                group.workloads.append(workload)
-                group.seed_groups.append([
-                    spawn_seed(seed, "batched-replication", replication)
-                    for replication in range(BATCHED_POINT_REPLICATIONS)])
+            seeds = [spawn_seed(seed, "batched-replication", replication)
+                     for replication in range(POINT_REPLICATIONS)]
+            if batched_unsupported_reason(
+                    config, workload, curve.arbitration) is not None:
+                points[index] = _replicated_point(
+                    intensity, workload, replication_delays(
+                        config, workload, per_replication,
+                        per_replication * curve.warmup_fraction, seeds,
+                        curve.arbitration))
                 continue
-            result = simulate(config, workload, horizon=curve.horizon,
-                              warmup=curve.horizon * curve.warmup_fraction,
-                              seed=seed, arbitration=curve.arbitration)
-            points[index] = SweepPoint(
-                intensity=intensity,
-                normalized_delay=result.normalized_delay,
-                ci_halfwidth=result.delay_ci_halfwidth * workload.service_rate)
+            key = (curve.horizon, curve.warmup_fraction, curve.arbitration,
+                   workload.interarrival_distribution,
+                   workload.transmission_distribution,
+                   workload.service_distribution)
+            group = next(
+                (group for group in groups if group.key == key
+                 and lockstep_mismatch(group.config, config) is None),
+                None)
+            if group is None:
+                group = _LockstepGroup(config, key)
+                groups.append(group)
+            group.slots.append((number, index, intensity))
+            group.configs.append(config)
+            group.workloads.append(workload)
+            group.seed_groups.append(seeds)
     for group in groups:
         horizon, warmup_fraction, arbitration = group.key[:3]
-        per_replication = horizon / BATCHED_POINT_REPLICATIONS
+        per_replication = horizon / POINT_REPLICATIONS
         delay_groups = batched_delays(
             group.configs, group.workloads, horizon=per_replication,
             warmup=per_replication * warmup_fraction,
             seed_groups=group.seed_groups, arbitration=arbitration)
         for (number, index, intensity), workload, delays in zip(
                 group.slots, group.workloads, delay_groups):
-            finite = [delay for delay in delays if not math.isnan(delay)]
-            if not finite:
-                results[number][index] = SweepPoint(intensity=intensity,
-                                                    normalized_delay=None)
-                continue
-            mean, halfwidth = confidence_interval(finite)
-            results[number][index] = SweepPoint(
-                intensity=intensity,
-                normalized_delay=mean * workload.service_rate,
-                ci_halfwidth=halfwidth * workload.service_rate)
+            results[number][index] = _replicated_point(intensity, workload,
+                                                       delays)
     return [[point for point in points if point is not None]
             for points in results]
+
+
+def _replicated_point(intensity: float, workload: Workload,
+                      delays: Sequence[float]) -> SweepPoint:
+    """A sweep point from its replications' mean delays: the Student-t
+    interval over the finite ones, saturated when none is finite (no
+    replication dispatched a task inside its measurement window)."""
+    finite = [delay for delay in delays if not math.isnan(delay)]
+    if not finite:
+        return SweepPoint(intensity=intensity, normalized_delay=None)
+    mean, halfwidth = confidence_interval(finite)
+    return SweepPoint(intensity=intensity,
+                      normalized_delay=mean * workload.service_rate,
+                      ci_halfwidth=halfwidth * workload.service_rate)
+
+
+def replication_delays(config: Union[SystemConfig, str], workload: Workload,
+                       horizon: float, warmup: float, seeds: Sequence[int],
+                       arbitration: str = "priority") -> List[float]:
+    """Mean queueing delay of one replication per seed, in seed order.
+
+    One lockstep batch when the batchability gate admits the model, one
+    :func:`~repro.core.system.simulate` run per seed otherwise.  A lockstep
+    row equals the scalar run of its seed bit for bit, so the gate picks
+    the engine, never the values.
+    """
+    from repro.sim.batched import batched_delays, batched_unsupported_reason
+
+    if batched_unsupported_reason(config, workload, arbitration) is None:
+        return batched_delays(config, [workload], horizon=horizon,
+                              warmup=warmup, seed_groups=[list(seeds)],
+                              arbitration=arbitration)[0]
+    return [simulate(config, workload, horizon=horizon, warmup=warmup,
+                     seed=seed, arbitration=arbitration).mean_queueing_delay
+            for seed in seeds]
 
 
 def series_for(config: Union[SystemConfig, str], mu_ratio: float,

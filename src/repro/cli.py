@@ -51,29 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes (default: REPRO_JOBS or 1)")
     run.add_argument("--seed", type=int, default=1,
                      help="master seed for per-point replications")
-    from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES
-
-    run.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-                     help="simulation engine for simulated points: "
-                          "'batched' (the default, as in the library) "
-                          "advances each curve as one lockstep batch and "
-                          "runs points outside its scope on the scalar "
-                          "event loop, with one note per such curve; "
-                          "'scalar' forces the event loop (engine choice "
-                          "is cache-digest material)")
     run.add_argument("--cache-dir", default=None,
                      help="result cache directory "
                           "(default: REPRO_CACHE_DIR or ~/.cache/repro)")
     run.add_argument("--no-cache", action="store_true",
                      help="recompute every point, bypassing the cache")
-    run.add_argument("--resume", action="store_true",
-                     help="resume an interrupted sweep: replay the sweep "
-                          "journal and recompute only the missing points "
-                          "(requires the cache)")
     run.add_argument("--max-attempts", type=int, default=3,
-                     help="executions per point before the supervisor "
-                          "degrades it and, as a last resort, fails the "
-                          "sweep (default: 3)")
+                     help="executions per point before the sweep fails; "
+                          "a point that spends them in the worker pool gets "
+                          "one last inline execution (default: 3)")
     run.add_argument("--unit-timeout", type=float, default=None,
                      help="seconds before an in-flight point counts as "
                           "hung and its worker pool is recycled; needs "
@@ -215,30 +201,25 @@ def _command_run(args) -> int:
         print(result.report)
         return 0
 
-    if args.resume and args.no_cache:
-        print("error: --resume needs the cache; it cannot be combined "
-              "with --no-cache", file=sys.stderr)
-        return 2
-    if args.engine == "batched":
-        # One line per curve that will fall back to the scalar engine,
-        # naming the gate property that blocks it.  Figure workloads vary
-        # only in rate along a curve, so one probe decides the whole curve.
-        from repro.analysis.sweep import workload_at
-        from repro.config import SystemConfig
-        from repro.sim.batched import batched_unsupported_reason
+    # One line per curve that runs on the scalar engine, naming the gate
+    # property that keeps it off the batched one.  Figure workloads vary
+    # only in rate along a curve, so one probe decides the whole curve.
+    from repro.analysis.sweep import workload_at
+    from repro.config import SystemConfig
+    from repro.sim.batched import batched_unsupported_reason
 
-        spec = FIGURE_SPECS[args.exp_id]
-        for label, triplet in spec.curves:
-            config = SystemConfig.parse(triplet)
-            if config.network_type == "SBUS":
-                continue  # exact chain, no simulation engine involved
-            reason = batched_unsupported_reason(
-                config, workload_at(0.5, spec.mu_ratio,
-                                    processors=config.processors))
-            if reason is not None:
-                print(f"note: {triplet} ({label}) falls back to the "
-                      f"scalar engine: the batched engine does not "
-                      f"support {reason}", file=sys.stderr)
+    spec = FIGURE_SPECS[args.exp_id]
+    for label, triplet in spec.curves:
+        config = SystemConfig.parse(triplet)
+        if config.network_type == "SBUS":
+            continue  # exact chain, no simulation engine involved
+        reason = batched_unsupported_reason(
+            config, workload_at(0.5, spec.mu_ratio,
+                                processors=config.processors))
+        if reason is not None:
+            print(f"note: {triplet} ({label}) falls back to the "
+                  f"scalar engine: the batched engine does not "
+                  f"support {reason}", file=sys.stderr)
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     policy = SupervisorPolicy(max_attempts=args.max_attempts,
@@ -252,8 +233,7 @@ def _command_run(args) -> int:
         profiler.enable()
     start = time.perf_counter()
     series = figure_series(args.exp_id, quality=args.quality, seed=args.seed,
-                           runner=runner, engine=args.engine,
-                           resume=args.resume)
+                           runner=runner)
     elapsed = time.perf_counter() - start
     if profiler is not None:
         profiler.disable()
@@ -271,7 +251,7 @@ def _command_run(args) -> int:
           f"({runner.effective_jobs} job(s), {hits} cache hit(s), "
           f"cache {'off' if cache is None else cache.root})")
     report = runner.last_report
-    if not report.clean or report.resumed or report.deduped:
+    if not report.clean or report.deduped:
         print(report.format())
     if profiler is not None:
         import pstats

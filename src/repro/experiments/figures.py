@@ -21,7 +21,7 @@ from repro.analysis.selection import (
     qualitative_recommendation,
     recommend,
 )
-from repro.analysis.sweep import DEFAULT_ENGINE, ENGINES, Series, workload_at
+from repro.analysis.sweep import Series, workload_at
 from repro.config import SystemConfig
 from repro.core.scheduler import (
     centralized_multistage,
@@ -103,29 +103,24 @@ def intensity_grid(step: float, start: float = 0.1, stop: float = 1.2) -> List[f
 
 def figure_work_units(exp_id: str, quality: str = "fast",
                       intensities: Optional[Sequence[float]] = None,
-                      seed: int = 1, engine: str = DEFAULT_ENGINE):
+                      seed: int = 1):
     """Decompose a delay figure into independent work units.
 
     Returns ``(spec, grid, units)`` with units in curve-major order.
 
     Analytic (SBUS) curves become one ``analytic-point`` unit per
-    intensity under either engine — the exact chain is both the reference
-    and the fastest path.  They carry seed 0: the chain draws no
-    randomness, and a fixed seed lets cached points be shared across
-    master seeds.  Each point is solved on its own, so its value does not
-    depend on execution order.
+    intensity — the exact chain is both the reference and the fastest
+    path.  They carry seed 0: the chain draws no randomness, and a fixed
+    seed lets cached points be shared across master seeds.  Each point is
+    solved on its own, so its value does not depend on execution order.
 
-    Simulated curves become ``megabatch-figure`` units carrying the
-    master ``seed``, the ``engine`` and their intensities; the point at
-    intensity ``x`` runs with ``spawn_seed(seed, triplet, x)``, its own
-    replication rather than one seed reused across the figure.  The
-    batched engine advances a whole curve at once, so each curve is one
-    unit (a serial run hands a figure's pending curve units to one
-    evaluator call, where compatible curves share one engine); the
-    scalar loop gains nothing from sharing an engine, so each of its
-    points is a one-point curve that a worker pool can spread.  Unit
-    digests cover the engine, so the result cache never serves scalar
-    and batched curves for each other.
+    Each simulated curve becomes one ``megabatch-figure`` unit carrying
+    the master ``seed`` and its intensities; the point at intensity ``x``
+    runs with ``spawn_seed(seed, triplet, x)``, its own replications
+    rather than one seed reused across the figure.  The lockstep engine
+    advances a whole curve at once, and a serial run hands a figure's
+    pending curve units to one evaluator call, where compatible curves
+    share one engine.
     """
     from repro.runner import WorkUnit
 
@@ -136,12 +131,8 @@ def figure_work_units(exp_id: str, quality: str = "fast",
     if quality not in QUALITY_PRESETS:
         raise ConfigurationError(
             f"unknown quality {quality!r}; expected one of {sorted(QUALITY_PRESETS)}")
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
     step, horizon = QUALITY_PRESETS[quality]
     grid = list(intensities) if intensities is not None else intensity_grid(step)
-    runs = [grid] if engine == "batched" else [[x] for x in grid]
     units = []
     for _label, triplet in spec.curves:
         if SystemConfig.parse(triplet).network_type == "SBUS":
@@ -152,28 +143,26 @@ def figure_work_units(exp_id: str, quality: str = "fast",
                     "intensity": intensity,
                 }))
             continue
-        for run in runs:
-            if run:
-                units.append(WorkUnit("megabatch-figure", seed, {
-                    "config": triplet,
-                    "mu_ratio": spec.mu_ratio,
-                    "intensities": run,
-                    "horizon": horizon,
-                    "engine": engine,
-                }))
+        if grid:
+            units.append(WorkUnit("megabatch-figure", seed, {
+                "config": triplet,
+                "mu_ratio": spec.mu_ratio,
+                "intensities": grid,
+                "horizon": horizon,
+            }))
     return spec, grid, units
 
 
 def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
                              intensities: Optional[Sequence[float]] = None,
-                             seed: int = 1, engine: str = DEFAULT_ENGINE):
+                             seed: int = 1):
     """Work units for several figures as one batch, duplicates included.
 
     Returns ``(specs, grid, units)``: the per-figure specs, the shared
     intensity grid, and the concatenation of every figure's units in
     figure-major order.  Unit identity is deliberately *not* figure-aware
     — digest material is the configuration triplet, mu ratio,
-    intensities, horizon, engine, and master seed — so curves shared
+    intensities, horizon and master seed — so curves shared
     between figures (fig7 and fig12 both
     plot the ``16/1x16x16 XBAR/2`` reference at the same mu ratio) emerge
     as *equal-digest units*, which the supervisor's in-flight dedup
@@ -190,8 +179,7 @@ def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
     grid: List[float] = []
     for exp_id in exp_ids:
         spec, grid, figure_units = figure_work_units(
-            exp_id, quality=quality, intensities=intensities, seed=seed,
-            engine=engine)
+            exp_id, quality=quality, intensities=intensities, seed=seed)
         specs.append(spec)
         units.extend(figure_units)
     return specs, grid, units
@@ -200,8 +188,7 @@ def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
 def figure_series(exp_id: str, quality: str = "fast",
                   intensities: Optional[Sequence[float]] = None,
                   seed: int = 1, jobs: Optional[int] = None,
-                  runner=None, engine: str = DEFAULT_ENGINE,
-                  resume: bool = False) -> List[Series]:
+                  runner=None) -> List[Series]:
     """Materialize every curve of a delay figure.
 
     Points are independent seeded work units executed through a
@@ -211,29 +198,20 @@ def figure_series(exp_id: str, quality: str = "fast",
     assembled series are identical whatever the worker count.
 
     When the runner carries a cache, the run is journaled under a digest of
-    the figure identity (next to the cache, in ``_journals/``) so that a
-    killed sweep leaves a checkpoint behind; ``resume=True`` replays that
-    journal and recomputes only the missing points.  Resume accounting ends
-    up on ``runner.last_report``.
+    the figure identity (next to the cache, in ``_journals/``).  A killed
+    sweep finishes by running it again: completed points are cache hits,
+    so only the missing ones are recomputed.
     """
     from repro.runner import SweepJournal, SweepRunner, code_version
 
     spec, grid, units = figure_work_units(exp_id, quality=quality,
-                                          intensities=intensities, seed=seed,
-                                          engine=engine)
+                                          intensities=intensities, seed=seed)
     if runner is None:
         runner = SweepRunner(jobs=jobs)
     if runner.journal is None and runner.cache is not None:
         runner.journal = SweepJournal.for_sweep(
-            runner.cache.root, "figure", exp_id, quality, seed, engine,
+            runner.cache.root, "figure", exp_id, quality, seed,
             code_version())
-    if resume:
-        if runner.cache is None:
-            raise ConfigurationError(
-                "resume requires a result cache: completed points are "
-                "replayed from it, so a cache-less runner has nothing to "
-                "resume from")
-        runner.resume = True
     # Analytic units hold one point, simulated units a list of them; every
     # curve covers the whole grid, so the flat point list splits evenly.
     points: List = []

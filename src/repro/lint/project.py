@@ -413,7 +413,7 @@ class _ModuleExtractor(ast.NodeVisitor):
         elif tail == "stream" and isinstance(node.func, ast.Attribute) \
                 and isinstance(node.func.value, ast.Call):
             ctor = _call_name(node.func.value.func) or ""
-            if ctor.split(".")[-1] not in ("RandomStreams", "BatchedStreams"):
+            if ctor.split(".")[-1] != "RandomStreams":
                 return
             raw_keys = node.args[:1]
             kind = "family-stream"

@@ -8,17 +8,17 @@ content-addressed :class:`WorkUnit` objects, fans them out over a
 byte-identical to serial results for the same seeds.
 
 Execution is fault-tolerant: a :class:`Supervisor` retries failed or
-timed-out units with deterministic backoff and degrades gracefully
-(batched engine → scalar, pool → serial) before giving up; a
-:class:`SweepJournal` checkpoints completed units so killed sweeps resume
-where they stopped; cache entries are checksummed envelopes and
-corruption is quarantined, never served.  A :class:`ChaosPolicy`
+timed-out units with deterministic backoff and falls back from the pool
+to serial execution before giving up; a :class:`SweepJournal` logs every
+completed unit, and a killed sweep finishes by running it again (the
+cache serves what was completed); cache entries are checksummed envelopes
+and corruption is quarantined, never served.  A :class:`ChaosPolicy`
 (``REPRO_CHAOS``) injects worker crashes, hangs, and cache corruption
 deterministically to prove all of the above under test.
 
 Equal-digest units within one run execute once (in-flight dedup,
 outcome-transparent).  The supervisor runs units inline or drives a local
-process pool directly, through one retry-and-degrade step.
+process pool directly, through one retry step.
 
 Quick start::
 
@@ -63,7 +63,6 @@ from repro.runner.supervisor import (
     RunReport,
     Supervisor,
     SupervisorPolicy,
-    degrade_unit,
 )
 from repro.runner.workunit import (
     CACHE_SCHEMA_VERSION,
@@ -97,7 +96,6 @@ __all__ = [
     "code_version",
     "decode_entry",
     "default_cache_dir",
-    "degrade_unit",
     "encode_entry",
     "evaluator",
     "execute_payload",

@@ -16,9 +16,9 @@ one lockstep engine.
 
 Registered evaluators:
 
-* ``megabatch-figure``   — the simulated points of figure curves on
-  either engine (one ``list[SweepPoint]`` per member, intensity order); a
-  single point is a one-point curve;
+* ``megabatch-figure``   — the simulated points of figure curves (one
+  ``list[SweepPoint]`` per member, intensity order); a single point is a
+  one-point curve;
 * ``analytic-point``     — exact Markov-chain figure points (one
   ``SweepPoint`` per member).
 """
@@ -135,8 +135,7 @@ def execute_payload(
 
 @evaluator("megabatch-figure", reads=("config", "mu_ratio", "intensities",
                                       "horizon", "warmup_fraction",
-                                      "arbitration", "saturation_guard",
-                                      "engine"))
+                                      "arbitration", "saturation_guard"))
 def figure_curves(members: Members) -> List[list]:
     """Simulated points of each member's figure curve, in intensity order.
 
@@ -145,10 +144,9 @@ def figure_curves(members: Members) -> List[list]:
     point's value does not depend on which other intensities or curves
     share the call: a curve unit equals its one-point units bit for bit.
     The curves of one call share lockstep engines where
-    :func:`repro.analysis.sweep.simulated_curves` can group them.
-    ``engine`` selects the scalar loop or the batched engine.  The id is
-    kept for the end-to-end benchmark, whose per-layer metrics are keyed
-    on it.
+    :func:`repro.analysis.sweep.simulated_curves` can group them.  The
+    id is kept for the end-to-end benchmark, whose per-layer metrics are
+    keyed on it.
     """
     from repro.analysis.sweep import SimulatedCurve, simulated_curves
     from repro.sim.rng import spawn_seed
@@ -164,8 +162,7 @@ def figure_curves(members: Members) -> List[list]:
             horizon=params["horizon"],
             warmup_fraction=params.get("warmup_fraction", 0.1),
             arbitration=params.get("arbitration", "priority"),
-            saturation_guard=params.get("saturation_guard", 0.98),
-            engine=params["engine"]))
+            saturation_guard=params.get("saturation_guard", 0.98)))
     return simulated_curves(curves)
 
 

@@ -11,10 +11,11 @@ path executes inline with no pool at all.
 Execution is *supervised* (see :mod:`repro.runner.supervisor`): per-unit
 failures, worker timeouts (which only a pool can enforce, so a
 ``unit_timeout`` needs two or more jobs), and pool breakage are retried
-with deterministic backoff and then walked down a degradation ladder
-instead of aborting the sweep; a
-:class:`~repro.runner.journal.SweepJournal` can checkpoint completed units
-so a killed sweep resumes where it stopped.
+with deterministic backoff, and a pool unit that spends its budget gets
+one last inline execution, instead of aborting the sweep; a
+:class:`~repro.runner.journal.SweepJournal` records every completed unit.
+A killed sweep finishes by running it again: the cache serves what was
+completed.
 Worker exceptions cannot cross the process boundary intact, so the worker
 wrapper (:func:`repro.runner.evaluators.execute_payload`) catches
 everything, marshals the traceback as text, and the parent re-raises it as
@@ -68,15 +69,10 @@ class UnitOutcome:
     ``wall_time`` is the worker-side execution time in seconds (0.0 for a
     cache hit); ``error`` carries the marshalled worker traceback when the
     unit failed even after supervision.  ``attempts`` counts executions
-    started (1 for a clean first try); ``degraded`` lists the degradation
-    ladder steps taken (``engine:batched->scalar``, ``pool->serial``);
-    ``resumed`` marks a cache hit that a ``--resume`` journal predicted;
-    ``deduped`` marks a unit that followed an equal-digest leader in the
-    same run (its value, error, and provenance are the leader's, its wall
-    time zero);
-    ``computed_digest`` is the digest of what was *actually* computed — it
-    differs from ``unit.config_digest`` exactly when degradation changed
-    the unit.
+    started (1 for a clean first try); ``degraded`` lists the fallback
+    steps taken (``pool->serial``); ``deduped`` marks a unit that followed
+    an equal-digest leader in the same run (its value, error, and
+    provenance are the leader's, its wall time zero).
     """
 
     unit: Any
@@ -86,9 +82,7 @@ class UnitOutcome:
     error: Optional[str] = None
     attempts: int = 1
     degraded: Tuple[str, ...] = ()
-    resumed: bool = False
     deduped: bool = False
-    computed_digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -102,13 +96,11 @@ class SweepRunner:
     * ``cache`` — a :class:`ResultCache`, a directory path for one, or
       ``None`` to disable caching;
     * ``supervisor`` — a :class:`SupervisorPolicy` (retry budget, unit
-      timeout, degradation ladder, in-flight dedup); ``None`` uses the
+      timeout, pool respawns, in-flight dedup); ``None`` uses the
       defaults;
     * ``chaos`` — an explicit :class:`ChaosPolicy` for fault injection
       (``None`` defers to the ``REPRO_CHAOS`` environment variable);
-    * ``journal`` — a :class:`SweepJournal` appended per completed unit;
-    * ``resume`` — serve units the journal already records as completed
-      from the cache and mark them ``resumed`` (requires both).
+    * ``journal`` — a :class:`SweepJournal` appended per completed unit.
 
     A policy with a ``unit_timeout`` needs two or more jobs: only a pool
     worker can be stopped, so ``run`` refuses it when ``jobs`` resolves
@@ -126,8 +118,7 @@ class SweepRunner:
                  cache: Union[ResultCache, os.PathLike, str, None] = None,
                  supervisor: Optional[SupervisorPolicy] = None,
                  chaos: Optional[ChaosPolicy] = None,
-                 journal: Optional[SweepJournal] = None,
-                 resume: bool = False):
+                 journal: Optional[SweepJournal] = None):
         self.jobs = jobs
         self.cache = (ResultCache(cache)
                       if isinstance(cache, (str, os.PathLike)) else cache)
@@ -140,7 +131,6 @@ class SweepRunner:
             # including this runner's cache writes.
             self.cache.chaos = chaos
         self.journal = journal
-        self.resume = resume
         self.last_outcomes: List[UnitOutcome] = []
         self.last_report: RunReport = RunReport()
 
@@ -158,8 +148,6 @@ class SweepRunner:
                 "a unit timeout needs 2 or more jobs (--jobs 2): a unit "
                 "running inline cannot be stopped")
         journal = self.journal
-        resume_set = (journal.completed_digests()
-                      if journal is not None and self.resume else set())
         report = RunReport(total=len(units))
         outcomes: List[Optional[UnitOutcome]] = [None] * len(units)
 
@@ -173,17 +161,12 @@ class SweepRunner:
         pending: List[Tuple[int, Any]] = []
         for index, unit in enumerate(units):
             if unit.config_digest in cached_values:
-                resumed = unit.config_digest in resume_set
                 outcomes[index] = UnitOutcome(
                     unit=unit, value=cached_values[unit.config_digest],
-                    wall_time=0.0, cached=True, resumed=resumed,
-                    computed_digest=unit.config_digest)
+                    wall_time=0.0, cached=True)
                 report.cache_hits += 1
-                if resumed:
-                    report.resumed += 1
                 if journal is not None:
-                    journal.record(unit.config_digest, "ok", cached=True,
-                                   resumed=resumed)
+                    journal.record(unit.config_digest, "ok", cached=True)
                 continue
             pending.append((index, unit))
 
@@ -196,10 +179,8 @@ class SweepRunner:
                     # each computation once.
                     report.computed += 1
                     if self.cache is not None:
-                        self.cache.put(
-                            outcome.computed_digest
-                            or outcome.unit.config_digest,
-                            outcome.value)
+                        self.cache.put(outcome.unit.config_digest,
+                                       outcome.value)
                 if journal is not None:
                     journal.record(
                         outcome.unit.config_digest,
@@ -208,7 +189,6 @@ class SweepRunner:
                         deduped=outcome.deduped,
                         degraded=outcome.degraded,
                         wall_time=outcome.wall_time,
-                        final_digest=outcome.computed_digest or None,
                         error=outcome.error)
 
             Supervisor(self.supervisor, chaos=self.chaos).execute(

@@ -1,4 +1,4 @@
-"""Supervised work-unit execution: retry, degradation ladder, pool respawn.
+"""Supervised work-unit execution: retry, serial fallback, pool respawn.
 
 ``SweepRunner`` used to be optimistic: one worker exception aborted the
 whole sweep, a hung worker blocked it forever, and a dead worker process
@@ -12,13 +12,11 @@ for the modeled fabrics:
   named :func:`~repro.faults.retry.backoff_stream` keyed on the unit
   digest and attempt — two runs of the same sweep back off identically).
 
-* **Graceful degradation.**  Once the budget is spent the unit walks a
-  ladder, recorded step by step in the outcome's provenance:
-  ``engine:batched->scalar`` (batched-engine units fall back to the scalar
-  reference engine), then ``pool->serial`` (the unit runs inline in the
-  parent, surviving even a broken worker environment).  The engine step
-  changes the unit's digest — the computed value is cached under what was
-  actually computed, never under what was asked for.
+* **Serial fallback.**  A pool unit whose budget is spent takes one last
+  step, recorded in the outcome's provenance: ``pool->serial`` (the unit
+  runs inline in the parent, surviving even a broken worker environment).
+  A serial unit whose budget is spent fails.  No recovery step changes
+  what a unit computes.
 
 * **Pool supervision.**  The parallel path drives a
   :class:`~concurrent.futures.ProcessPoolExecutor` directly.  A broken pool
@@ -28,11 +26,11 @@ for the modeled fabrics:
   completed unit degrade the remaining work to serial execution.  Only the
   pool can stop a unit, so ``unit_timeout`` needs two or more jobs.
 
-* **One ladder step.**  Serial runs, the pool, and the drain after the
+* **One charging step.**  Serial runs, the pool, and the drain after the
   pool gives up all charge a failed execution through the same step
   (:meth:`Supervisor._charge`) on the unit's flight, and build every
-  outcome from that flight: the requested unit, what was computed, how
-  many executions it took.
+  outcome from that flight: the unit, how many executions it took, the
+  fallback it needed.
 
 * **One call per run of units.**  The serial path (``jobs == 1``) hands
   each maximal run of consecutive pending units — taken after dedup —
@@ -46,21 +44,20 @@ for the modeled fabrics:
 
 * **In-flight dedup.**  Units sharing a ``config_digest`` within one
   batch execute once: the first occurrence leads, the rest follow its
-  outcome verbatim (value, error, degradation provenance, computed
-  digest) and are marked ``deduped``.  Because units are pure functions
-  of their digest material, a follower's outcome is byte-identical to
-  what executing it would have produced — dedup changes work done, never
-  results.
+  outcome verbatim (value, error, fallback provenance) and are marked
+  ``deduped``.  Because units are pure functions of their digest
+  material, a follower's outcome is byte-identical to what executing it
+  would have produced — dedup changes work done, never results.
 
 * **Clean interruption.**  ``KeyboardInterrupt`` cancels outstanding
   futures and terminates worker processes before propagating, so Ctrl-C
   leaves no orphan workers (and, because cache writes are atomic and
-  journal appends line-buffered, no torn state to resume from).
+  journal appends line-buffered, no torn state behind).
 
 The supervisor is deliberately value-transparent: retries and pool-level
 recovery recompute pure functions and cannot change results, so a sweep
-that completes without engine degradation is byte-identical to a
-fault-free run — the property the chaos suite pins.
+that completes is byte-identical to a fault-free run — the property the
+chaos suite pins.
 """
 
 from __future__ import annotations
@@ -84,14 +81,13 @@ from repro.runner.workunit import WorkUnit, batch_payload
 class SupervisorPolicy:
     """How hard the runner fights for each work unit.
 
-    ``max_attempts`` is the total execution budget per ladder rung (must be
-    at least 1 — zero attempts would never execute anything);
-    ``unit_timeout`` bounds one in-flight execution in wall seconds
-    (``None`` disables the watchdog; only a pool worker can be stopped, so
-    a run with a timeout needs two or more jobs); ``degrade`` enables the
-    engine/serial fallback ladder; ``max_pool_respawns`` caps
-    consecutive pool rebuilds *without progress* before the remaining work
-    degrades to serial; ``retry`` shapes the backoff (defaults to a fast
+    ``max_attempts`` is the execution budget per unit (must be at least 1
+    — zero attempts would never execute anything); ``unit_timeout``
+    bounds one in-flight execution in wall seconds (``None`` disables the
+    watchdog; only a pool worker can be stopped, so a run with a timeout
+    needs two or more jobs); ``max_pool_respawns`` caps consecutive pool
+    rebuilds *without progress* before the remaining work falls back to
+    serial; ``retry`` shapes the backoff (defaults to a fast
     0.05 s base, factor 2, capped at 2 s, ±50% seeded jitter); ``dedup``
     collapses equal-digest units within a batch onto one execution
     (outcome-transparent — disable it only to measure the redundant work).
@@ -99,7 +95,6 @@ class SupervisorPolicy:
 
     max_attempts: int = 3
     unit_timeout: Optional[float] = None
-    degrade: bool = True
     max_pool_respawns: int = 5
     seed: int = 0
     retry: Optional[RetryPolicy] = None
@@ -135,23 +130,6 @@ class SupervisorPolicy:
                                 backoff_stream(self.seed, digest, attempt))
 
 
-def degrade_unit(unit: WorkUnit) -> Optional[Tuple[str, WorkUnit]]:
-    """The next rung down the degradation ladder for ``unit``.
-
-    Returns ``(step label, degraded unit)`` or ``None`` when the unit is
-    already at the reference configuration (the scalar engine, or no
-    engine at all).  The degraded unit has a *different digest*: it
-    computes a different (reference-path) estimate, and the cache must
-    never conflate the two.
-    """
-    if unit.params.get("engine") == "batched":
-        params = dict(unit.params)
-        params["engine"] = "scalar"
-        return ("engine:batched->scalar",
-                WorkUnit(unit.evaluator_id, unit.seed, params))
-    return None
-
-
 @dataclass
 class RunReport:
     """Fault-tolerance provenance of one ``SweepRunner.run`` call."""
@@ -160,7 +138,6 @@ class RunReport:
     computed: int = 0
     cache_hits: int = 0
     deduped: int = 0
-    resumed: int = 0
     retries: int = 0
     timeouts: int = 0
     pool_respawns: int = 0
@@ -182,8 +159,6 @@ class RunReport:
             summary += f" ({100.0 * self.cache_hits / self.total:.1f}% hit rate)"
         if self.deduped:
             summary += f", {self.deduped} deduped"
-        if self.resumed:
-            summary += f" ({self.resumed} resumed)"
         lines = [summary]
         if not self.clean:
             lines.append(
@@ -202,14 +177,13 @@ class RunReport:
 class _Flight:
     """Mutable supervision state of one pending work unit."""
 
-    __slots__ = ("index", "original", "unit", "attempt", "tries",
-                 "degradations", "deadline", "not_before")
+    __slots__ = ("index", "unit", "attempt", "tries", "degradations",
+                 "deadline", "not_before")
 
     def __init__(self, index: int, unit: WorkUnit):
         self.index = index
-        self.original = unit
-        self.unit = unit            # current rung of the ladder
-        self.attempt = 1            # attempts consumed on the current rung
+        self.unit = unit
+        self.attempt = 1            # attempts charged against the budget
         self.tries = 0              # executions started (chaos salt)
         self.degradations: Tuple[str, ...] = ()
         self.deadline: Optional[float] = None
@@ -280,9 +254,9 @@ class Supervisor:
         The first occurrence of a digest executes; later occurrences become
         followers whose outcomes are the leader's, re-keyed to their own
         unit and marked ``deduped`` (with zero wall time — no work ran).
-        Everything else — value, error, attempts, degradation provenance,
-        ``computed_digest`` — propagates verbatim, so a deduped run is
-        byte-identical to a dedup-off run of the same batch.
+        Everything else — value, error, attempts, fallback provenance —
+        propagates verbatim, so a deduped run is byte-identical to a
+        dedup-off run of the same batch.
         """
         leaders: List[Tuple[int, WorkUnit]] = []
         followers: Dict[str, List[Tuple[int, WorkUnit]]] = {}
@@ -306,30 +280,21 @@ class Supervisor:
 
         return leaders, hook
 
-    # -- the ladder -------------------------------------------------------
+    # -- failure accounting -----------------------------------------------
 
     def _charge(self, flight: _Flight, report: RunReport) -> Optional[float]:
-        """Charge one failed execution to ``flight``'s ladder.
+        """Charge one failed execution to ``flight``'s budget.
 
-        Returns the backoff in seconds before the next attempt on the same
-        rung, ``0.0`` after a degradation step (the new rung starts at
-        once), or ``None`` once the ladder is spent.
+        Returns the backoff in seconds before the next attempt, or ``None``
+        once the budget is spent.
         """
-        policy = self.policy
-        if flight.attempt < policy.max_attempts:
-            delay = policy.delay_for(flight.unit.config_digest,
-                                     flight.attempt)
-            flight.attempt += 1
-            report.retries += 1
-            return delay
-        step = degrade_unit(flight.unit) if policy.degrade else None
-        if step is None:
+        if flight.attempt >= self.policy.max_attempts:
             return None
-        label, flight.unit = step
-        flight.degradations += (label,)
-        flight.attempt = 1
-        report.degradations.append((flight.original.config_digest, label))
-        return 0.0
+        delay = self.policy.delay_for(flight.unit.config_digest,
+                                      flight.attempt)
+        flight.attempt += 1
+        report.retries += 1
+        return delay
 
     @staticmethod
     def _outcome(flight: _Flight, value, wall: float,
@@ -337,10 +302,8 @@ class Supervisor:
         from repro.runner.pool import UnitOutcome
 
         return UnitOutcome(
-            unit=flight.original, value=value, wall_time=wall, error=error,
-            attempts=flight.tries, degraded=flight.degradations,
-            computed_digest="" if error is not None
-            else flight.unit.config_digest)
+            unit=flight.unit, value=value, wall_time=wall, error=error,
+            attempts=flight.tries, degraded=flight.degradations)
 
     # -- serial path ------------------------------------------------------
 
@@ -369,15 +332,14 @@ class Supervisor:
                 share = wall / len(run)
                 for (index, unit), value in zip(run, values):
                     on_complete(index, UnitOutcome(
-                        unit=unit, value=value, wall_time=share,
-                        computed_digest=unit.config_digest))
+                        unit=unit, value=value, wall_time=share))
                 return
         for index, unit in run:
             on_complete(index, self._run_inline(_Flight(index, unit), report))
 
     def _run_inline(self, flight: _Flight, report: RunReport):
         """Execute ``flight`` in this process until it succeeds or the
-        ladder is spent; at least one execution, whatever its budget."""
+        budget is spent; at least one execution, whatever its budget."""
         while True:
             flight.tries += 1
             values, error, wall = execute_payload(
@@ -387,19 +349,19 @@ class Supervisor:
                 return self._outcome(flight, values[0], wall)
             delay = self._charge(flight, report)
             if delay is None:
-                report.failures.append(flight.original.config_digest)
+                report.failures.append(flight.unit.config_digest)
                 return self._outcome(flight, None, wall, error=error)
             if delay > 0:
                 time.sleep(delay)
 
     def _to_serial(self, flight: _Flight, report: RunReport,
                    on_complete: CompletionHook) -> None:
-        """The ``pool->serial`` rung: finish ``flight`` inline, in the
+        """The ``pool->serial`` fallback: finish ``flight`` inline, in the
         parent process, which survives even a worker environment that
         cannot start at all."""
         flight.degradations += ("pool->serial",)
         report.degradations.append(
-            (flight.original.config_digest, "pool->serial"))
+            (flight.unit.config_digest, "pool->serial"))
         report.serial_fallbacks += 1
         on_complete(flight.index, self._run_inline(flight, report))
 

@@ -9,8 +9,8 @@ Public surface:
 * the batched lockstep engine — the points-times-replications
   mega-batch (:class:`MegaBatchEngine`, front door
   :func:`batched_delays`; one point's replications are a one-point
-  call) — with its bit-identical vectorized streams
-  (:class:`BatchedStreams`) and the batchability gate
+  call) — with its bit-identical uniform block sources
+  (:func:`uniform_block_source`) and the batchability gate
   (:func:`batched_unsupported_reason`);
 * statistics collectors: :class:`TallyStat`, :class:`TimeWeightedStat`,
   :class:`BatchMeans`, :func:`confidence_interval`.
@@ -32,8 +32,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.rng import (
-    BatchedExpoStream,
-    BatchedStreams,
     RandomStreams,
     RngStream,
     mt19937_generator,
@@ -54,8 +52,6 @@ __all__ = [
     "RandomStreams",
     "RngStream",
     "spawn_seed",
-    "BatchedExpoStream",
-    "BatchedStreams",
     "mt19937_generator",
     "uniform_block_source",
     "MegaBatchEngine",

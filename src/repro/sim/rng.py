@@ -7,34 +7,29 @@ a master seed and the stream name.
 
 This module is the *only* place in the package that may import the global
 :mod:`random` module or :mod:`numpy.random`; the ``repro lint`` rule SIM001
-enforces that every other module receives an :class:`RngStream` /
-:class:`BatchedExpoStream` (or a :class:`RandomStreams` /
-:class:`BatchedStreams` family) from its caller, so all randomness is
-seeded and auditable.
+enforces that every other module receives an :class:`RngStream` (or a
+:class:`RandomStreams` family, or a uniform block source) from its caller,
+so all randomness is seeded and auditable.
 
-The batched classes back the lockstep replication engine
-(:mod:`repro.sim.batched`).  Their defining property is *bit-identity* with
-the scalar classes: :class:`BatchedExpoStream` transplants the Mersenne
-Twister state of ``random.Random(seed)`` into a
+The block sources back the lockstep replication engine
+(:mod:`repro.sim.batched`), whose variate tables draw their uniforms
+through :func:`uniform_block_source`.  Their defining property is
+*bit-identity* with the scalar streams: :func:`mt19937_generator`
+transplants the Mersenne Twister state of ``random.Random(seed)`` into a
 ``numpy.random.Generator(MT19937)`` — both produce 53-bit doubles by the
 same ``genrand_res53`` construction — so uniform blocks drawn vectorized
 are the exact sequence ``RngStream(seed).random()`` would produce one call
-at a time.  The exponential transform applies :func:`math.log` per value
-(NOT ``numpy.log``, whose SIMD path differs from libm by one ulp on a few
-per mille of arguments), keeping every variate equal to
-``RngStream.expovariate`` to the last bit.
+at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random  # lint: disable=SIM001 - the one sanctioned import site
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 import numpy.random as np_random  # lint: disable=SIM001 - sanctioned site
-from numpy.typing import NDArray
 
 
 #: The call names that derive a new stream from a parent seed path:
@@ -152,10 +147,11 @@ class RandomStreams:
 
 
 # ---------------------------------------------------------------------------
-# Batched streams (the lockstep replication engine's randomness)
+# Uniform block sources (the lockstep replication engine's randomness)
 # ---------------------------------------------------------------------------
 
-#: Uniforms generated per vectorized refill of a :class:`BatchedExpoStream`.
+#: Default uniforms per refill of a
+#: :class:`~repro.sim.batched.VariateTable` row.
 BATCH_BLOCK = 256
 
 #: Words in a Mersenne Twister state vector.
@@ -215,71 +211,3 @@ def mt19937_generator(seed: int) -> np_random.Generator:
         "state": {"key": np.array(key, dtype=np.uint32), "pos": pos},
     }
     return np_random.Generator(bit_generator)
-
-
-class BatchedExpoStream:
-    """A named stream drawing uniforms in vectorized blocks.
-
-    Bit-identical to :class:`RngStream` with the same seed: uniform blocks
-    come from :func:`mt19937_generator`, and :meth:`expovariate` applies
-    ``-log(1 - u) / rate`` with :func:`math.log` — the exact float
-    operations of ``random.Random.expovariate``.  Consumption order is the
-    stream's only contract: the k-th call here returns what the k-th call
-    on the scalar stream would.
-    """
-
-    __slots__ = ("name", "_generator", "_buffer", "_cursor", "_block")
-
-    def __init__(self, seed: int = 0, name: str = "",
-                 block: int = BATCH_BLOCK):
-        if block < 1:
-            raise ValueError(f"block size must be positive, got {block}")
-        self.name = name
-        self._generator = mt19937_generator(seed)
-        self._block = block
-        self._buffer: NDArray[np.float64] = self._generator.random(block)
-        self._cursor = 0
-
-    def random(self) -> float:
-        """The next uniform on [0, 1) (same sequence as ``RngStream.random``)."""
-        if self._cursor >= self._buffer.shape[0]:
-            self._buffer = self._generator.random(self._block)
-            self._cursor = 0
-        value = float(self._buffer[self._cursor])
-        self._cursor += 1
-        return value
-
-    def expovariate(self, rate: float) -> float:
-        """One exponential variate, bit-equal to ``RngStream.expovariate``."""
-        return -math.log(1.0 - self.random()) / rate
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BatchedExpoStream {self.name!r}>"
-
-
-class BatchedStreams:
-    """A family of :class:`BatchedExpoStream`, mirroring :class:`RandomStreams`.
-
-    Derives per-name seeds by the identical hash (equivalently
-    ``spawn_seed(seed, name)``), so ``BatchedStreams(s).stream(n)`` draws
-    the very sequence ``RandomStreams(s).stream(n)`` would — the invariant
-    the lockstep replication engine's bit-identity rests on.
-    """
-
-    def __init__(self, seed: int = 0, block: int = BATCH_BLOCK):
-        self.seed = int(seed)
-        self._block = block
-        self._streams: Dict[str, BatchedExpoStream] = {}
-
-    def stream(self, name: str) -> BatchedExpoStream:
-        """Return (creating on first use) the stream called ``name``."""
-        stream = self._streams.get(name)
-        if stream is None:
-            stream = BatchedExpoStream(spawn_seed(self.seed, name), name=name,
-                                       block=self._block)
-            self._streams[name] = stream
-        return stream
-
-    def names(self) -> Tuple[str, ...]:
-        """The stream names derived so far, sorted (introspection hook)."""
-        return tuple(sorted(self._streams))

@@ -87,17 +87,12 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_run_default_engine_prints_no_fallback_note(self, capsys):
-        """Every registered figure family batches now: the default batched
-        engine finds nothing to gate (fig4 is pure analytic, so this
-        stays cheap while still walking the fallback-note path), and the
-        retired engine names are refused."""
+        """Every registered figure family batches now: the batchability
+        gate finds nothing to refuse (fig4 is pure analytic, so this
+        stays cheap while still walking the fallback-note path)."""
         assert main(["run", "fig4", "--no-cache", "--quality", "fast"]) == 0
         captured = capsys.readouterr()
         assert "falls back" not in captured.err
-        for retired in ("auto", "megabatch"):
-            with pytest.raises(SystemExit):
-                main(["run", "fig4", "--engine", retired, "--no-cache"])
-
 
     def test_run_counts_points_not_units(self, capsys):
         """fig7's 32-cell table comes from 4 curve units."""
@@ -160,9 +155,8 @@ BAD_INPUT_ARGV = {
                                 "--task-timeout", "nan"],
     "run-sec6-seed": ["run", "sec6", "--seed", "5"],
     "run-sec2-unit-timeout-nan": ["run", "sec2", "--unit-timeout", "nan"],
-    "run-fig11-resume-no-cache": ["run", "fig11", "--seed", "5",
-                                  "--engine", "scalar", "--resume",
-                                  "--no-cache"],
+    "run-fig11-seed-no-cache": ["run", "fig11", "--seed", "5",
+                                "--no-cache"],
 }
 
 

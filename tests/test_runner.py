@@ -367,36 +367,20 @@ class TestFigureParity:
                         f"seed collision: {previous} vs {key}")
         assert len(seen) > 50
 
-    def test_engine_tag_separates_cache_identities(self):
-        """Scalar and batched units never share a digest, on crossbar
-        and multistage figures alike, and retired engine names fail."""
-        for exp_id in ("fig7", "fig8", "fig12", "fig13"):
-            digests = {}
-            for engine in ("scalar", "batched"):
-                _spec, _grid, units = figure_work_units(
-                    exp_id, intensities=[0.3, 0.6], engine=engine)
-                digests[engine] = {u.config_digest for u in units}
-            assert not digests["scalar"] & digests["batched"]
-        for engine in ("warp", "megabatch", "auto"):
-            with pytest.raises(ConfigurationError):
-                figure_work_units("fig7", engine=engine)
-
-    def test_megabatch_units_never_cross_other_engines(self):
-        """Each batched curve is one ``megabatch-figure`` unit and each
-        scalar point a one-point curve of the same evaluator; the two
-        share no digest."""
-        for exp_id in ("fig7", "fig12"):
-            spec, _grid, curves = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="batched")
-            assert [u.evaluator_id for u in curves] == (
-                ["megabatch-figure"] * len(spec.curves))
-            _spec, _grid, scalar = figure_work_units(
-                exp_id, intensities=[0.3, 0.6], engine="scalar")
-            assert [u.evaluator_id for u in scalar] == (
-                ["megabatch-figure"] * 2 * len(spec.curves))
-            assert all(len(u.params["intensities"]) == 1 for u in scalar)
-            assert not ({u.config_digest for u in curves}
-                        & {u.config_digest for u in scalar})
+    def test_each_simulated_curve_is_one_unit(self):
+        """Each simulated curve is one ``megabatch-figure`` unit over the
+        whole grid, and no unit names an engine: the engine is not
+        digest material."""
+        for exp_id in ("fig4", "fig7", "fig12"):
+            spec, grid, units = figure_work_units(
+                exp_id, intensities=[0.3, 0.6])
+            curves = [u for u in units
+                      if u.evaluator_id == "megabatch-figure"]
+            simulated = [triplet for _label, triplet in spec.curves
+                         if "SBUS" not in triplet]
+            assert [u.params["config"] for u in curves] == simulated
+            assert all(u.params["intensities"] == grid for u in curves)
+            assert not any("engine" in u.params for u in units)
 
     def test_every_simulated_figure_family_is_megabatch_eligible(self):
         """The closed fabric gate: no simulated figure curve falls back
@@ -419,25 +403,6 @@ class TestFigureParity:
                 simulated += 1
         assert simulated >= 16  # four curves in each of figs 7, 8, 12, 13
 
-    def test_library_default_engine_is_the_cli_default(self):
-        """Library and ``repro run`` share one default engine, so the
-        benches run the path the CLI ships."""
-        import inspect
-
-        from repro.analysis.replication import compare_with_replications
-        from repro.analysis.sweep import DEFAULT_ENGINE, simulated_series
-        from repro.cli import build_parser
-        from repro.experiments import figure_family_work_units
-
-        assert DEFAULT_ENGINE == "batched"
-        assert build_parser().parse_args(["run", "fig7"]).engine == (
-            DEFAULT_ENGINE)
-        for function in (figure_series, figure_work_units,
-                         figure_family_work_units, simulated_series,
-                         compare_with_replications):
-            parameter = inspect.signature(function).parameters["engine"]
-            assert parameter.default == DEFAULT_ENGINE, function.__name__
-
     def test_schema_bump_separates_fabric_gate_digests(self, monkeypatch):
         """Schema bumps (the fabric gate at 6, the engine collapse at 7)
         separate digests, so an older schema's entries can never serve."""
@@ -447,7 +412,7 @@ class TestFigureParity:
         assert (f"schema{workunit.CACHE_SCHEMA_VERSION}"
                 in workunit.code_version())
         params = {"config": "16/1x16x16 OMEGA/2", "mu_ratio": 0.1,
-                  "intensities": [0.3], "engine": "batched"}
+                  "intensities": [0.3]}
         current = work_unit_digest("megabatch-figure", 3, params)
         for older in (5, 6):
             monkeypatch.setattr(workunit, "CACHE_SCHEMA_VERSION", older)
@@ -461,7 +426,7 @@ class TestFigureParity:
 
         curve = get_evaluator("megabatch-figure")
         params = {"config": "16/1x16x8 XBAR/2", "mu_ratio": 0.1,
-                  "horizon": 1_000.0, "engine": "batched"}
+                  "horizon": 1_000.0}
         [together] = curve([(9, {**params,
                                  "intensities": [0.2, 0.4, 5.0]})])
         alone = [point for intensity in (0.2, 0.4, 5.0)
@@ -470,19 +435,6 @@ class TestFigureParity:
         assert together == alone
         assert [point.normalized_delay is None for point in together] == [
             False, False, True]
-
-    def test_engine_flows_from_params_to_simulated_point(self):
-        """The unit's engine tag selects the engine (distinct values)."""
-        from repro.runner.evaluators import get_evaluator
-
-        curve = get_evaluator("megabatch-figure")
-        params = {"config": "16/1x16x8 XBAR/2", "mu_ratio": 0.1,
-                  "intensities": [0.4], "horizon": 1_000.0}
-        [[scalar_point]] = curve([(9, {**params, "engine": "scalar"})])
-        [[batched_point]] = curve([(9, {**params, "engine": "batched"})])
-        assert scalar_point.normalized_delay is not None
-        assert batched_point.normalized_delay is not None
-        assert batched_point.normalized_delay != scalar_point.normalized_delay
 
     def test_serial_and_parallel_figures_identical(self):
         grid = [0.3, 0.6]
@@ -638,15 +590,9 @@ class TestCacheIntegrity:
         assert not cache.quarantine_root.exists()
 
 
-@evaluator("test-engine-sensitive")
-def _engine_sensitive(members):
-    values = []
-    for seed, params in members:
-        if params.get("engine") == "batched":
-            raise ValueError("batched path deliberately broken")
-        values.append({"seed": seed, "engine": params.get("engine"),
-                       "x": params["x"]})
-    return values
+@evaluator("test-echo")
+def _echo(members):
+    return [{"seed": seed, "x": params["x"]} for seed, params in members]
 
 
 @evaluator("test-log-execution")
@@ -682,14 +628,13 @@ class TestSerialRuns:
 
     def test_consecutive_units_make_one_call(self, monkeypatch):
         calls = _count_calls(monkeypatch, "test-square")
-        other = WorkUnit("test-engine-sensitive", 0,
-                         {"x": 7, "engine": "scalar"})
+        other = WorkUnit("test-echo", 0, {"x": 7})
         units = _square_units(5) + [other] + _square_units(2, seed=10)
         runner = SweepRunner(jobs=1)
         values = runner.run_values(units)
         assert calls == [5, 2]
         assert values == ([x ** 2 for x in range(5)]
-                          + [{"seed": 0, "engine": "scalar", "x": 7}]
+                          + [{"seed": 0, "x": 7}]
                           + [10, 11])
         outcomes = runner.last_outcomes
         assert all(outcome.attempts == 1 for outcome in outcomes)
@@ -779,7 +724,7 @@ class TestInFlightDedup:
         units = [WorkUnit("test-explode", 7, {}),
                  WorkUnit("test-explode", 7, {}),
                  WorkUnit("test-square", 0, {"x": 2})]
-        policy = SupervisorPolicy(max_attempts=1, degrade=False)
+        policy = SupervisorPolicy(max_attempts=1)
         runner = SweepRunner(jobs=1, supervisor=policy)
         outcomes = runner.run(units, raise_on_error=False)
         assert not outcomes[0].ok and not outcomes[1].ok
@@ -787,26 +732,6 @@ class TestInFlightDedup:
         assert "boom from seed 7" in outcomes[1].error
         assert not outcomes[0].deduped and outcomes[1].deduped
         assert outcomes[2].ok and not outcomes[2].deduped
-
-    def test_degradation_digest_propagates_to_followers(self, tmp_path):
-        unit = WorkUnit("test-engine-sensitive", 3,
-                        {"x": 1, "engine": "batched"})
-        scalar = WorkUnit("test-engine-sensitive", 3,
-                          {"x": 1, "engine": "scalar"})
-        cache = ResultCache(tmp_path)
-        policy = SupervisorPolicy(max_attempts=1, degrade=True)
-        runner = SweepRunner(jobs=1, cache=cache, supervisor=policy)
-        first, second = runner.run([unit, WorkUnit(
-            "test-engine-sensitive", 3, {"x": 1, "engine": "batched"})])
-        assert first.ok and second.ok and second.deduped
-        assert first.computed_digest == scalar.config_digest
-        assert second.computed_digest == scalar.config_digest
-        assert first.degraded == second.degraded == \
-            ("engine:batched->scalar",)
-        # Cached once, under what was actually computed.
-        assert cache.get(scalar.config_digest)[0]
-        assert cache.get(unit.config_digest)[0] is False
-        assert cache.stats().entries == 1
 
     def test_counter_invariant_with_cache_hits(self, tmp_path):
         units = [WorkUnit("test-square", 2, {"x": x}) for x in (1, 1, 2, 3)]
@@ -853,10 +778,8 @@ class TestPoolRecovery:
 
     def test_drain_keeps_requested_units(self):
         # Once the pool gives up, the drained outcomes still name the
-        # requested units, even degraded ones, so dedup completes every
-        # follower.
-        units = [WorkUnit("test-crash-in-pool", 0,
-                          {"x": x, "engine": "batched"})
+        # requested units, so dedup completes every follower.
+        units = [WorkUnit("test-crash-in-pool", 0, {"x": x})
                  for x in (1, 1, 2)]
         policy = SupervisorPolicy(max_attempts=2, max_pool_respawns=1)
         runner = SweepRunner(jobs=2, supervisor=policy)

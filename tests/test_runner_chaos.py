@@ -2,10 +2,10 @@
 
 The contract under test: with deterministic fault injection enabled —
 worker crashes, transient failures, hangs, cache-byte corruption — a sweep
-still completes through retry, pool respawn, and graceful degradation, and
-the values it produces are byte-identical to a fault-free run (retries and
+still completes through retry, pool respawn, and serial fallback, and the
+values it produces are byte-identical to a fault-free run (retries and
 pool-level recovery recompute pure functions; they cannot change results).
-A killed sweep leaves an append-only journal behind and ``resume``
+A killed sweep leaves an append-only journal behind, and running it again
 recomputes only the missing units.
 """
 
@@ -25,7 +25,6 @@ from repro.runner import (
     SweepJournal,
     SweepRunner,
     WorkUnit,
-    degrade_unit,
     resolve_chaos,
 )
 from repro.runner.evaluators import evaluator
@@ -148,16 +147,6 @@ class TestSupervisorPolicy:
         assert all(delay > 0 for delay in delays)
         assert max(delays) <= 2.0 * 1.5  # cap 2 s, jitter <= +50%
 
-    def test_degradation_ladder(self):
-        batched = WorkUnit("sweep-point", 1, {"x": 1, "engine": "batched"})
-        label, scalar = degrade_unit(batched)
-        assert label == "engine:batched->scalar"
-        assert scalar.params["engine"] == "scalar"
-        assert scalar.config_digest != batched.config_digest
-
-        assert degrade_unit(scalar) is None
-        assert degrade_unit(WorkUnit("analytic-point", 0, {"x": 1})) is None
-
 
 class TestSupervisedRuns:
     def test_injected_failures_converge_byte_identical_serial(self):
@@ -237,36 +226,6 @@ class TestSupervisedRuns:
                    for outcome in outcomes)
         assert runner.last_report.serial_fallbacks == 4
 
-    def test_degradation_changes_digest_and_is_recorded(self, tmp_path):
-        # A unit whose batched engine always fails degrades to scalar; the
-        # scalar result must be cached under the *scalar* digest.
-        unit = WorkUnit("chaos-square", 0, {"x": 3, "engine": "batched"})
-        # Inject only against the batched digest: run with max_attempts=1
-        # and a policy seeded so the batched unit fails its one attempt and
-        # the scalar rung does not.  Deterministically find such a seed.
-        _label, scalar = degrade_unit(unit)
-        seed = next(
-            s for s in range(200)
-            if ChaosPolicy(fail=0.5, seed=s)._draw(
-                "fail", unit.config_digest, 1) < 0.5
-            and not any(
-                ChaosPolicy(fail=0.5, seed=s)._draw(
-                    "fail", scalar.config_digest, a) < 0.5
-                for a in (1, 2, 3)))
-        chaos = ChaosPolicy(fail=0.5, seed=seed)
-        cache = ResultCache(tmp_path)
-        runner = SweepRunner(jobs=1, cache=cache,
-                             supervisor=_fast_policy(1), chaos=chaos)
-        [outcome] = runner.run([unit])
-        assert outcome.ok
-        assert outcome.degraded == ("engine:batched->scalar",)
-        assert outcome.computed_digest == scalar.config_digest
-        hit, value = cache.get(scalar.config_digest)
-        assert hit and value == outcome.value
-        assert cache.get(unit.config_digest)[0] is False
-        assert runner.last_report.degradations == [
-            (unit.config_digest, "engine:batched->scalar")]
-
     def test_keyboard_interrupt_cancels_and_propagates(self, tmp_path,
                                                        monkeypatch):
         import repro.runner.supervisor as supervisor_module
@@ -313,28 +272,24 @@ class TestCacheChaos:
 
 
 class TestJournalResume:
-    def test_resume_recomputes_only_missing_units(self, tmp_path):
+    def test_rerun_recomputes_only_missing_units(self, tmp_path):
         units = _units(6, seed=4)
         cache = ResultCache(tmp_path)
         journal = SweepJournal.for_sweep(tmp_path, "chaos-test", 4)
 
         first = SweepRunner(jobs=1, cache=cache, journal=journal)
         first.run(units[:3])    # the "killed at 50%" prefix
-        assert journal.completed_digests() == {
-            unit.config_digest for unit in units[:3]}
 
-        second = SweepRunner(jobs=1, cache=cache, journal=journal,
-                             resume=True)
+        second = SweepRunner(jobs=1, cache=cache, journal=journal)
         values = second.run_values(units)
         assert values == [unit.params["x"] ** 2 + 4 for unit in units]
         report = second.last_report
         assert report.cache_hits == 3
-        assert report.resumed == 3
         assert report.computed == 3
 
         summary = journal.summary()
-        assert summary.ok == 9          # 3 + (3 resumed + 3 computed)
-        assert summary.resumed == 3
+        assert summary.ok == 9          # 3 + (3 cached + 3 computed)
+        assert summary.cached == 3
         assert summary.failed == 0
 
     def test_torn_journal_lines_are_skipped(self, tmp_path):
@@ -347,10 +302,10 @@ class TestJournalResume:
         entries = journal.entries()
         assert len(entries) == 2
         assert journal.summary().skipped_lines == 1
-        assert journal.completed_digests() == {"a" * 64}
+        assert [entry["digest"] for entry in entries] == ["a" * 64, "c" * 64]
         assert entries[1]["error"].startswith("ChaosError")
 
-    def test_figure_series_journals_and_resumes(self, tmp_path):
+    def test_figure_series_journals_and_reruns_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         runner = SweepRunner(jobs=1, cache=cache)
         first = figure_series("fig4", intensities=[0.3, 0.6], runner=runner)
@@ -358,17 +313,12 @@ class TestJournalResume:
         computed = runner.last_report.computed
         assert computed == len(runner.last_outcomes)
 
-        resumed_runner = SweepRunner(jobs=1, cache=cache)
+        rerun_runner = SweepRunner(jobs=1, cache=cache)
         second = figure_series("fig4", intensities=[0.3, 0.6],
-                               runner=resumed_runner, resume=True)
+                               runner=rerun_runner)
         assert second == first
-        assert resumed_runner.last_report.computed == 0
-        assert resumed_runner.last_report.resumed == computed
-
-    def test_resume_without_cache_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            figure_series("fig4", intensities=[0.3],
-                          runner=SweepRunner(jobs=1), resume=True)
+        assert rerun_runner.last_report.computed == 0
+        assert rerun_runner.last_report.cache_hits == computed
 
 
 class TestEndToEndChaos:

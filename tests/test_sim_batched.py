@@ -603,32 +603,13 @@ class TestVariateCrossover:
 class TestSweepPointEngine:
     """A sweep point is a one-point curve of ``simulated_points``."""
 
-    def test_unknown_engine_rejected(self):
-        from repro.analysis.sweep import simulated_points
-
-        for engine in ("warp", "megabatch", "auto"):
-            with pytest.raises(ConfigurationError):
-                simulated_points("16/1x16x8 XBAR/2", 0.1, [0.5], [1],
-                                 engine=engine)
-
     def test_batched_point_reports_replication_interval(self):
         from repro.analysis.sweep import simulated_points
 
         [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [0.4], [5],
-                                   horizon=2_000.0, engine="batched")
+                                   horizon=2_000.0)
         assert point.normalized_delay is not None
         assert point.ci_halfwidth is not None and point.ci_halfwidth > 0
-
-    def test_batched_point_falls_back_outside_scope(self):
-        from repro.analysis.sweep import simulated_points
-
-        # An infinite private-resource pool keeps the bus model gated, so
-        # the batched request must quietly produce the scalar point.
-        scalar = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
-                                  horizon=1_500.0, engine="scalar")
-        batched = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
-                                   horizon=1_500.0, engine="batched")
-        assert batched == scalar
 
     def test_batched_point_runs_new_fabrics(self):
         """Omega and single-bus points run batched, matching scalar seeds
@@ -638,34 +619,54 @@ class TestSweepPointEngine:
         for triplet, intensity in (("8/1x8x8 OMEGA/2", 0.4),
                                    ("16/4x1x1 SBUS/2", 0.2)):
             [point] = simulated_points(triplet, 0.1, [intensity], [5],
-                                       horizon=1_500.0, engine="batched")
+                                       horizon=1_500.0)
             assert point.normalized_delay is not None
             assert point.ci_halfwidth is not None and point.ci_halfwidth > 0
 
-    def test_default_engine_matches_batched_in_scope(self):
-        from repro.analysis.sweep import simulated_points
+    def test_engine_never_changes_a_point(self, monkeypatch):
+        """One estimator on either engine: with the batchability gate
+        forced to refuse, every point equals its lockstep value bit for
+        bit, and a point the gate refuses is the Student-t interval over
+        its replications' scalar runs."""
+        import repro.sim.batched as batched
+        from repro.analysis.sweep import (
+            POINT_REPLICATIONS,
+            SimulatedCurve,
+            simulated_curves,
+            simulated_points,
+            workload_at,
+        )
+        from repro.sim.stats import confidence_interval
 
-        for triplet in ("16/1x16x8 XBAR/2", "8/1x8x8 OMEGA/2"):
-            batched = simulated_points(triplet, 0.1, [0.4], [5],
-                                       horizon=1_000.0, engine="batched")
-            default = simulated_points(triplet, 0.1, [0.4], [5],
-                                       horizon=1_000.0)
-            assert default == batched
+        curves = [SimulatedCurve(triplet, 0.1, [0.2, 0.4], [5, 6],
+                                 horizon=800.0)
+                  for triplet in ("16/1x16x8 XBAR/2", "8/1x8x8 OMEGA/2")]
+        lockstep = simulated_curves(curves)
+        assert all(point.normalized_delay is not None
+                   for points in lockstep for point in points)
+        with monkeypatch.context() as patch:
+            patch.setattr(batched, "batched_unsupported_reason",
+                          lambda *args, **kwargs: "forced off")
+            assert simulated_curves(curves) == lockstep
 
-    def test_default_engine_falls_back_to_scalar(self):
-        from repro.analysis.sweep import simulated_points
-
-        scalar = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
-                                  horizon=1_000.0, engine="scalar")
-        default = simulated_points("16/16x1x1 SBUS/inf", 0.1, [0.4], [5],
-                                   horizon=1_000.0)
-        assert default == scalar
+        refused = "16/16x1x1 SBUS/inf"
+        workload = workload_at(0.4, 0.1)
+        assert not _supported(SystemConfig.parse(refused), workload)
+        per_replication = 800.0 / POINT_REPLICATIONS
+        mean, halfwidth = confidence_interval([
+            simulate(refused, workload, horizon=per_replication,
+                     warmup=per_replication * 0.1,
+                     seed=spawn_seed(5, "batched-replication", replication)
+                     ).mean_queueing_delay
+            for replication in range(POINT_REPLICATIONS)])
+        [point] = simulated_points(refused, 0.1, [0.4], [5], horizon=800.0)
+        assert point.normalized_delay == mean * workload.service_rate
+        assert point.ci_halfwidth == halfwidth * workload.service_rate
 
     def test_saturated_point_short_circuits(self):
         from repro.analysis.sweep import simulated_points
 
-        [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [5.0], [1],
-                                   engine="batched")
+        [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [5.0], [1])
         assert point.normalized_delay is None
 
 
@@ -677,7 +678,7 @@ class TestCommonRandomNumbers:
 
         workload = workload_at(0.5, 0.1)
         shared = dict(workload=workload, horizon=1_500.0, warmup=150.0,
-                      replications=8, base_seed=100, engine="batched")
+                      replications=8, base_seed=100)
         first, second = "16/1x16x8 XBAR/2", "16/1x16x16 XBAR/1"
         _, paired_half, _ = compare_with_replications(
             first, second, crn=True, **shared)
@@ -685,8 +686,10 @@ class TestCommonRandomNumbers:
             first, second, crn=False, **shared)
         assert paired_half <= unpaired_half
 
-    def test_crn_comparison_engines_agree(self):
-        """Batched CRN comparison equals the scalar one bit for bit."""
+    def test_crn_comparison_engines_agree(self, monkeypatch):
+        """The CRN comparison forced onto scalar replications equals the
+        default one bit for bit."""
+        import repro.sim.batched as batched
         from repro.analysis.replication import compare_with_replications
         from repro.analysis.sweep import workload_at
 
@@ -694,18 +697,18 @@ class TestCommonRandomNumbers:
         shared = dict(workload=workload, horizon=800.0, warmup=80.0,
                       replications=4, base_seed=50, crn=True)
         healthy = SystemConfig.parse("8/1x8x4 XBAR/2")
-        # A statically faulted fabric falls back to scalar replications.
+        # A statically faulted fabric runs scalar replications either way.
         faulted = healthy.with_faults(FaultConfig(schedule=FaultSchedule.of(
             (0.0, "cell", (0, (0, 0)), "down"),
             (0.0, "cell", (0, (1, 2)), "down"))))
         for first, second in ((healthy, "8/1x8x8 XBAR/1"),
                               (faulted, healthy)):
-            scalar = compare_with_replications(first, second,
-                                               engine="scalar", **shared)
-            batched = compare_with_replications(first, second,
-                                                engine="batched", **shared)
-            assert scalar[0] == batched[0]
-            assert scalar[1] == batched[1]
+            default = compare_with_replications(first, second, **shared)
+            with monkeypatch.context() as patch:
+                patch.setattr(batched, "batched_unsupported_reason",
+                              lambda *args, **kwargs: "forced off")
+                scalar = compare_with_replications(first, second, **shared)
+            assert scalar == default
 
 
 class TestBatchedEvaluator:
