@@ -145,11 +145,6 @@ class CandidateEvaluation:
     cost: float
     mean_delay: float
 
-    @property
-    def network_class(self) -> NetworkClass:
-        """Qualitative class of this candidate."""
-        return classify(self.config)
-
 
 @dataclass(frozen=True)
 class Recommendation:

@@ -61,17 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "a point that spends them in the worker pool gets "
                           "one last inline execution (default: 3)")
     run.add_argument("--unit-timeout", type=float, default=None,
-                     help="seconds before an in-flight point counts as "
+                     help="seconds a point may run before it counts as "
                           "hung and its worker pool is recycled; needs "
                           "--jobs 2 or more (default: no timeout)")
     run.add_argument("--plot", action="store_true",
                      help="draw delay figures as an ASCII chart")
-    run.add_argument("--profile", action="store_true",
-                     help="profile the run with cProfile and print the "
-                          "top-25 functions by cumulative time")
-    run.add_argument("--profile-out", default="repro_profile.pstats",
-                     help="pstats dump written when --profile is given "
-                          "(default: repro_profile.pstats)")
 
     cache = commands.add_parser(
         "cache", help="inspect, clear, prune, or audit the sweep result "
@@ -223,20 +217,12 @@ def _command_run(args) -> int:
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     policy = SupervisorPolicy(max_attempts=args.max_attempts,
-                              unit_timeout=args.unit_timeout,
-                              seed=args.seed)
+                              unit_timeout=args.unit_timeout)
     runner = SweepRunner(jobs=args.jobs, cache=cache, supervisor=policy)
-    profiler = None
-    if args.profile:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
     start = time.perf_counter()
     series = figure_series(args.exp_id, quality=args.quality, seed=args.seed,
                            runner=runner)
     elapsed = time.perf_counter() - start
-    if profiler is not None:
-        profiler.disable()
     title = f"{args.exp_id}: {FIGURE_SPECS[args.exp_id].title}"
     print(format_series_table(series, title=title))
     if args.plot:
@@ -251,15 +237,8 @@ def _command_run(args) -> int:
           f"({runner.effective_jobs} job(s), {hits} cache hit(s), "
           f"cache {'off' if cache is None else cache.root})")
     report = runner.last_report
-    if not report.clean or report.deduped:
+    if not report.clean:
         print(report.format())
-    if profiler is not None:
-        import pstats
-        profiler.dump_stats(args.profile_out)
-        print()
-        print(f"profile written to {args.profile_out}")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(25)
     return 0
 
 

@@ -134,6 +134,6 @@ class ChaosError(ReproError):
     Raised (or simulated via a worker hard-exit) by
     :class:`repro.runner.chaos.ChaosPolicy` when ``REPRO_CHAOS`` enables
     fault injection against the execution layer itself.  The supervised
-    runner treats it like any other transient worker failure: retry with
-    backoff, then degrade.
+    runner treats it like any other transient worker failure: retry at
+    once, then fall back to serial execution or fail.
     """

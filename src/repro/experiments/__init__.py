@@ -8,7 +8,6 @@ from repro.experiments.figures import (
     blocking_experiment,
     cycle_time_comparison,
     fig11_example,
-    figure_family_work_units,
     figure_series,
     figure_work_units,
     intensity_grid,
@@ -32,7 +31,6 @@ __all__ = [
     "FigureSpec",
     "FIGURE_SPECS",
     "QUALITY_PRESETS",
-    "figure_family_work_units",
     "figure_series",
     "figure_work_units",
     "intensity_grid",

@@ -153,38 +153,6 @@ def figure_work_units(exp_id: str, quality: str = "fast",
     return spec, grid, units
 
 
-def figure_family_work_units(exp_ids: Sequence[str], quality: str = "fast",
-                             intensities: Optional[Sequence[float]] = None,
-                             seed: int = 1):
-    """Work units for several figures as one batch, duplicates included.
-
-    Returns ``(specs, grid, units)``: the per-figure specs, the shared
-    intensity grid, and the concatenation of every figure's units in
-    figure-major order.  Unit identity is deliberately *not* figure-aware
-    — digest material is the configuration triplet, mu ratio,
-    intensities, horizon and master seed — so curves shared
-    between figures (fig7 and fig12 both
-    plot the ``16/1x16x16 XBAR/2`` reference at the same mu ratio) emerge
-    as *equal-digest units*, which the supervisor's in-flight dedup
-    executes once and one warm cache serves to every figure.  This is the
-    multi-requester sweep-service shape: the family is what a batch of
-    overlapping figure requests looks like to the runner.
-
-    Every figure in the family must agree on the quality preset and
-    intensity grid (they do by construction — the grid is a function of
-    ``quality``/``intensities`` only).
-    """
-    specs = []
-    units: List = []
-    grid: List[float] = []
-    for exp_id in exp_ids:
-        spec, grid, figure_units = figure_work_units(
-            exp_id, quality=quality, intensities=intensities, seed=seed)
-        specs.append(spec)
-        units.extend(figure_units)
-    return specs, grid, units
-
-
 def figure_series(exp_id: str, quality: str = "fast",
                   intensities: Optional[Sequence[float]] = None,
                   seed: int = 1, jobs: Optional[int] = None,

@@ -29,7 +29,7 @@ from repro.faults.models import (
     InterchangeFault,
     ResourceFault,
 )
-from repro.faults.retry import RetryPolicy, backoff_stream
+from repro.faults.retry import RetryPolicy
 from repro.faults.injector import AvailabilityTracker, FaultInjector
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "FaultSchedule",
     "FaultConfig",
     "RetryPolicy",
-    "backoff_stream",
     "FaultInjector",
     "AvailabilityTracker",
 ]

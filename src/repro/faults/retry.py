@@ -26,19 +26,15 @@ class RetryPolicy:
 
     The delay before re-attempt ``n`` (1-based) is::
 
-        min(backoff_base * backoff_factor ** (n - 1), backoff_cap) * (1 + U)
+        backoff_base * backoff_factor ** (n - 1) * (1 + U)
 
     with ``U`` uniform on ``[-jitter, +jitter]`` drawn from the caller's
     random stream (deterministic under :class:`repro.sim.rng.RandomStreams`).
-    ``backoff_cap`` bounds the uncapped exponential so a deep retry ladder
-    cannot back off into hours; the default (infinite) preserves the
-    classical shape.
     """
 
     max_retries: int = 5
     backoff_base: float = 0.1
     backoff_factor: float = 2.0
-    backoff_cap: float = math.inf
     jitter: float = 0.5
     task_timeout: float = math.inf
 
@@ -52,9 +48,6 @@ class RetryPolicy:
         if self.backoff_factor < 1.0:
             raise ConfigurationError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.backoff_cap <= 0:
-            raise ConfigurationError(
-                f"backoff_cap must be positive, got {self.backoff_cap}")
         if not 0.0 <= self.jitter < 1.0:
             raise ConfigurationError(
                 f"jitter must be in [0, 1), got {self.jitter}")
@@ -72,8 +65,7 @@ class RetryPolicy:
         if attempt > self.max_retries:
             raise RetryExhaustedError(attempts=attempt,
                                       max_retries=self.max_retries)
-        delay = min(self.backoff_base * self.backoff_factor ** (attempt - 1),
-                    self.backoff_cap)
+        delay = self.backoff_base * self.backoff_factor ** (attempt - 1)
         if self.jitter > 0:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return delay
@@ -82,16 +74,3 @@ class RetryPolicy:
         """Whether a task of queueing ``age`` has passed the timeout."""
         return age > self.task_timeout
 
-
-def backoff_stream(seed: int, *keys: object) -> RngStream:
-    """A named :class:`RngStream` for deterministic backoff jitter.
-
-    Derives the stream seed from ``(seed, keys)`` via
-    :func:`repro.sim.rng.spawn_seed`, so two runs of the same sweep draw
-    identical backoff schedules for the same (unit digest, attempt) — the
-    SIM001 discipline applied to the execution layer's own randomness.
-    """
-    from repro.sim.rng import spawn_seed
-
-    return RngStream(spawn_seed(seed, "retry-backoff", *keys),
-                     name="retry-backoff")

@@ -100,11 +100,6 @@ class NetworkFabric(ABC):
         """The internal components a fault can target (empty for buses)."""
         return ()
 
-    @property
-    def failed_components(self) -> FrozenSet[Tuple]:
-        """Components currently marked down."""
-        return frozenset(self._failed)
-
     def fail_component(self, component: Tuple) -> FrozenSet[Connection]:
         """Mark ``component`` down; sever and return circuits through it.
 

@@ -7,18 +7,17 @@ content-addressed :class:`WorkUnit` objects, fans them out over a
 :class:`ResultCache`, with the contract that parallel results are
 byte-identical to serial results for the same seeds.
 
-Execution is fault-tolerant: a :class:`Supervisor` retries failed or
-timed-out units with deterministic backoff and falls back from the pool
-to serial execution before giving up; a :class:`SweepJournal` logs every
-completed unit, and a killed sweep finishes by running it again (the
-cache serves what was completed); cache entries are checksummed envelopes
-and corruption is quarantined, never served.  A :class:`ChaosPolicy`
-(``REPRO_CHAOS``) injects worker crashes, hangs, and cache corruption
-deterministically to prove all of the above under test.
-
-Equal-digest units within one run execute once (in-flight dedup,
-outcome-transparent).  The supervisor runs units inline or drives a local
-process pool directly, through one retry step.
+Execution is fault-tolerant under one rule: a :class:`Supervisor`
+charges each failed or timed-out execution against the unit's attempt
+budget and retries it at once, and a pool unit that spends its budget
+falls back to one inline execution before the unit fails.  The
+supervisor runs units inline or drives a local process pool directly.
+A :class:`SweepJournal` logs every completed unit, and a killed sweep
+finishes by running it again (the cache serves what was completed);
+cache entries are checksummed envelopes and corruption is quarantined,
+never served.  A :class:`ChaosPolicy` (``REPRO_CHAOS``) injects worker
+crashes, hangs, and cache corruption deterministically to prove all of
+the above under test.
 
 Quick start::
 
@@ -56,13 +55,13 @@ from repro.runner.journal import (
 from repro.runner.pool import (
     JOBS_ENV,
     SweepRunner,
-    UnitOutcome,
     resolve_jobs,
 )
 from repro.runner.supervisor import (
     RunReport,
     Supervisor,
     SupervisorPolicy,
+    UnitOutcome,
 )
 from repro.runner.workunit import (
     CACHE_SCHEMA_VERSION,

@@ -3,10 +3,11 @@
 The content-addressed cache already makes re-running a killed sweep cheap
 (completed points are hits, so a rerun recomputes only what is missing),
 but it cannot say *which* sweep a result belonged to, how many attempts
-it took, or what fallback it needed.  The journal records exactly that:
-one JSONL line per completed work unit, appended (and flushed) the moment
-its outcome is known, in a file named by the sweep's own content digest
-next to the cache (``<cache root>/_journals/<sweep digest>.jsonl``).
+it took, or whether it fell back to serial execution.  The journal
+records exactly that: one JSONL line per completed work unit, appended
+(and flushed) the moment its outcome is known, in a file named by the
+sweep's own content digest next to the cache
+(``<cache root>/_journals/<sweep digest>.jsonl``).
 
 A line torn by a kill fails to parse and is skipped — append-only JSONL
 degrades to "lose at most the last record", never to a poisoned file.
@@ -19,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 #: Journal record schema; bump on incompatible record shape changes.
 JOURNAL_SCHEMA = 1
@@ -42,14 +43,15 @@ class JournalSummary:
     ok: int
     failed: int
     cached: int
-    degraded: int
+    serial_fallbacks: int
     retried: int
     skipped_lines: int
 
     def format(self) -> str:
         return (f"journal: {self.records} record(s) — {self.ok} ok "
                 f"({self.cached} cached), "
-                f"{self.failed} failed, {self.degraded} degraded, "
+                f"{self.failed} failed, "
+                f"{self.serial_fallbacks} serial fallback(s), "
                 f"{self.retried} retried"
                 + (f", {self.skipped_lines} torn line(s) skipped"
                    if self.skipped_lines else ""))
@@ -73,8 +75,8 @@ class SweepJournal:
     # -- writing ----------------------------------------------------------
 
     def record(self, digest: str, status: str, *, attempts: int = 1,
-               cached: bool = False, deduped: bool = False,
-               degraded: Sequence[str] = (), wall_time: float = 0.0,
+               cached: bool = False, serial_fallback: bool = False,
+               wall_time: float = 0.0,
                error: Optional[str] = None) -> None:
         """Append one outcome record (flushed immediately; crash-safe)."""
         entry: Dict[str, object] = {
@@ -85,12 +87,8 @@ class SweepJournal:
         }
         if cached:
             entry["cached"] = True
-        if deduped:
-            # Additive key (same schema): the unit followed an equal-digest
-            # leader in its own run rather than executing.
-            entry["deduped"] = True
-        if degraded:
-            entry["degraded"] = list(degraded)
+        if serial_fallback:
+            entry["serial_fallback"] = True
         if wall_time:
             entry["wall_time"] = round(wall_time, 6)
         if error:
@@ -148,7 +146,8 @@ class SweepJournal:
             ok=sum(1 for e in records if e.get("status") == "ok"),
             failed=sum(1 for e in records if e.get("status") == "failed"),
             cached=sum(1 for e in records if e.get("cached")),
-            degraded=sum(1 for e in records if e.get("degraded")),
+            serial_fallbacks=sum(1 for e in records
+                                 if e.get("serial_fallback")),
             retried=sum(1 for e in records if e.get("attempts", 1) > 1),
             skipped_lines=self._skipped_lines,
         )

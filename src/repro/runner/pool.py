@@ -8,14 +8,14 @@ guarantees that by construction: units are pure functions of their digest
 material, results are reassembled in submission order, and the single-job
 path executes inline with no pool at all.
 
-Execution is *supervised* (see :mod:`repro.runner.supervisor`): per-unit
-failures, worker timeouts (which only a pool can enforce, so a
-``unit_timeout`` needs two or more jobs), and pool breakage are retried
-with deterministic backoff, and a pool unit that spends its budget gets
-one last inline execution, instead of aborting the sweep; a
-:class:`~repro.runner.journal.SweepJournal` records every completed unit.
-A killed sweep finishes by running it again: the cache serves what was
-completed.
+Execution is *supervised* (see :mod:`repro.runner.supervisor`): a
+per-unit failure, a worker timeout (which only a pool can enforce, so a
+``unit_timeout`` needs two or more jobs) or a broken pool is charged
+against the unit's attempt budget and retried at once, and a pool unit
+that spends its budget gets one last inline execution instead of
+aborting the sweep; a :class:`~repro.runner.journal.SweepJournal`
+records every completed unit.  A killed sweep finishes by running it
+again: the cache serves what was completed.
 Worker exceptions cannot cross the process boundary intact, so the worker
 wrapper (:func:`repro.runner.evaluators.execute_payload`) catches
 everything, marshals the traceback as text, and the parent re-raises it as
@@ -29,14 +29,18 @@ entry point with ``if __name__ == "__main__":`` (see :mod:`repro.lint`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, WorkerError
 from repro.runner.cache import ResultCache
 from repro.runner.chaos import ChaosPolicy
 from repro.runner.journal import SweepJournal
-from repro.runner.supervisor import RunReport, Supervisor, SupervisorPolicy
+from repro.runner.supervisor import (
+    RunReport,
+    Supervisor,
+    SupervisorPolicy,
+    UnitOutcome,
+)
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -62,42 +66,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-@dataclass(frozen=True)
-class UnitOutcome:
-    """The result of one work unit, with provenance.
-
-    ``wall_time`` is the worker-side execution time in seconds (0.0 for a
-    cache hit); ``error`` carries the marshalled worker traceback when the
-    unit failed even after supervision.  ``attempts`` counts executions
-    started (1 for a clean first try); ``degraded`` lists the fallback
-    steps taken (``pool->serial``); ``deduped`` marks a unit that followed
-    an equal-digest leader in the same run (its value, error, and
-    provenance are the leader's, its wall time zero).
-    """
-
-    unit: Any
-    value: Any
-    wall_time: float
-    cached: bool = False
-    error: Optional[str] = None
-    attempts: int = 1
-    degraded: Tuple[str, ...] = ()
-    deduped: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
 class SweepRunner:
     """Fan a batch of work units out over processes, through a cache.
 
     * ``jobs`` — worker count (``None`` defers to ``REPRO_JOBS``, then 1);
     * ``cache`` — a :class:`ResultCache`, a directory path for one, or
       ``None`` to disable caching;
-    * ``supervisor`` — a :class:`SupervisorPolicy` (retry budget, unit
-      timeout, pool respawns, in-flight dedup); ``None`` uses the
-      defaults;
+    * ``supervisor`` — a :class:`SupervisorPolicy` (retry budget and
+      unit timeout); ``None`` uses the defaults;
     * ``chaos`` — an explicit :class:`ChaosPolicy` for fault injection
       (``None`` defers to the ``REPRO_CHAOS`` environment variable);
     * ``journal`` — a :class:`SweepJournal` appended per completed unit.
@@ -173,10 +149,7 @@ class SweepRunner:
         if pending:
             def on_complete(index: int, outcome: UnitOutcome) -> None:
                 outcomes[index] = outcome
-                if outcome.ok and not outcome.deduped:
-                    # A deduped follower's value is its leader's, already
-                    # written under the shared digest — count and store
-                    # each computation once.
+                if outcome.ok:
                     report.computed += 1
                     if self.cache is not None:
                         self.cache.put(outcome.unit.config_digest,
@@ -186,8 +159,7 @@ class SweepRunner:
                         outcome.unit.config_digest,
                         "ok" if outcome.ok else "failed",
                         attempts=outcome.attempts,
-                        deduped=outcome.deduped,
-                        degraded=outcome.degraded,
+                        serial_fallback=outcome.serial_fallback,
                         wall_time=outcome.wall_time,
                         error=outcome.error)
 

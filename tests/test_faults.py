@@ -143,33 +143,6 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.5)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_base=-0.1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_cap=0.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_cap=-1.0)
-
-    def test_backoff_cap_bounds_the_exponential(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.5,
-                             backoff_factor=2.0, backoff_cap=1.5, jitter=0.0)
-        rng = random.Random(0)
-        delays = [policy.next_delay(n, rng) for n in (1, 2, 3, 4, 5)]
-        assert delays == pytest.approx([0.5, 1.0, 1.5, 1.5, 1.5])
-        # The default (infinite) cap preserves the classical shape.
-        assert RetryPolicy().backoff_cap == math.inf
-
-    def test_backoff_stream_is_key_determined(self):
-        from repro.faults import backoff_stream
-
-        digest = "a" * 64
-        first = [backoff_stream(3, digest, attempt).uniform(-0.5, 0.5)
-                 for attempt in (1, 2, 3)]
-        second = [backoff_stream(3, digest, attempt).uniform(-0.5, 0.5)
-                  for attempt in (1, 2, 3)]
-        assert first == second
-        assert backoff_stream(3, digest, 1).uniform(0, 1) \
-            != backoff_stream(4, digest, 1).uniform(0, 1)
-        assert backoff_stream(3, digest, 1).uniform(0, 1) \
-            != backoff_stream(3, "b" * 64, 1).uniform(0, 1)
 
 
 class TestErrorHierarchy:

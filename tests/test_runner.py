@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+import repro.runner.supervisor as supervisor_module
 from repro.errors import ConfigurationError, WorkerError
 from repro.experiments import figure_series, figure_work_units
 from repro.runner import (
@@ -138,6 +139,53 @@ class TestSweepRunner:
         outcomes = SweepRunner(jobs=1).run(units, raise_on_error=False)
         assert not outcomes[0].ok and "boom" in outcomes[0].error
         assert outcomes[1].ok and outcomes[1].value == 4
+
+    def test_equal_units_each_execute(self, tmp_path):
+        log = tmp_path / "executions.log"
+        units = [WorkUnit("test-log-execution", 1, {"x": x, "log": str(log)})
+                 for _copy in range(3) for x in range(3)]
+        runner = SweepRunner(jobs=1)
+        outcomes = runner.run(units)
+        assert log.read_text().count("\n") == 9  # every unit executes
+        report = runner.last_report
+        assert (report.total, report.computed, report.deduped) == (9, 9, 0)
+        assert [o.value for o in outcomes] == [1, 11, 21] * 3
+        assert [o.unit.config_digest for o in outcomes] == [
+            u.config_digest for u in units]
+
+    def test_equal_failing_units_fail_alike(self):
+        units = [WorkUnit("test-explode", 7, {}),
+                 WorkUnit("test-explode", 7, {}),
+                 WorkUnit("test-square", 0, {"x": 2})]
+        policy = SupervisorPolicy(max_attempts=1)
+        runner = SweepRunner(jobs=1, supervisor=policy)
+        outcomes = runner.run(units, raise_on_error=False)
+        assert not outcomes[0].ok and not outcomes[1].ok
+        assert outcomes[0].error == outcomes[1].error
+        assert "boom from seed 7" in outcomes[1].error
+        assert outcomes[2].ok
+        assert len(runner.last_report.failures) == 2
+
+    def test_counter_invariant_with_cache_hits(self, tmp_path):
+        units = [WorkUnit("test-square", 2, {"x": x}) for x in (1, 1, 2, 3)]
+        cache = ResultCache(tmp_path)
+        warm = SweepRunner(jobs=1, cache=cache)
+        warm.run([units[3]])  # pre-warm x=3
+        runner = SweepRunner(jobs=1, cache=cache)
+        runner.run(units)
+        report = runner.last_report
+        assert report.cache_hits == 1
+        assert report.computed + report.cache_hits == report.total == 4
+
+    def test_run_report_format_mentions_hit_rate(self):
+        units = [WorkUnit("test-square", 0, {"x": 1}),
+                 WorkUnit("test-square", 0, {"x": 1})]
+        runner = SweepRunner(jobs=1)
+        runner.run(units)
+        text = runner.last_report.format()
+        assert text.startswith("2 unit(s): 2 computed, 0 cache hit(s)")
+        assert "hit rate" in text
+        assert "fault tolerance" not in text  # a clean run
 
 
 class TestResultCache:
@@ -351,14 +399,19 @@ class TestFigureParity:
         assert spawn_seed(1, "a", 0.3) != spawn_seed(2, "a", 0.3)
 
     def test_spawn_seeds_collision_free_across_figure_registry(self):
-        """Derived per-point seeds never collide over the whole registry."""
-        from repro.experiments import FIGURE_SPECS
+        """Derived per-point seeds never collide over the whole registry,
+        and no figure hands the runner two units with one digest, at any
+        quality preset."""
+        from repro.experiments import FIGURE_SPECS, QUALITY_PRESETS
 
         seen = {}
         for exp_id in FIGURE_SPECS:
-            for quality in ("fast", "normal"):
+            for quality in QUALITY_PRESETS:
                 _spec, _grid, units = figure_work_units(exp_id,
                                                         quality=quality)
+                digests = [unit.config_digest for unit in units]
+                assert len(set(digests)) == len(digests), (
+                    f"{exp_id} at {quality} repeats a unit digest")
                 for seed, key in _simulated_point_seeds(units):
                     previous = seen.setdefault(seed, key)
                     # The same (curve, intensity) pair legitimately reuses
@@ -597,8 +650,8 @@ def _echo(members):
 
 @evaluator("test-log-execution")
 def _log_execution(members):
-    # Appends one line per *execution* to a file the test names; dedup
-    # tests count lines to prove each unique digest ran exactly once.
+    # Appends one line per *execution* to a file the test names; tests
+    # count lines to prove how many times units ran.
     values = []
     for seed, params in members:
         with open(params["log"], "a", encoding="utf-8") as handle:
@@ -671,89 +724,7 @@ class TestSerialRuns:
         assert [outcome.attempts for outcome in runner.last_outcomes] == [
             2 if index == target else 1 for index in range(len(units))]
         assert runner.last_report.retries == 1
-        assert not runner.last_report.degradations
-
-
-class TestInFlightDedup:
-    def _duplicated_units(self, log, uniques=3, copies=3):
-        units = []
-        for copy in range(copies):
-            units.extend(WorkUnit("test-log-execution", 1,
-                                  {"x": x, "log": str(log)})
-                         for x in range(uniques))
-        return units
-
-    def test_each_unique_digest_executes_once(self, tmp_path):
-        log = tmp_path / "executions.log"
-        units = self._duplicated_units(log, uniques=3, copies=3)
-        runner = SweepRunner(jobs=1)
-        outcomes = runner.run(units)
-        assert log.read_text().count("\n") == 3  # 9 units, 3 executions
-        report = runner.last_report
-        assert (report.total, report.computed, report.deduped) == (9, 3, 6)
-        assert sum(1 for o in outcomes if o.deduped) == 6
-        # Every follower carries its leader's value, re-keyed to its unit.
-        assert [o.value for o in outcomes] == [1, 11, 21] * 3
-        assert [o.unit.config_digest for o in outcomes] == [
-            u.config_digest for u in units]
-
-    def test_dedup_pool_path_executes_once_per_digest(self, tmp_path):
-        log = tmp_path / "executions.log"
-        units = self._duplicated_units(log, uniques=4, copies=2)
-        runner = SweepRunner(jobs=2)
-        outcomes = runner.run(units)
-        assert log.read_text().count("\n") == 4
-        assert runner.last_report.deduped == 4
-        assert [o.value for o in outcomes] == [1, 11, 21, 31] * 2
-
-    def test_byte_identical_to_dedup_off(self, tmp_path):
-        units = []
-        for copy in range(2):
-            units.extend(WorkUnit("test-square", 5, {"x": x})
-                         for x in range(4))
-        on = SweepRunner(jobs=1).run(units)
-        off_runner = SweepRunner(jobs=1,
-                                 supervisor=SupervisorPolicy(dedup=False))
-        off = off_runner.run(units)
-        assert [pickle.dumps(o.value) for o in on] == \
-               [pickle.dumps(o.value) for o in off]
-        assert off_runner.last_report.deduped == 0
-        assert off_runner.last_report.computed == 8
-
-    def test_leader_failure_fails_followers_with_same_error(self):
-        units = [WorkUnit("test-explode", 7, {}),
-                 WorkUnit("test-explode", 7, {}),
-                 WorkUnit("test-square", 0, {"x": 2})]
-        policy = SupervisorPolicy(max_attempts=1)
-        runner = SweepRunner(jobs=1, supervisor=policy)
-        outcomes = runner.run(units, raise_on_error=False)
-        assert not outcomes[0].ok and not outcomes[1].ok
-        assert outcomes[0].error == outcomes[1].error
-        assert "boom from seed 7" in outcomes[1].error
-        assert not outcomes[0].deduped and outcomes[1].deduped
-        assert outcomes[2].ok and not outcomes[2].deduped
-
-    def test_counter_invariant_with_cache_hits(self, tmp_path):
-        units = [WorkUnit("test-square", 2, {"x": x}) for x in (1, 1, 2, 3)]
-        cache = ResultCache(tmp_path)
-        warm = SweepRunner(jobs=1, cache=cache)
-        warm.run([units[3]])  # pre-warm x=3
-        runner = SweepRunner(jobs=1, cache=cache)
-        runner.run(units)
-        report = runner.last_report
-        assert report.cache_hits == 1
-        assert report.computed + report.deduped + report.cache_hits \
-            == report.total == 4
-        assert report.deduped == 1
-
-    def test_deduped_run_report_format_mentions_counters(self):
-        units = [WorkUnit("test-square", 0, {"x": 1}),
-                 WorkUnit("test-square", 0, {"x": 1})]
-        runner = SweepRunner(jobs=1)
-        runner.run(units)
-        text = runner.last_report.format()
-        assert "1 deduped" in text
-        assert "hit rate" in text
+        assert runner.last_report.serial_fallbacks == 0
 
 
 class TestPoolRecovery:
@@ -765,9 +736,10 @@ class TestPoolRecovery:
             raise BrokenProcessPool("no workers today")
 
         # Every submit fails: the supervisor must respawn the pool and
-        # eventually degrade the work to inline serial execution.
+        # eventually send the work to inline serial execution.
         monkeypatch.setattr(ProcessPoolExecutor, "submit", broken)
-        policy = SupervisorPolicy(max_attempts=1, max_pool_respawns=1)
+        monkeypatch.setattr(supervisor_module, "MAX_POOL_RESPAWNS", 1)
+        policy = SupervisorPolicy(max_attempts=1)
         runner = SweepRunner(jobs=2, supervisor=policy)
         units = _square_units(4)
         values = runner.run_values(units)
@@ -776,15 +748,17 @@ class TestPoolRecovery:
         assert report.pool_respawns >= 1
         assert report.serial_fallbacks == 4
 
-    def test_drain_keeps_requested_units(self):
+    def test_drain_keeps_requested_units(self, monkeypatch):
         # Once the pool gives up, the drained outcomes still name the
-        # requested units, so dedup completes every follower.
+        # requested units, equal ones included, each recorded once as a
+        # serial fallback.
         units = [WorkUnit("test-crash-in-pool", 0, {"x": x})
                  for x in (1, 1, 2)]
-        policy = SupervisorPolicy(max_attempts=2, max_pool_respawns=1)
+        monkeypatch.setattr(supervisor_module, "MAX_POOL_RESPAWNS", 1)
+        policy = SupervisorPolicy(max_attempts=2)
         runner = SweepRunner(jobs=2, supervisor=policy)
         assert runner.run_values(units) == [1, 1, 4]
         outcomes = runner.last_outcomes
         assert [outcome.unit for outcome in outcomes] == units
-        assert all("pool->serial" in outcome.degraded
-                   for outcome in outcomes)
+        assert all(outcome.serial_fallback for outcome in outcomes)
+        assert runner.last_report.serial_fallbacks == 3

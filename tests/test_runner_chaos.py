@@ -2,9 +2,10 @@
 
 The contract under test: with deterministic fault injection enabled —
 worker crashes, transient failures, hangs, cache-byte corruption — a sweep
-still completes through retry, pool respawn, and serial fallback, and the
-values it produces are byte-identical to a fault-free run (retries and
-pool-level recovery recompute pure functions; they cannot change results).
+still completes through immediate retry, pool respawn, and serial
+fallback, and the values it produces are byte-identical to a fault-free
+run (retries and pool-level recovery recompute pure functions; they
+cannot change results).
 A killed sweep leaves an append-only journal behind, and running it again
 recomputes only the missing units.
 """
@@ -17,7 +18,6 @@ import pytest
 
 from repro.errors import ChaosError, ConfigurationError, WorkerError
 from repro.experiments import figure_series
-from repro.faults import RetryPolicy
 from repro.runner import (
     ChaosPolicy,
     ResultCache,
@@ -54,18 +54,18 @@ def _marker_hang(members):
     return values
 
 
+@evaluator("chaos-sleep")
+def _sleep(members):
+    """Sleeps ``seconds`` per member: a unit that is slow, never hung."""
+    values = []
+    for _seed, params in members:
+        time.sleep(params["seconds"])
+        values.append(params["x"])
+    return values
+
+
 def _units(count, seed=0):
     return [WorkUnit("chaos-square", seed, {"x": x}) for x in range(count)]
-
-
-def _fast_policy(max_attempts=5, **kwargs):
-    """A supervisor policy whose backoff is measured in microseconds."""
-    return SupervisorPolicy(
-        max_attempts=max_attempts,
-        retry=RetryPolicy(max_retries=max(1, max_attempts),
-                          backoff_base=1e-4, backoff_factor=1.0,
-                          backoff_cap=1e-3, jitter=0.0),
-        **kwargs)
 
 
 class TestChaosPolicy:
@@ -135,17 +135,6 @@ class TestSupervisorPolicy:
             SupervisorPolicy(max_attempts=0)
         with pytest.raises(ConfigurationError):
             SupervisorPolicy(unit_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(max_pool_respawns=0)
-
-    def test_backoff_is_deterministic_and_positive(self):
-        policy = SupervisorPolicy(seed=4)
-        delays = [policy.delay_for("cafe" * 16, attempt)
-                  for attempt in (1, 2, 3)]
-        assert delays == [policy.delay_for("cafe" * 16, attempt)
-                          for attempt in (1, 2, 3)]
-        assert all(delay > 0 for delay in delays)
-        assert max(delays) <= 2.0 * 1.5  # cap 2 s, jitter <= +50%
 
 
 class TestSupervisedRuns:
@@ -153,7 +142,8 @@ class TestSupervisedRuns:
         units = _units(12, seed=3)
         baseline = SweepRunner(jobs=1).run_values(units)
         chaos = ChaosPolicy(fail=0.4, seed=5)
-        runner = SweepRunner(jobs=1, supervisor=_fast_policy(8), chaos=chaos)
+        runner = SweepRunner(jobs=1, supervisor=SupervisorPolicy(max_attempts=8),
+                             chaos=chaos)
         assert runner.run_values(units) == baseline
         assert runner.last_report.retries > 0
         assert pickle.dumps(baseline) == pickle.dumps(
@@ -167,14 +157,16 @@ class TestSupervisedRuns:
         assert any(chaos._draw("crash", unit.config_digest, 1) < chaos.crash
                    for unit in units)
         baseline = SweepRunner(jobs=1).run_values(units)
-        runner = SweepRunner(jobs=2, supervisor=_fast_policy(8), chaos=chaos)
+        runner = SweepRunner(jobs=2, supervisor=SupervisorPolicy(max_attempts=8),
+                             chaos=chaos)
         assert runner.run_values(units) == baseline
         assert runner.last_report.pool_respawns >= 1
 
     def test_injected_hangs_recover_via_retry(self):
         units = _units(6, seed=2)
         chaos = ChaosPolicy(hang=0.5, hang_seconds=0.05, seed=14)
-        runner = SweepRunner(jobs=2, supervisor=_fast_policy(8), chaos=chaos)
+        runner = SweepRunner(jobs=2, supervisor=SupervisorPolicy(max_attempts=8),
+                             chaos=chaos)
         assert runner.run_values(units) == SweepRunner(jobs=1).run_values(units)
         assert runner.last_report.retries >= 1
 
@@ -184,7 +176,8 @@ class TestSupervisedRuns:
                           {"x": 7, "marker": str(marker)}),
                  WorkUnit("chaos-square", 0, {"x": 5})]
         runner = SweepRunner(
-            jobs=2, supervisor=_fast_policy(4, unit_timeout=1.0))
+            jobs=2,
+            supervisor=SupervisorPolicy(max_attempts=4, unit_timeout=1.0))
         start = time.monotonic()
         values = runner.run_values(units)
         assert time.monotonic() - start < 30.0
@@ -200,16 +193,31 @@ class TestSupervisedRuns:
         units = [WorkUnit("chaos-marker-hang", 0,
                           {"x": 7, "marker": str(marker)})]
         runner = SweepRunner(
-            jobs=2, supervisor=_fast_policy(4, unit_timeout=1.0))
+            jobs=2,
+            supervisor=SupervisorPolicy(max_attempts=4, unit_timeout=1.0))
         start = time.monotonic()
         assert runner.run_values(units) == [70]
         assert time.monotonic() - start < 30.0
         assert runner.last_report.timeouts >= 1
         assert marker.exists()
 
+    def test_queued_unit_keeps_its_whole_timeout(self):
+        # Four 1.0 s units on two workers: the last two wait about 1.0 s
+        # for a free worker.  Their 1.5 s timeout must count from their
+        # start, not from the moment the run began.
+        units = [WorkUnit("chaos-sleep", 0, {"x": x, "seconds": 1.0})
+                 for x in range(4)]
+        runner = SweepRunner(
+            jobs=2, supervisor=SupervisorPolicy(unit_timeout=1.5))
+        assert runner.run_values(units) == [0, 1, 2, 3]
+        report = runner.last_report
+        assert report.timeouts == 0
+        assert report.pool_respawns == 0
+
     def test_budget_exhaustion_surfaces_worker_error(self):
         chaos = ChaosPolicy(fail=1.0)
-        runner = SweepRunner(jobs=1, supervisor=_fast_policy(2), chaos=chaos)
+        runner = SweepRunner(jobs=1, supervisor=SupervisorPolicy(max_attempts=2),
+                             chaos=chaos)
         with pytest.raises(WorkerError):
             runner.run(_units(2))
         outcomes = runner.run(_units(2), raise_on_error=False)
@@ -219,11 +227,11 @@ class TestSupervisedRuns:
 
     def test_permanent_crash_walks_pool_to_serial(self):
         chaos = ChaosPolicy(crash=1.0)
-        runner = SweepRunner(jobs=2, supervisor=_fast_policy(2), chaos=chaos)
+        runner = SweepRunner(jobs=2, supervisor=SupervisorPolicy(max_attempts=2),
+                             chaos=chaos)
         outcomes = runner.run(_units(4), raise_on_error=False)
         assert all(not outcome.ok for outcome in outcomes)
-        assert all("pool->serial" in outcome.degraded
-                   for outcome in outcomes)
+        assert all(outcome.serial_fallback for outcome in outcomes)
         assert runner.last_report.serial_fallbacks == 4
 
     def test_keyboard_interrupt_cancels_and_propagates(self, tmp_path,
@@ -328,12 +336,13 @@ class TestEndToEndChaos:
         baseline = pickle.dumps(SweepRunner(jobs=1).run_values(units))
         chaos = ChaosPolicy(crash=0.10, fail=0.05, corrupt=0.05, seed=17)
         runner = SweepRunner(jobs=2, cache=ResultCache(tmp_path),
-                             supervisor=_fast_policy(8), chaos=chaos)
+                             supervisor=SupervisorPolicy(max_attempts=8),
+                             chaos=chaos)
         values = runner.run_values(units)
         assert pickle.dumps(values) == baseline
         report = runner.last_report
         assert not report.failures
-        assert not report.degradations   # retries alone must absorb this
+        assert report.serial_fallbacks == 0  # retries alone absorb this
         # And the store holds no silent lies: every surviving entry verifies.
         verify = ResultCache(tmp_path).verify(repair=True)
         assert verify.ok + len(verify.corrupt) == verify.checked
