@@ -1,10 +1,11 @@
 """Batched single-bus replications vs. the scalar event loop.
 
 The widened batchability gate runs shared-bus systems through the
-lockstep engine: one ``any``/``argmax`` grant per status broadcast over
-all replications at once
-(:func:`repro.networks.batched_sbus.match_bus_batch`) instead of one
-Python retry loop per replication per broadcast.
+lockstep engine: a shared bus is a one-column crossbar, so one call of
+the crossbar matcher
+(:func:`repro.networks.batched_crossbar.match_pairs_batch`) grants a
+status broadcast over all replications at once, instead of one Python
+retry loop per replication per broadcast.
 
 This benchmark takes the fully contended bus — sixteen processors
 sharing one bus with two resources — at 80% of its saturation
@@ -131,5 +132,5 @@ def test_batched_sbus_speedup_floor():
     print(f"\nspeedup: {speedup:.2f}x ({scalar_time:.2f}s scalar est vs "
           f"{batched_time:.2f}s batched)")
     assert speedup >= SPEEDUP_FLOOR, (
-        f"batched bus kernel regressed: only {speedup:.2f}x over the "
+        f"batched bus wave regressed: only {speedup:.2f}x over the "
         f"scalar loop (floor {SPEEDUP_FLOOR}x)")

@@ -15,8 +15,6 @@ table over N:
 import math
 import random
 
-import pytest
-
 from repro.core import (
     centralized_multistage,
     distributed_crossbar_delay,

@@ -8,8 +8,6 @@ lands on R5 — 14 interchange-box traversals in total, an average of 3.5
 per request.  The clocked scheduler reproduces every one of those numbers.
 """
 
-import pytest
-
 from repro.experiments import fig11_example
 from repro.networks import ClockedMultistageScheduler, OmegaTopology
 

@@ -7,8 +7,6 @@ which is why the scheduler (centralized or distributed) must be designed
 to find a *good* mapping, not just any mapping.
 """
 
-import pytest
-
 from repro.experiments import sec2_mapping_example
 from repro.networks import OmegaTopology, max_conflict_free
 

@@ -14,8 +14,6 @@ packet-switched (address-mapped) version of the same Omega network:
    system saturates while the circuit system still has headroom.
 """
 
-import pytest
-
 from repro.analysis import workload_at
 from repro.core import simulate, simulate_packet_switched
 

@@ -8,8 +8,6 @@ gate delays and a reset cycle within ``p + m``.
 
 import itertools
 
-import pytest
-
 from repro.networks import (
     MODE_REQUEST,
     MODE_RESET,

@@ -9,7 +9,7 @@ configuration within 15% of the best delay.
 Run:  python examples/capacity_planning.py
 """
 
-from repro import CostModel, SystemConfig, Workload, recommend, workload_at
+from repro import CostModel, SystemConfig, recommend, workload_at
 from repro.analysis.selection import classify
 
 CANDIDATES = [SystemConfig.parse(text) for text in (

@@ -41,7 +41,6 @@ from repro.analysis import (
     recommend,
     saturation_intensity,
     sbus_delay,
-    series_for,
     workload_at,
 )
 from repro.config import SystemConfig, parse_config
@@ -109,7 +108,6 @@ __all__ = [
     "sbus_delay",
     "saturation_intensity",
     "workload_at",
-    "series_for",
     "crossover_intensity",
     "blocking_comparison",
     "CostModel",

@@ -31,11 +31,6 @@ from repro.analysis.blocking_model import (
     patel_output_rate,
     rsin_blocking_bound,
 )
-from repro.analysis.matching import (
-    allocation_shortfall,
-    build_flow_network,
-    optimal_allocation,
-)
 from repro.analysis.replication import (
     ReplicationEstimate,
     compare_with_replications,
@@ -57,10 +52,7 @@ from repro.analysis.sweep import (
     REFERENCE_RESOURCES,
     Series,
     SweepPoint,
-    analytic_series,
     crossover_intensity,
-    series_for,
-    simulated_series,
     workload_at,
 )
 
@@ -85,9 +77,6 @@ __all__ = [
     "jain_index",
     "delay_spread",
     "fairness_report",
-    "optimal_allocation",
-    "allocation_shortfall",
-    "build_flow_network",
     "patel_output_rate",
     "delta_acceptance_probability",
     "delta_blocking_probability",
@@ -109,9 +98,6 @@ __all__ = [
     "Series",
     "SweepPoint",
     "workload_at",
-    "analytic_series",
-    "simulated_series",
-    "series_for",
     "crossover_intensity",
     "REFERENCE_RESOURCES",
 ]

@@ -14,9 +14,7 @@ measured on identical random instances:
 * ``address_random`` — a centralized scheduler that fixes a random
   one-to-one mapping up front, then discovers the conflicts;
 * ``address_sequential`` — as above but requests routed in index order
-  (the scheduler variant with deterministic service order);
-* ``optimal`` — exhaustive best mapping (small instances only), the floor
-  any scheduler could reach.
+  (the scheduler variant with deterministic service order).
 
 Blocking is counted against what is *feasible*: with ``x`` requesters and
 ``y`` free resources, ``min(x, y)`` allocations are possible on a
@@ -26,9 +24,8 @@ non-blocking network, and every shortfall from that is charged as blocking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.matching import optimal_allocation
 from repro.errors import ConfigurationError
 from repro.networks.address_mapping import (
     random_mapping_outcome,
@@ -48,7 +45,6 @@ class BlockingPoint:
     rsin: float
     address_random: float
     address_sequential: float
-    optimal: Optional[float] = None
 
 
 def _require_trials(trials: int) -> None:
@@ -58,17 +54,13 @@ def _require_trials(trials: int) -> None:
 
 def blocking_comparison(topology_kind: str = "OMEGA", size: int = 8,
                         request_sizes: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-                        trials: int = 400, seed: int = 0,
-                        include_optimal: bool = False,
-                        optimal_limit: int = 64) -> List[BlockingPoint]:
+                        trials: int = 400, seed: int = 0
+                        ) -> List[BlockingPoint]:
     """Blocking probability versus request-set size, scheduler by scheduler.
 
     Each trial draws ``k`` requesting processors and ``k`` singly-resourced
     free output ports uniformly at random on a free network, then resolves
-    the batch with each scheduler.  ``include_optimal`` adds the optimal
-    floor, computed by the polynomial max-flow allocator
-    (:func:`repro.analysis.matching.optimal_allocation`) up to
-    ``optimal_limit`` requests.
+    the batch with each scheduler.
     """
     _require_trials(trials)
     rng = RandomStreams(seed).stream("blocking-comparison")
@@ -77,8 +69,6 @@ def blocking_comparison(topology_kind: str = "OMEGA", size: int = 8,
         if not 1 <= k <= size:
             raise ConfigurationError(f"request size {k} out of range for N={size}")
         rsin_blocked = random_blocked = sequential_blocked = 0
-        optimal_blocked: Optional[int] = 0 if (include_optimal and
-                                               k <= optimal_limit) else None
         feasible_total = 0
         for _ in range(trials):
             requesters = rng.sample(range(size), k)
@@ -95,18 +85,12 @@ def blocking_comparison(topology_kind: str = "OMEGA", size: int = 8,
             ordered = sequential_tag_routing(
                 topology, list(zip(sorted(requesters), sorted(free_ports))))
             sequential_blocked += k - len(ordered.routed)
-            if optimal_blocked is not None:
-                best, _mapping = optimal_allocation(topology, requesters,
-                                                    free_ports)
-                optimal_blocked += k - best
         points.append(BlockingPoint(
             request_size=k,
             trials=trials,
             rsin=rsin_blocked / feasible_total,
             address_random=random_blocked / feasible_total,
             address_sequential=sequential_blocked / feasible_total,
-            optimal=(optimal_blocked / feasible_total
-                     if optimal_blocked is not None else None),
         ))
     return points
 

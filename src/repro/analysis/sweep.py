@@ -28,6 +28,13 @@ REFERENCE_RESOURCES = 32
 #: Replications every simulated sweep point splits its horizon over.
 POINT_REPLICATIONS = 16
 
+#: Share of each replication discarded as warm-up.
+WARMUP_FRACTION = 0.1
+
+#: Simulated points at or beyond this share of the saturation intensity
+#: are reported saturated without being simulated.
+SATURATION_GUARD = 0.98
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -97,53 +104,16 @@ def analytic_point(config: Union[SystemConfig, str], mu_ratio: float,
         normalized_delay=estimate.mean_delay * workload.service_rate)
 
 
-def analytic_series(config: Union[SystemConfig, str], mu_ratio: float,
-                    intensities: Sequence[float],
-                    label: Optional[str] = None) -> Series:
-    """Exact Markov-chain delay curve (SBUS configurations): one
-    :func:`analytic_point` per intensity, the points ``repro run`` prints."""
-    if isinstance(config, str):
-        config = SystemConfig.parse(config)
-    points = [analytic_point(config, mu_ratio, intensity)
-              for intensity in intensities]
-    return Series(label=label or str(config), config=config, mu_ratio=mu_ratio,
-                  points=tuple(points), method="markov-chain")
-
-
-def simulated_series(config: Union[SystemConfig, str], mu_ratio: float,
-                     intensities: Sequence[float], label: Optional[str] = None,
-                     horizon: float = 30_000.0, warmup_fraction: float = 0.1,
-                     seed: int = 1, arbitration: str = "priority",
-                     saturation_guard: float = 0.98) -> Series:
-    """Event-simulation delay curve (crossbar / multistage configurations).
-
-    Every point runs with ``seed``; see :func:`simulated_curves`.
-    """
-    if isinstance(config, str):
-        config = SystemConfig.parse(config)
-    grid = list(intensities)
-    points = simulated_points(config, mu_ratio, grid, [seed] * len(grid),
-                              horizon=horizon,
-                              warmup_fraction=warmup_fraction,
-                              arbitration=arbitration,
-                              saturation_guard=saturation_guard)
-    return Series(label=label or str(config), config=config, mu_ratio=mu_ratio,
-                  points=tuple(points), method="event-simulation")
-
-
 @dataclass(frozen=True)
 class SimulatedCurve:
     """One simulated curve request: a configuration, its mu ratio, the
-    intensities with one seed per point, and the run parameters."""
+    intensities with one seed per point, and the simulated horizon."""
 
     config: Union[SystemConfig, str]
     mu_ratio: float
     intensities: Sequence[float]
     point_seeds: Sequence[int]
-    horizon: float = 30_000.0
-    warmup_fraction: float = 0.1
-    arbitration: str = "priority"
-    saturation_guard: float = 0.98
+    horizon: float
 
 
 @dataclass
@@ -151,26 +121,11 @@ class _LockstepGroup:
     """Batchable points of several curves that share one engine."""
 
     config: SystemConfig           # the first point's, for lockstep_mismatch
-    key: Tuple[object, ...]        # horizon, warmup, arbitration, dists
+    horizon: float
     slots: List[Tuple[int, int, float]] = field(default_factory=list)
     configs: List[SystemConfig] = field(default_factory=list)
     workloads: List[Workload] = field(default_factory=list)
     seed_groups: List[List[int]] = field(default_factory=list)
-
-
-def simulated_points(config: Union[SystemConfig, str], mu_ratio: float,
-                     intensities: Sequence[float],
-                     point_seeds: Sequence[int], horizon: float = 30_000.0,
-                     warmup_fraction: float = 0.1,
-                     arbitration: str = "priority",
-                     saturation_guard: float = 0.98) -> List[SweepPoint]:
-    """Event-simulation delay points of one curve, one seed per point: the
-    one-curve case of :func:`simulated_curves`."""
-    [points] = simulated_curves([SimulatedCurve(
-        config, mu_ratio, intensities, point_seeds, horizon=horizon,
-        warmup_fraction=warmup_fraction, arbitration=arbitration,
-        saturation_guard=saturation_guard)])
-    return points
 
 
 def simulated_curves(curves: Sequence[SimulatedCurve]
@@ -183,22 +138,23 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
     which other points or curves share the call, so the result equals the
     curves and their points computed one at a time, bit for bit.
 
-    Points at or beyond ``saturation_guard`` times the configuration's
+    Points at or beyond :data:`SATURATION_GUARD` times the configuration's
     saturation intensity are reported as saturated rather than burning
     simulation time on a queue that only grows.  Every other point has one
     estimator: :data:`POINT_REPLICATIONS` replications of ``horizon /
-    POINT_REPLICATIONS``, seeded ``spawn_seed(seed, "batched-replication",
-    k)``, and the Student-t interval across them (:func:`_replicated_point`).
-    The batchability gate (:func:`repro.sim.batched.batched_unsupported_reason`)
-    picks only the engine.  Points it admits are grouped by
-    :func:`repro.sim.batched.lockstep_mismatch` plus equal horizon, warmup,
-    arbitration and holding-time distributions, and each group advances as
-    one lockstep batch: fig. 7's four crossbar curves run as one engine.
-    Points it refuses (random/fifo arbiters, infinite resource pools,
-    fault configurations, discrete holding times) run the same
-    replications through :func:`~repro.core.system.simulate`.  A lockstep
-    row equals the scalar run of its seed bit for bit, so a point's value
-    never depends on which engine computed it.
+    POINT_REPLICATIONS`` under priority arbitration, the first
+    :data:`WARMUP_FRACTION` of each discarded, seeded ``spawn_seed(seed,
+    "batched-replication", k)``, and the Student-t interval across them
+    (:func:`_replicated_point`).  The batchability gate
+    (:func:`repro.sim.batched.batched_unsupported_reason`) picks only the
+    engine.  Points it admits are grouped by
+    :func:`repro.sim.batched.lockstep_mismatch` plus equal horizons, and
+    each group advances as one lockstep batch: fig. 7's four crossbar
+    curves run as one engine.  Points it refuses (infinite resource pools,
+    fault configurations) run the same replications through
+    :func:`~repro.core.system.simulate`.  A lockstep row equals the scalar
+    run of its seed bit for bit, so a point's value never depends on which
+    engine computed it.
     """
     from repro.sim.batched import (
         batched_delays,
@@ -216,8 +172,8 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
             raise ConfigurationError(
                 f"need one seed per point: {len(grid)} intensities, "
                 f"{len(curve.point_seeds)} seeds")
-        limit = curve.saturation_guard * saturation_intensity(
-            config, curve.mu_ratio)
+        limit = SATURATION_GUARD * saturation_intensity(config,
+                                                        curve.mu_ratio)
         per_replication = curve.horizon / POINT_REPLICATIONS
         points: List[Optional[SweepPoint]] = [None] * len(grid)
         results.append(points)
@@ -231,36 +187,29 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
                                    processors=config.processors)
             seeds = [spawn_seed(seed, "batched-replication", replication)
                      for replication in range(POINT_REPLICATIONS)]
-            if batched_unsupported_reason(
-                    config, workload, curve.arbitration) is not None:
+            if batched_unsupported_reason(config, workload) is not None:
                 points[index] = _replicated_point(
                     intensity, workload, replication_delays(
                         config, workload, per_replication,
-                        per_replication * curve.warmup_fraction, seeds,
-                        curve.arbitration))
+                        per_replication * WARMUP_FRACTION, seeds))
                 continue
-            key = (curve.horizon, curve.warmup_fraction, curve.arbitration,
-                   workload.interarrival_distribution,
-                   workload.transmission_distribution,
-                   workload.service_distribution)
             group = next(
-                (group for group in groups if group.key == key
+                (group for group in groups if group.horizon == curve.horizon
                  and lockstep_mismatch(group.config, config) is None),
                 None)
             if group is None:
-                group = _LockstepGroup(config, key)
+                group = _LockstepGroup(config, curve.horizon)
                 groups.append(group)
             group.slots.append((number, index, intensity))
             group.configs.append(config)
             group.workloads.append(workload)
             group.seed_groups.append(seeds)
     for group in groups:
-        horizon, warmup_fraction, arbitration = group.key[:3]
-        per_replication = horizon / POINT_REPLICATIONS
+        per_replication = group.horizon / POINT_REPLICATIONS
         delay_groups = batched_delays(
             group.configs, group.workloads, horizon=per_replication,
-            warmup=per_replication * warmup_fraction,
-            seed_groups=group.seed_groups, arbitration=arbitration)
+            warmup=per_replication * WARMUP_FRACTION,
+            seed_groups=group.seed_groups)
         for (number, index, intensity), workload, delays in zip(
                 group.slots, group.workloads, delay_groups):
             results[number][index] = _replicated_point(intensity, workload,
@@ -302,18 +251,6 @@ def replication_delays(config: Union[SystemConfig, str], workload: Workload,
     return [simulate(config, workload, horizon=horizon, warmup=warmup,
                      seed=seed, arbitration=arbitration).mean_queueing_delay
             for seed in seeds]
-
-
-def series_for(config: Union[SystemConfig, str], mu_ratio: float,
-               intensities: Sequence[float], label: Optional[str] = None,
-               **simulation_options) -> Series:
-    """Dispatch: exact chain for buses, simulation for switched fabrics."""
-    if isinstance(config, str):
-        config = SystemConfig.parse(config)
-    if config.network_type == "SBUS":
-        return analytic_series(config, mu_ratio, intensities, label=label)
-    return simulated_series(config, mu_ratio, intensities, label=label,
-                            **simulation_options)
 
 
 def crossover_intensity(first: Series, second: Series) -> Optional[float]:

@@ -195,26 +195,6 @@ def _command_run(args) -> int:
         print(result.report)
         return 0
 
-    # One line per curve that runs on the scalar engine, naming the gate
-    # property that keeps it off the batched one.  Figure workloads vary
-    # only in rate along a curve, so one probe decides the whole curve.
-    from repro.analysis.sweep import workload_at
-    from repro.config import SystemConfig
-    from repro.sim.batched import batched_unsupported_reason
-
-    spec = FIGURE_SPECS[args.exp_id]
-    for label, triplet in spec.curves:
-        config = SystemConfig.parse(triplet)
-        if config.network_type == "SBUS":
-            continue  # exact chain, no simulation engine involved
-        reason = batched_unsupported_reason(
-            config, workload_at(0.5, spec.mu_ratio,
-                                processors=config.processors))
-        if reason is not None:
-            print(f"note: {triplet} ({label}) falls back to the "
-                  f"scalar engine: the batched engine does not "
-                  f"support {reason}", file=sys.stderr)
-
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     policy = SupervisorPolicy(max_attempts=args.max_attempts,
                               unit_timeout=args.unit_timeout)

@@ -59,18 +59,14 @@ from repro.workload.arrivals import Workload
 ARBITRATION_POLICIES = ("priority", "random", "fifo")
 
 
-def build_fabric(config: SystemConfig, partition: int,
-                 streams: RandomStreams) -> NetworkFabric:
+def build_fabric(config: SystemConfig) -> NetworkFabric:
     """Construct the fabric for one partition of ``config``."""
     kind = config.network_type
     if kind == "SBUS":
         return SingleBusFabric(inputs=config.processors_per_network)
     if kind == "XBAR":
-        return CrossbarFabric(
-            inputs=config.inputs_per_network,
-            outputs=config.outputs_per_network,
-            rng=streams.stream(f"xbar-arbitration-{partition}"),
-        )
+        return CrossbarFabric(inputs=config.inputs_per_network,
+                              outputs=config.outputs_per_network)
     if kind in ("OMEGA", "CUBE", "BASELINE"):
         return MultistageFabric(make_topology(kind, config.inputs_per_network))
     raise ConfigurationError(f"no fabric for network type {kind!r}")
@@ -141,8 +137,7 @@ class RsinSystem:
         self.env = Environment()
         self.metrics = MetricsCollector(service_rate=workload.service_rate)
         self.fabrics: List[NetworkFabric] = [
-            build_fabric(config, partition, self.streams)
-            for partition in range(config.num_networks)
+            build_fabric(config) for _ in range(config.num_networks)
         ]
         per_network = config.processors_per_network
         # For port-per-processor fabrics the local input is the processor's

@@ -155,15 +155,14 @@ def figure_work_units(exp_id: str, quality: str = "fast",
 
 def figure_series(exp_id: str, quality: str = "fast",
                   intensities: Optional[Sequence[float]] = None,
-                  seed: int = 1, jobs: Optional[int] = None,
-                  runner=None) -> List[Series]:
+                  seed: int = 1, runner=None) -> List[Series]:
     """Materialize every curve of a delay figure.
 
     Points are independent seeded work units executed through a
-    :class:`~repro.runner.SweepRunner` — serially by default, fanned out
-    over processes with ``jobs`` (or the ``REPRO_JOBS`` environment
-    variable), and memoized when the runner carries a result cache.  The
-    assembled series are identical whatever the worker count.
+    :class:`~repro.runner.SweepRunner` — by default a new one, serial
+    unless the ``REPRO_JOBS`` environment variable asks for processes —
+    and memoized when the runner carries a result cache.  The assembled
+    series are identical whatever the worker count.
 
     When the runner carries a cache, the run is journaled under a digest of
     the figure identity (next to the cache, in ``_journals/``).  A killed
@@ -175,7 +174,7 @@ def figure_series(exp_id: str, quality: str = "fast",
     spec, grid, units = figure_work_units(exp_id, quality=quality,
                                           intensities=intensities, seed=seed)
     if runner is None:
-        runner = SweepRunner(jobs=jobs)
+        runner = SweepRunner()
     if runner.journal is None and runner.cache is not None:
         runner.journal = SweepJournal.for_sweep(
             runner.cache.root, "figure", exp_id, quality, seed,

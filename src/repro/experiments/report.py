@@ -52,13 +52,12 @@ def format_blocking_table(points: Sequence[BlockingPoint],
                           title: str = "Blocking probability") -> str:
     """Render the blocking comparison (Section V)."""
     lines = [title, "=" * len(title),
-             "  k |    RSIN | addr(rand) | addr(seq) | optimal"]
+             "  k |    RSIN | addr(rand) | addr(seq)"]
     lines.append("-" * len(lines[-1]))
     for point in points:
-        optimal = f"{point.optimal:8.3f}" if point.optimal is not None else "      --"
         lines.append(
             f"{point.request_size:3d} | {point.rsin:7.3f} | "
-            f"{point.address_random:10.3f} | {point.address_sequential:9.3f} |{optimal}")
+            f"{point.address_random:10.3f} | {point.address_sequential:9.3f}")
     if full is not None:
         lines.append("")
         lines.append(

@@ -19,7 +19,7 @@ from repro.networks.cells import (
     cell_logic,
     priority_match,
 )
-from repro.networks.crossbar import ARBITRATION_POLICIES, CrossbarFabric
+from repro.networks.crossbar import CrossbarFabric
 from repro.networks.interchange import (
     LOWER,
     UPPER,
@@ -53,7 +53,6 @@ __all__ = [
     "Connection",
     "SingleBusFabric",
     "CrossbarFabric",
-    "ARBITRATION_POLICIES",
     "DistributedCrossbar",
     "CycleResult",
     "cell_logic",

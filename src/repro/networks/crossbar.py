@@ -2,11 +2,8 @@
 
 A crossbar is internally non-blocking: a request fails only when no output
 port is eligible.  What the fabric decides is *which* eligible port a
-request connects to, mirroring the hardware arbitration:
-
-* ``"priority"`` — the wavefront cells' asymmetric order (lowest port
-  index wins; see :mod:`repro.networks.cells`);
-* ``"random"``  — the POLYP-style token scheme (uniform among eligible).
+request connects to: the lowest port index, the wavefront cells'
+asymmetric order (see :mod:`repro.networks.cells`).
 
 Fault injection targets individual crosspoint cells: a failed cell
 ``("cell", (i, j))`` makes output ``j`` unreachable from input ``i``, and
@@ -18,25 +15,14 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.networks.base import Connection, NetworkFabric
-from repro.sim.rng import RngStream
-
-ARBITRATION_POLICIES = ("priority", "random")
 
 
 class CrossbarFabric(NetworkFabric):
     """A ``p x m`` non-blocking crossbar with distributed scheduling cells."""
 
-    def __init__(self, inputs: int, outputs: int, arbitration: str = "priority",
-                 rng: Optional[RngStream] = None):
+    def __init__(self, inputs: int, outputs: int):
         super().__init__(inputs=inputs, outputs=outputs)
-        if arbitration not in ARBITRATION_POLICIES:
-            raise ConfigurationError(
-                f"unknown arbitration {arbitration!r}; "
-                f"expected one of {ARBITRATION_POLICIES}")
-        self.arbitration = arbitration
-        self._rng = rng if rng is not None else RngStream(0, name="xbar-arbitration")
         self._components: Tuple[Tuple, ...] = tuple(
             ("cell", (i, j))
             for i in range(inputs) for j in range(outputs))
@@ -57,9 +43,6 @@ class CrossbarFabric(NetworkFabric):
                 if ("cell", (input_port, port)) not in self._failed)
         if not candidates:
             return None
-        if self.arbitration == "priority":
-            port = min(candidates)
-        else:
-            port = self._rng.choice(sorted(candidates))
         # Crossbars traverse a single switching element.
-        return Connection(input_port=input_port, output_port=port, hops=1)
+        return Connection(input_port=input_port, output_port=min(candidates),
+                          hops=1)

@@ -47,11 +47,7 @@ from repro.runner.evaluators import (
     execute_payload,
     get_evaluator,
 )
-from repro.runner.journal import (
-    JournalSummary,
-    SweepJournal,
-    sweep_digest,
-)
+from repro.runner.journal import SweepJournal
 from repro.runner.pool import (
     JOBS_ENV,
     SweepRunner,
@@ -81,7 +77,6 @@ __all__ = [
     "ChaosPolicy",
     "EVALUATORS",
     "JOBS_ENV",
-    "JournalSummary",
     "ResultCache",
     "RunReport",
     "Supervisor",
@@ -102,6 +97,5 @@ __all__ = [
     "get_evaluator",
     "resolve_chaos",
     "resolve_jobs",
-    "sweep_digest",
     "work_unit_digest",
 ]

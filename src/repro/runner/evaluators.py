@@ -134,8 +134,7 @@ def execute_payload(
 
 
 @evaluator("megabatch-figure", reads=("config", "mu_ratio", "intensities",
-                                      "horizon", "warmup_fraction",
-                                      "arbitration", "saturation_guard"))
+                                      "horizon"))
 def figure_curves(members: Members) -> List[list]:
     """Simulated points of each member's figure curve, in intensity order.
 
@@ -159,10 +158,7 @@ def figure_curves(members: Members) -> List[list]:
             triplet, params["mu_ratio"], intensities,
             [spawn_seed(seed, triplet, intensity)
              for intensity in intensities],
-            horizon=params["horizon"],
-            warmup_fraction=params.get("warmup_fraction", 0.1),
-            arbitration=params.get("arbitration", "priority"),
-            saturation_guard=params.get("saturation_guard", 0.98)))
+            params["horizon"]))
     return simulated_curves(curves)
 
 

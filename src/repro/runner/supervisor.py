@@ -23,11 +23,15 @@ the modeled fabrics:
   one unit per worker in flight, so a unit's ``unit_timeout`` clock starts
   when a worker is free to run it, not while it waits in the pool's
   queue.  A broken pool (``BrokenProcessPool`` from ``submit`` or a
-  future) is respawned and the units it held are charged and retried; a
-  unit that out-lives ``unit_timeout`` gets its worker killed and the
-  pool rebuilt; more than :data:`MAX_POOL_RESPAWNS` respawns without any
-  completed unit send the remaining work to serial execution.  Only the
-  pool can stop a unit, so ``unit_timeout`` needs two or more jobs.
+  future) is respawned.  ``BrokenProcessPool`` does not say which worker
+  died, so a break charges the unit in flight only when it was alone;
+  units torn down together go back to the head of the queue uncharged,
+  and the new pool runs them one at a time until each resolves, so the
+  next break names its unit.  A unit that out-lives ``unit_timeout`` is
+  charged and gets its worker killed (the units torn down with it go
+  back uncharged); more than :data:`MAX_POOL_RESPAWNS` respawns without
+  any completed unit send the remaining work to serial execution.  Only
+  the pool can stop a unit, so ``unit_timeout`` needs two or more jobs.
 
 * **One charging step.**  Serial runs, the pool, and the drain after the
   pool gives up all charge a failed execution through the same step
@@ -67,7 +71,8 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import ConfigurationError
 from repro.runner.chaos import ChaosPolicy
@@ -330,8 +335,12 @@ class Supervisor:
         ready: Deque[_Flight] = deque(_Flight(index, unit)
                                       for index, unit in pending)
         inflight: Dict[Future, _Flight] = {}
+        # Units torn down together by a break that named none of them: the
+        # pool runs them one at a time until each resolves.
+        suspects: Set[_Flight] = set()
 
         def fail(flight: _Flight) -> None:
+            suspects.discard(flight)
             if self._charge(flight, report):
                 ready.append(flight)
             else:
@@ -348,10 +357,12 @@ class Supervisor:
                         self._to_serial(flight, report, on_complete)
                     return
                 now = time.monotonic()
-                pool_broken = False
-                # One unit per worker: a unit starts the moment it is
-                # submitted, so its deadline covers its execution only.
-                while ready and len(inflight) < workers:
+                pool_broken = timed_out = False
+                torn: List[_Flight] = []  # in flight when the pool broke
+                # One unit per worker (one in all while suspects remain): a
+                # unit starts the moment it is submitted, so its deadline
+                # covers its execution only.
+                while ready and len(inflight) < (1 if suspects else workers):
                     flight = ready.popleft()
                     try:
                         future = pool.submit(
@@ -379,12 +390,14 @@ class Supervisor:
                             values, _error, wall = future.result()
                         except BrokenProcessPool:
                             pool_broken = True
-                            values = None
+                            torn.append(flight)
+                            continue
                         except Exception:  # no worker result at all
                             values = None
                         if values is None:
                             fail(flight)
                         else:
+                            suspects.discard(flight)
                             respawns_without_progress = 0
                             on_complete(flight.index,
                                         self._outcome(flight, values[0], wall))
@@ -394,19 +407,23 @@ class Supervisor:
                                and fl.deadline <= now and not future.done()]
                     if expired:
                         report.timeouts += len(expired)
-                        pool_broken = True  # the hung workers must be killed
+                        # The hung workers must be killed.
+                        pool_broken = timed_out = True
                         for future, flight in expired:
                             del inflight[future]
                             fail(flight)
                 if pool_broken:
                     report.pool_respawns += 1
                     respawns_without_progress += 1
-                    # Units still in flight die with the pool: charge them
-                    # through the normal failure path (their chaos salt
-                    # advances, their budget is charged).
-                    for flight in inflight.values():
-                        fail(flight)
+                    torn.extend(inflight.values())
                     inflight.clear()
+                    if len(torn) == 1 and not timed_out:
+                        fail(torn[0])  # it was alone: the break names it
+                    else:
+                        # Nothing names these units: back to the head of
+                        # the queue uncharged (their chaos salt advances).
+                        suspects.update(torn)
+                        ready.extendleft(reversed(torn))
                     _terminate_pool(pool)
                     pool = (None if respawns_without_progress
                             > MAX_POOL_RESPAWNS  # fall back to serial

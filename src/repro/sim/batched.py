@@ -25,10 +25,10 @@ live row by exactly one event** with vectorized NumPy updates:
 * dispatch is one call per step of a per-fabric batched kernel (see
   ``FABRIC_DISPATCH``): the priority matcher of
   :mod:`repro.networks.batched_crossbar` — the closed form of the
-  crossbar cells' wavefront; its single-column degenerate form in
-  :mod:`repro.networks.batched_sbus` for the shared bus; and the plane
-  router of :mod:`repro.networks.batched_omega` for multistage fabrics,
-  which grants in the scalar broadcast's ascending input order.  A step
+  crossbar cells' wavefront, which also serves the shared bus as a
+  one-column crossbar; and the plane router of
+  :mod:`repro.networks.batched_omega` for multistage fabrics, which
+  grants in the scalar broadcast's ascending input order.  A step
   advances each row by one event, so each row re-offers exactly one
   partition (the freed port's, the finished processor's, or the arriving
   processor's); the kernel takes one request row per offering batch row,
@@ -104,7 +104,6 @@ from repro.config import SystemConfig, check_window
 from repro.errors import ConfigurationError
 from repro.networks.batched_crossbar import match_pairs_batch
 from repro.networks.batched_omega import BatchedMultistageRouter
-from repro.networks.batched_sbus import match_bus_batch
 from repro.networks.topology import make_topology
 from repro.sim.rng import BATCH_BLOCK, spawn_seed, uniform_block_source
 
@@ -322,15 +321,14 @@ class MegaBatchResult:
 
 #: The batched dispatch kernel serving each network type: ``"crossbar"``
 #: (the rank-paired priority matcher of
-#: :func:`~repro.networks.batched_crossbar.match_pairs_batch`), ``"bus"``
-#: (the single-column grant of
-#: :func:`~repro.networks.batched_sbus.match_bus_batch`), or
-#: ``"multistage"`` (the plane router of
+#: :func:`~repro.networks.batched_crossbar.match_pairs_batch`; a shared
+#: bus is its one-column case: the lowest requesting processor wins when
+#: the bus can accept) or ``"multistage"`` (the plane router of
 #: :class:`~repro.networks.batched_omega.BatchedMultistageRouter`).  A
 #: network type missing from this table has no batched kernel at all.
 FABRIC_DISPATCH = {
     "XBAR": "crossbar",
-    "SBUS": "bus",
+    "SBUS": "crossbar",
     "OMEGA": "multistage",
     "CUBE": "multistage",
     "BASELINE": "multistage",
@@ -343,8 +341,7 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
                                ) -> Optional[str]:
     """Why this model cannot run on the batched path, or None when it can.
 
-    The returned string names the *first* blocking property — the one the
-    CLI surfaces when a curve falls back to the scalar engine.  The gate,
+    The returned string names the *first* blocking property.  The gate,
     in order:
 
     * a fabric family with a dispatch kernel in ``FABRIC_DISPATCH``
@@ -570,9 +567,8 @@ class MegaBatchEngine:
         self._max_resources = int(resources.max())
         self._mixed_resources = int(resources.min()) != self._max_resources
 
-        self._dispatch_kind = FABRIC_DISPATCH[lead.network_type]
         self._router: Optional[BatchedMultistageRouter] = None
-        if self._dispatch_kind == "multistage":
+        if FABRIC_DISPATCH[lead.network_type] == "multistage":
             self._router = BatchedMultistageRouter(
                 make_topology(lead.network_type, lead.inputs_per_network),
                 rows=rows, partitions=lead.num_networks)
@@ -873,25 +869,14 @@ class MegaBatchEngine:
                     self._apply_grants(parts[positions], reps[positions],
                                        inputs, outputs, times, warmup)
                 continue
-            positions, grant_rows, grant_cols = self._match(
+            # Row i of requests/acceptable is one partition of one batch
+            # row, zero-padded to the widest partition; padded cells are
+            # False, so rank pairing grants what it grants unpadded.
+            positions, grant_rows, grant_cols = match_pairs_batch(
                 requests, acceptable)
             if positions.size:
                 self._apply_grants(parts[positions], reps[positions],
                                    grant_rows, grant_cols, times, warmup)
-
-    def _match(self, requests: np.ndarray, acceptable: np.ndarray
-               ) -> Tuple[_IntArray, _IntArray, _IntArray]:
-        """One batched dispatch of crossbar or bus partitions.
-
-        Row ``i`` of ``requests``/``acceptable`` is one partition of one
-        batch row, zero-padded to the widest partition; padded cells are
-        False, so rank pairing grants what it grants on the unpadded
-        partition.  Both matchers return the same row-major,
-        processor-ascending ``(positions, rows, columns)`` triple layout.
-        """
-        if self._dispatch_kind == "bus":
-            return match_bus_batch(requests, acceptable)
-        return match_pairs_batch(requests, acceptable)
 
     def _apply_grants(self, parts: _IntArray, grant_reps: _IntArray,
                       grant_rows: _IntArray, grant_cols: _IntArray,

@@ -1,7 +1,5 @@
 """Tests for the analytic delay approximations (Sections III and IV)."""
 
-import math
-
 import pytest
 
 from repro.analysis import (
@@ -13,7 +11,7 @@ from repro.analysis import (
     workload_at,
 )
 from repro.config import SystemConfig
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.workload import Workload
 
 

@@ -14,8 +14,7 @@ class TestBlockingComparison:
     @pytest.fixture(scope="class")
     def points(self):
         return blocking_comparison(size=8, request_sizes=(4, 6),
-                                   trials=120, seed=3, include_optimal=True,
-                                   optimal_limit=4)
+                                   trials=120, seed=3)
 
     def test_probabilities_in_unit_interval(self, points):
         for point in points:
@@ -29,16 +28,6 @@ class TestBlockingComparison:
         for point in points:
             assert point.rsin < point.address_random
             assert point.rsin <= 0.75 * point.address_random
-
-    def test_optimal_is_a_floor(self, points):
-        for point in points:
-            if point.optimal is not None:
-                assert point.optimal <= point.rsin + 1e-12
-
-    def test_optimal_skipped_above_limit(self, points):
-        by_size = {p.request_size: p for p in points}
-        assert by_size[4].optimal is not None
-        assert by_size[6].optimal is None
 
     def test_blocking_grows_with_request_size_for_address_mapping(self):
         points = blocking_comparison(size=8, request_sizes=(2, 5, 8),

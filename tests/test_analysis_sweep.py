@@ -1,17 +1,24 @@
-"""Tests for the sweep machinery behind the delay figures."""
+"""Tests for the sweep machinery behind the delay figures: the points
+``repro run`` computes (``analytic_point`` for buses, ``simulated_curves``
+for switched fabrics) and the curves ``figure_series`` assembles."""
 
 import pytest
 
 from repro.analysis import (
     Series,
     SweepPoint,
-    analytic_series,
     crossover_intensity,
-    series_for,
-    simulated_series,
     workload_at,
 )
+from repro.analysis.sweep import SimulatedCurve, analytic_point, simulated_curves
 from repro.config import SystemConfig
+from repro.experiments import figure_series
+
+
+def _curve_points(triplet, intensities, horizon, seed=1):
+    [points] = simulated_curves([SimulatedCurve(
+        triplet, 0.1, intensities, [seed] * len(intensities), horizon)])
+    return points
 
 
 class TestWorkloadAt:
@@ -30,48 +37,50 @@ class TestWorkloadAt:
 class TestAnalyticSeries:
     def test_marks_saturated_points(self):
         # One shared bus saturates at rho = 0.375 for ratio 0.1.
-        series = analytic_series("16/1x1x1 SBUS/32", 0.1,
-                                 [0.2, 0.3, 0.5, 0.8])
-        by_x = {p.intensity: p for p in series.points}
+        by_x = {x: analytic_point("16/1x1x1 SBUS/32", 0.1, x)
+                for x in (0.2, 0.3, 0.5, 0.8)}
         assert by_x[0.2].normalized_delay is not None
         assert by_x[0.5].normalized_delay is None
         assert by_x[0.8].normalized_delay is None
 
     def test_monotone_in_load(self):
-        series = analytic_series("16/16x1x1 SBUS/2", 0.1, [0.2, 0.4, 0.6])
-        delays = [p.normalized_delay for p in series.points]
+        delays = [analytic_point("16/16x1x1 SBUS/2", 0.1, x).normalized_delay
+                  for x in (0.2, 0.4, 0.6)]
         assert delays == sorted(delays)
 
     def test_finite_points_helper(self):
-        series = analytic_series("16/1x1x1 SBUS/32", 0.1, [0.2, 0.8])
-        assert len(series.finite_points()) == 1
+        # fig4's first curve is the one shared bus, saturated at 0.8.
+        first = figure_series("fig4", intensities=[0.2, 0.8])[0]
+        assert str(first.config) == "16/1x1x1 SBUS/32"
+        assert len(first.finite_points()) == 1
 
-    def test_label_defaults_to_config(self):
-        series = analytic_series("16/16x1x1 SBUS/2", 0.1, [0.2])
-        assert series.label == "16/16x1x1 SBUS/2"
-        assert series.method == "markov-chain"
+    def test_curves_take_the_figure_labels(self):
+        series = figure_series("fig4", intensities=[0.2])
+        assert series[3].label == "16 private buses, r=2"
+        assert str(series[3].config) == "16/16x1x1 SBUS/2"
+        assert series[3].method == "markov-chain"
 
 
 class TestSimulatedSeries:
     def test_produces_delays_with_ci(self):
-        series = simulated_series("16/1x16x16 XBAR/2", 0.1, [0.3, 0.5],
-                                  horizon=4_000.0, seed=2)
-        for point in series.finite_points():
+        points = _curve_points("16/1x16x16 XBAR/2", [0.3, 0.5],
+                               horizon=4_000.0, seed=2)
+        assert [point.intensity for point in points] == [0.3, 0.5]
+        for point in points:
             assert point.normalized_delay >= 0.0
             assert point.ci_halfwidth is not None
 
     def test_saturation_guard_skips_hopeless_points(self):
-        series = simulated_series("16/1x16x16 XBAR/2", 0.1, [0.5, 1.5],
-                                  horizon=2_000.0)
-        by_x = {p.intensity: p for p in series.points}
+        points = _curve_points("16/1x16x16 XBAR/2", [0.5, 1.5],
+                               horizon=2_000.0)
+        by_x = {p.intensity: p for p in points}
         assert by_x[1.5].normalized_delay is None
 
     def test_dispatch_by_network_type(self):
-        bus = series_for("16/16x1x1 SBUS/2", 0.1, [0.3])
-        assert bus.method == "markov-chain"
-        switched = series_for("16/1x16x16 XBAR/2", 0.1, [0.3],
-                              horizon=2_000.0)
-        assert switched.method == "event-simulation"
+        buses = figure_series("fig4", intensities=[0.3])
+        assert {curve.method for curve in buses} == {"markov-chain"}
+        switched = figure_series("fig7", intensities=[0.3])
+        assert {curve.method for curve in switched} == {"event-simulation"}
 
 
 class TestCrossover:

@@ -86,14 +86,6 @@ class TestCli:
                      "--horizon", "1000"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_run_default_engine_prints_no_fallback_note(self, capsys):
-        """Every registered figure family batches now: the batchability
-        gate finds nothing to refuse (fig4 is pure analytic, so this
-        stays cheap while still walking the fallback-note path)."""
-        assert main(["run", "fig4", "--no-cache", "--quality", "fast"]) == 0
-        captured = capsys.readouterr()
-        assert "falls back" not in captured.err
-
     def test_run_counts_points_not_units(self, capsys):
         """fig7's 32-cell table comes from 4 curve units."""
         assert main(["run", "fig7", "--no-cache", "--quality", "fast"]) == 0
@@ -171,22 +163,32 @@ def test_bad_input_fails_with_named_reason(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
+def _bus_curve(triplet, intensities):
+    """An exact SBUS curve labelled by its triplet."""
+    from repro.analysis import Series
+    from repro.analysis.sweep import analytic_point
+    from repro.config import SystemConfig
+
+    return Series(label=triplet, config=SystemConfig.parse(triplet),
+                  mu_ratio=0.1, method="markov-chain",
+                  points=tuple(analytic_point(triplet, 0.1, intensity)
+                               for intensity in intensities))
+
+
 class TestRender:
     def make_series(self):
-        from repro.analysis import analytic_series
-        return [analytic_series("16/16x1x1 SBUS/2", 0.1, [0.2, 0.4, 0.6]),
-                analytic_series("16/8x1x1 SBUS/4", 0.1, [0.2, 0.4, 0.6])]
+        return [_bus_curve("16/16x1x1 SBUS/2", [0.2, 0.4, 0.6]),
+                _bus_curve("16/8x1x1 SBUS/4", [0.2, 0.4, 0.6])]
 
     def test_render_contains_markers_and_legend(self):
         chart = render_series(self.make_series(), title="demo")
         assert "demo" in chart
         assert "o" in chart and "x" in chart
-        assert "16/16x1x1 SBUS/2" in chart  # default label is the triplet
+        assert "16/16x1x1 SBUS/2" in chart  # the legend shows labels
         assert "traffic intensity" in chart
 
     def test_render_empty(self):
-        from repro.analysis import analytic_series
-        saturated = [analytic_series("16/1x1x1 SBUS/32", 0.1, [0.9])]
+        saturated = [_bus_curve("16/1x1x1 SBUS/32", [0.9])]
         chart = render_series(saturated)
         assert "no finite points" in chart
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import NETWORK_TYPES, SystemConfig, parse_config
+from repro.config import NETWORK_TYPES, parse_config
 from repro.errors import ConfigurationError
 
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.config import SystemConfig
-from repro.core.multi_resource import (
-    STRATEGIES,
-    MultiResourceSystem,
-    simulate_multi_resource,
-)
+from repro.core.multi_resource import STRATEGIES, MultiResourceSystem
 from repro.errors import ConfigurationError, SimulationError
 from repro.workload import Workload
 

@@ -1,7 +1,5 @@
 """Tests for the RSIN system simulator."""
 
-import math
-
 import pytest
 
 from repro.config import SystemConfig

@@ -8,14 +8,13 @@ physics; these property tests pin them against each other:
   its shortfall is bounded);
 * the settled-status fabric versus the exhaustive optimal (sequential
   greedy lower bound);
+* every scheduler, random address mapping included, versus the
+  exhaustive optimal on up to 6x6 requests (none allocates more);
 * the cycle-accurate crossbar at zero gate time versus the event-driven
   crossbar simulator (covered in test_core_cycle_system; here the
   gate-level wavefront versus the closed-form matcher on random state).
 """
 
-import random
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.networks import (
@@ -25,7 +24,9 @@ from repro.networks import (
     OmegaTopology,
     max_conflict_free,
     priority_match,
+    random_mapping_outcome,
 )
+from repro.sim import RngStream
 
 
 class TestSchedulerVersusOptimal:
@@ -82,6 +83,33 @@ class TestSchedulerVersusOptimal:
                 remaining.discard(connection.output_port)
                 allocated += 1
         assert allocated <= best
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_upper_bounds_every_scheduler(self, data):
+        """No scheduler -- the distributed RSIN round, the settled-status
+        greedy fabric or a random address mapping -- allocates more than
+        the exhaustive optimum, on up to 6x6 requests."""
+        size = 8
+        requesters = data.draw(st.lists(st.integers(0, size - 1), unique=True,
+                                        min_size=1, max_size=6))
+        ports = data.draw(st.lists(st.integers(0, size - 1), unique=True,
+                                   min_size=1, max_size=6))
+        topology = OmegaTopology(size)
+        best, _mapping = max_conflict_free(topology, requesters, ports)
+        scheduler = ClockedMultistageScheduler(
+            topology, {port: 1 for port in ports})
+        assert len(scheduler.run(requesters).allocated) <= best
+        fabric = MultistageFabric(topology)
+        remaining = set(ports)
+        for source in requesters:
+            connection = fabric.connect(source, remaining)
+            if connection is not None:
+                remaining.discard(connection.output_port)
+        assert len(ports) - len(remaining) <= best
+        rng = RngStream(data.draw(st.integers(0, 2**32 - 1)))
+        mapped = random_mapping_outcome(topology, requesters, ports, rng)
+        assert len(mapped.routed) <= best
 
 
 class TestWavefrontVersusClosedForm:

@@ -54,10 +54,10 @@ class TestFigureSpecs:
 
 class TestLibraryAgreesWithRun:
     @pytest.mark.parametrize("exp_id", ["fig4", "fig5"])
-    def test_sbus_curves_equal_analytic_series(self, exp_id):
+    def test_sbus_curves_equal_analytic_points(self, exp_id):
         """Every SBUS curve ``repro run`` prints is the library's
-        ``analytic_series`` over the same grid, bit for bit."""
-        from repro.analysis import analytic_series
+        ``analytic_point`` at each intensity of the grid, bit for bit."""
+        from repro.analysis.sweep import analytic_point
 
         spec = FIGURE_SPECS[exp_id]
         grid = intensity_grid(QUALITY_PRESETS["fast"][0])
@@ -65,8 +65,9 @@ class TestLibraryAgreesWithRun:
         assert len(series) == len(spec.curves)
         for curve in series:
             assert curve.config.network_type == "SBUS"
-            library = analytic_series(curve.config, spec.mu_ratio, grid)
-            assert curve.points == library.points
+            assert curve.points == tuple(
+                analytic_point(curve.config, spec.mu_ratio, intensity)
+                for intensity in grid)
 
 
 class TestFig11:
@@ -127,8 +128,8 @@ class TestRegistry:
 
 class TestReports:
     def test_series_table_marks_saturation(self):
-        from repro.analysis import analytic_series
-        series = [analytic_series("16/1x1x1 SBUS/32", 0.1, [0.2, 0.8])]
+        # fig4's first curve is the one shared bus, saturated at 0.8.
+        series = figure_series("fig4", intensities=[0.2, 0.8])[:1]
         text = format_series_table(series, title="demo")
         assert "demo" in text
         assert "--" in text          # saturated point
@@ -136,12 +137,12 @@ class TestReports:
 
     def test_blocking_table(self):
         points = [BlockingPoint(request_size=4, trials=10, rsin=0.1,
-                                address_random=0.2, address_sequential=0.15,
-                                optimal=0.05)]
+                                address_random=0.2, address_sequential=0.15)]
         text = format_blocking_table(points, full={"address_mapping": 0.3,
                                                    "rsin": 0.15})
         assert "0.300" in text
         assert "RSIN" in text
+        assert "  4 |   0.100 |      0.200 |     0.150" in text.splitlines()
 
     def test_format_rows_generic(self):
         text = format_rows([{"a": 1, "b": None}, {"a": 2, "b": 0.5}],

@@ -155,7 +155,7 @@ class TestErrorHierarchy:
 
 class TestFabricHooks:
     def test_crossbar_cell_failure_blocks_and_repairs(self):
-        fabric = CrossbarFabric(inputs=2, outputs=2, rng=random.Random(0))
+        fabric = CrossbarFabric(inputs=2, outputs=2)
         assert ("cell", (0, 1)) in fabric.fault_components()
         fabric.fail_component(("cell", (0, 0)))
         fabric.fail_component(("cell", (0, 1)))
@@ -167,7 +167,7 @@ class TestFabricHooks:
         assert fabric.connect(0, [0]) is not None
 
     def test_crossbar_fail_severs_matching_circuit(self):
-        fabric = CrossbarFabric(inputs=2, outputs=2, rng=random.Random(0))
+        fabric = CrossbarFabric(inputs=2, outputs=2)
         connection = fabric.connect(0, [1])
         severed = fabric.fail_component(("cell", (0, 1)))
         assert severed == frozenset({connection})
@@ -200,7 +200,7 @@ class TestFabricHooks:
         assert fabric.connect(blocked_inputs[0], list(range(8))) is not None
 
     def test_double_fail_and_bad_component_rejected(self):
-        fabric = CrossbarFabric(inputs=2, outputs=2, rng=random.Random(0))
+        fabric = CrossbarFabric(inputs=2, outputs=2)
         fabric.fail_component(("cell", (0, 0)))
         with pytest.raises(FaultInjectionError):
             fabric.fail_component(("cell", (0, 0)))

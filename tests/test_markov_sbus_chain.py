@@ -133,7 +133,6 @@ class TestQbdBlocks:
         assert np.allclose((a0 + a1 + a2).sum(axis=1), 0.0)
 
     def test_blocks_match_transition_function(self):
-        import numpy as np
         chain = make_chain(resources=3)
         a0, a1, a2 = chain.qbd_blocks()
         level = chain.repeating_level + 2

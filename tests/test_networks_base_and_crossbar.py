@@ -1,7 +1,5 @@
 """Tests for the fabric base class, bus fabric and crossbar fabric."""
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -54,7 +52,7 @@ class TestSingleBusFabric:
 
 class TestCrossbarFabric:
     def test_priority_takes_lowest_port(self):
-        fabric = CrossbarFabric(4, 8, arbitration="priority")
+        fabric = CrossbarFabric(4, 8)
         connection = fabric.connect(0, {5, 2, 7})
         assert connection.output_port == 2
 
@@ -63,20 +61,6 @@ class TestCrossbarFabric:
         connections = [fabric.connect(i, {i}) for i in range(4)]
         assert all(c is not None for c in connections)
         assert fabric.blocking_fraction == 0.0
-
-    def test_random_arbitration_covers_candidates(self):
-        fabric = CrossbarFabric(4, 8, arbitration="random",
-                                rng=random.Random(3))
-        seen = set()
-        for _ in range(60):
-            connection = fabric.connect(0, {1, 4, 6})
-            seen.add(connection.output_port)
-            fabric.release(connection)
-        assert seen == {1, 4, 6}
-
-    def test_unknown_arbitration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CrossbarFabric(4, 4, arbitration="round-robin")
 
     def test_crossbar_hops_is_one(self):
         fabric = CrossbarFabric(2, 2)

@@ -51,3 +51,16 @@ class TestBatchedMatching:
         assert reps.tolist() == [0, 0, 1]
         assert rows.tolist() == [1, 2, 0]
         assert cols.tolist() == [0, 1, 0]
+
+    def test_lowest_requesting_row_wins_port_zero(self):
+        """A shared bus is the one-column case: the lowest waiting
+        processor wins when the bus can accept."""
+        requesting = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0]],
+                              dtype=np.uint8)
+        acceptable = np.array([[1], [0], [1]], dtype=np.uint8)
+        reps, rows, cols = match_pairs_batch(requesting, acceptable)
+        # Replication 1's busy bus and replication 2's idle processors
+        # both refuse; replication 0 grants its lowest waiting row.
+        assert reps.tolist() == [0]
+        assert rows.tolist() == [1]
+        assert cols.tolist() == [0]

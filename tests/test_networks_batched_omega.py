@@ -1,13 +1,11 @@
-"""Lockstep tests for the batched multistage router and bus matcher.
+"""Lockstep tests for the batched multistage router.
 
-The batched fabric kernels' single contract is equivalence with the
-scalar fabrics they replace: :class:`BatchedMultistageRouter` must grant,
-route, and release exactly like :class:`MultistageFabric` on every wiring
-the grammar admits, and :func:`match_bus_batch` must reproduce the
-single-bus broadcast closed form (which is also the ``m = 1`` degenerate
-of the crossbar rank pairing).  The hypothesis drivers below advance K
-scalar fabrics and one K-row router through long random connect/release
-interleavings and compare every grant and output port along the way.
+The batched router's single contract is equivalence with the scalar
+fabric it replaces: :class:`BatchedMultistageRouter` must grant, route,
+and release exactly like :class:`MultistageFabric` on every wiring the
+grammar admits.  The hypothesis tests below advance K scalar fabrics
+and one K-row router through long random connect/release interleavings
+and compare every grant and output port along the way.
 """
 
 import numpy as np
@@ -15,9 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError
-from repro.networks.batched_crossbar import match_pairs_batch
 from repro.networks.batched_omega import BatchedMultistageRouter
-from repro.networks.batched_sbus import match_bus_batch
 from repro.networks.omega import MultistageFabric
 from repro.networks.topology import make_topology
 
@@ -139,41 +135,3 @@ class TestBatchedMultistageRouter:
             router.release_batch(np.zeros(1, dtype=np.int64),
                                  np.zeros(1, dtype=np.int64),
                                  np.zeros(1, dtype=np.int64))
-
-
-class TestMatchBusBatch:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_agrees_with_single_column_crossbar_matcher(self, data):
-        """The documented degeneracy: ``match_pairs_batch`` at ``m = 1``."""
-        processors = data.draw(st.integers(1, 6), label="p")
-        replications = data.draw(st.integers(1, 6), label="R")
-        requesting = np.array(
-            [[data.draw(st.integers(0, 1)) for _ in range(processors)]
-             for _ in range(replications)], dtype=np.uint8)
-        acceptable = np.array(
-            [[data.draw(st.integers(0, 1))] for _ in range(replications)],
-            dtype=np.uint8)
-        bus = match_bus_batch(requesting, acceptable)
-        crossbar = match_pairs_batch(requesting, acceptable)
-        for got, expected in zip(bus, crossbar):
-            assert got.tolist() == expected.tolist()
-
-    def test_lowest_requesting_row_wins_port_zero(self):
-        requesting = np.array([[0, 1, 1], [1, 0, 1], [0, 0, 0]],
-                              dtype=np.uint8)
-        acceptable = np.array([[1], [0], [1]], dtype=np.uint8)
-        reps, rows, cols = match_bus_batch(requesting, acceptable)
-        # Replication 1's busy bus and replication 2's idle processors
-        # both refuse; replication 0 grants its lowest waiting row.
-        assert reps.tolist() == [0]
-        assert rows.tolist() == [1]
-        assert cols.tolist() == [0]
-
-    def test_shape_validation(self):
-        with pytest.raises(SchedulingError):
-            match_bus_batch(np.ones((2, 3), dtype=np.uint8),
-                            np.ones((2, 2), dtype=np.uint8))
-        with pytest.raises(SchedulingError):
-            match_bus_batch(np.ones((2, 3), dtype=np.uint8),
-                            np.ones((3, 1), dtype=np.uint8))

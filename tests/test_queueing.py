@@ -1,9 +1,7 @@
 """Unit and property tests for the classical queueing formulas."""
 
-import math
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.errors import UnstableSystemError
 from repro.queueing import (

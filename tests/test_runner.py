@@ -385,6 +385,19 @@ def _simulated_point_seeds(units):
             for intensity in unit.params["intensities"]]
 
 
+def _simulated_figure_curves():
+    """``(exp_id, spec, config)`` of every simulated figure curve (SBUS
+    figures stay analytic)."""
+    from repro.config import SystemConfig
+    from repro.experiments import FIGURE_SPECS
+
+    for exp_id, spec in FIGURE_SPECS.items():
+        for _label, triplet in spec.curves:
+            config = SystemConfig.parse(triplet)
+            if config.network_type != "SBUS":
+                yield exp_id, spec, config
+
+
 class TestFigureParity:
     def test_work_units_have_independent_seeds(self):
         _spec, _grid, units = figure_work_units("fig7", quality="fast",
@@ -439,22 +452,34 @@ class TestFigureParity:
         """The closed fabric gate: no simulated figure curve falls back
         to the scalar loop (SBUS figures stay analytic)."""
         from repro.analysis.sweep import workload_at
-        from repro.config import SystemConfig
-        from repro.experiments import FIGURE_SPECS
         from repro.sim.batched import batched_unsupported_reason
 
         simulated = 0
-        for exp_id, spec in FIGURE_SPECS.items():
-            for _label, triplet in spec.curves:
-                config = SystemConfig.parse(triplet)
-                if config.network_type == "SBUS":
-                    continue
-                workload = workload_at(0.5, spec.mu_ratio,
-                                       processors=config.processors)
-                assert batched_unsupported_reason(config, workload) is None, (
-                    f"{exp_id} {triplet} falls back to the scalar loop")
-                simulated += 1
+        for exp_id, spec, config in _simulated_figure_curves():
+            workload = workload_at(0.5, spec.mu_ratio,
+                                   processors=config.processors)
+            assert batched_unsupported_reason(config, workload) is None, (
+                f"{exp_id} {config} falls back to the scalar loop")
+            simulated += 1
         assert simulated >= 16  # four curves in each of figs 7, 8, 12, 13
+
+    def test_no_figure_curve_falls_back_at_any_preset_intensity(self):
+        """The gate passes every simulated figure curve at every intensity
+        of every quality preset's grid, so `repro run` has no scalar
+        fallback to report."""
+        from repro.analysis.sweep import workload_at
+        from repro.experiments.figures import QUALITY_PRESETS, intensity_grid
+        from repro.sim.batched import batched_unsupported_reason
+
+        for step, _horizon in QUALITY_PRESETS.values():
+            for exp_id, spec, config in _simulated_figure_curves():
+                for intensity in intensity_grid(step):
+                    workload = workload_at(intensity, spec.mu_ratio,
+                                           processors=config.processors)
+                    assert batched_unsupported_reason(
+                        config, workload) is None, (
+                        f"{exp_id} {config} at {intensity} falls back "
+                        "to the scalar loop")
 
     def test_schema_bump_separates_fabric_gate_digests(self, monkeypatch):
         """Schema bumps (the fabric gate at 6, the engine collapse at 7)
@@ -492,9 +517,9 @@ class TestFigureParity:
     def test_serial_and_parallel_figures_identical(self):
         grid = [0.3, 0.6]
         serial = figure_series("fig7", quality="fast", intensities=grid,
-                               jobs=1)
+                               runner=SweepRunner(jobs=1))
         parallel = figure_series("fig7", quality="fast", intensities=grid,
-                                 jobs=4)
+                                 runner=SweepRunner(jobs=4))
         assert serial == parallel
 
     def test_cached_figure_is_identical_to_fresh(self, tmp_path):

@@ -10,6 +10,8 @@ A killed sweep leaves an append-only journal behind, and running it again
 recomputes only the missing units.
 """
 
+import json
+import multiprocessing
 import os
 import pickle
 import time  # lint: disable=SIM002 - tests supervise wall-clock execution
@@ -62,6 +64,31 @@ def _sleep(members):
         time.sleep(params["seconds"])
         values.append(params["x"])
     return values
+
+
+@evaluator("chaos-worker-exit")
+def _worker_exit(members):
+    """Kills the pool worker running it, never the parent process: on
+    every execution, or only on the first when ``marker`` names a file
+    that records it.  A real worker death, so the pool really breaks."""
+    values = []
+    for _seed, params in members:
+        marker = params.get("marker")
+        in_worker = multiprocessing.parent_process() is not None
+        if in_worker and not (marker and os.path.exists(marker)):
+            if marker:
+                with open(marker, "w", encoding="utf-8") as handle:
+                    handle.write("exited once")
+            os._exit(1)
+        values.append(params["x"])
+    return values
+
+
+def _beside_slow_units(crasher, count):
+    """``crasher`` first, then ``count`` 1 s units: with two workers the
+    first slow unit is still in flight when the crasher's worker dies."""
+    return [crasher] + [WorkUnit("chaos-sleep", 0, {"x": x, "seconds": 1.0})
+                        for x in range(count)]
 
 
 def _units(count, seed=0):
@@ -214,6 +241,39 @@ class TestSupervisedRuns:
         assert report.timeouts == 0
         assert report.pool_respawns == 0
 
+    def test_break_with_several_in_flight_charges_none(self, tmp_path,
+                                                       monkeypatch):
+        # BrokenProcessPool does not say whose worker died: the unit in
+        # flight beside the crasher is run again, alone, uncharged.
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        marker = tmp_path / "exit.marker"
+        units = _beside_slow_units(WorkUnit(
+            "chaos-worker-exit", 0, {"x": 9, "marker": str(marker)}), 3)
+        runner = SweepRunner(jobs=2,
+                             supervisor=SupervisorPolicy(max_attempts=1))
+        outcomes = runner.run(units)
+        assert [outcome.value for outcome in outcomes] == [9, 0, 1, 2]
+        assert marker.exists()
+        report = runner.last_report
+        assert report.pool_respawns >= 1
+        assert report.retries == 0
+        assert report.serial_fallbacks == 0
+        assert not any(outcome.serial_fallback for outcome in outcomes)
+
+    def test_only_the_crashing_unit_falls_back_to_serial(self, monkeypatch):
+        # The crasher kills every worker it runs in; the slow unit flies
+        # beside it at first, and must not pay for those deaths.
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        units = _beside_slow_units(
+            WorkUnit("chaos-worker-exit", 0, {"x": 9}), 1)
+        runner = SweepRunner(jobs=2,
+                             supervisor=SupervisorPolicy(max_attempts=2))
+        outcomes = runner.run(units)
+        assert [outcome.value for outcome in outcomes] == [9, 0]
+        assert [outcome.serial_fallback for outcome in outcomes] == [
+            True, False]
+        assert runner.last_report.serial_fallbacks == 1
+
     def test_budget_exhaustion_surfaces_worker_error(self):
         chaos = ChaosPolicy(fail=1.0)
         runner = SweepRunner(jobs=1, supervisor=SupervisorPolicy(max_attempts=2),
@@ -295,21 +355,25 @@ class TestJournalResume:
         assert report.cache_hits == 3
         assert report.computed == 3
 
-        summary = journal.summary()
-        assert summary.ok == 9          # 3 + (3 cached + 3 computed)
-        assert summary.cached == 3
-        assert summary.failed == 0
+        records = [json.loads(line) for line
+                   in journal.path.read_text(encoding="utf-8").splitlines()]
+        assert [record["status"] for record in records] == ["ok"] * 9
+        assert sum(1 for record in records if record.get("cached")) == 3
 
     def test_torn_journal_lines_are_skipped(self, tmp_path):
+        # A record torn by a kill damages only itself: the next append
+        # starts on a line of its own.
         journal = SweepJournal(tmp_path / "torn.jsonl")
         journal.record("a" * 64, "ok")
         with journal.path.open("a", encoding="utf-8") as handle:
             handle.write('{"schema": 1, "digest": "b", "status"')  # torn
         journal.record("c" * 64, "failed", attempts=3,
                        error="Traceback\nChaosError: injected")
-        entries = journal.entries()
-        assert len(entries) == 2
-        assert journal.summary().skipped_lines == 1
+        lines = journal.path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        with pytest.raises(ValueError):
+            json.loads(lines[1])
+        entries = [json.loads(lines[0]), json.loads(lines[2])]
         assert [entry["digest"] for entry in entries] == ["a" * 64, "c" * 64]
         assert entries[1]["error"].startswith("ChaosError")
 
@@ -317,7 +381,7 @@ class TestJournalResume:
         cache = ResultCache(tmp_path)
         runner = SweepRunner(jobs=1, cache=cache)
         first = figure_series("fig4", intensities=[0.3, 0.6], runner=runner)
-        assert runner.journal is not None and runner.journal.exists()
+        assert runner.journal is not None and runner.journal.path.is_file()
         computed = runner.last_report.computed
         assert computed == len(runner.last_outcomes)
 

@@ -420,6 +420,18 @@ class TestMergedGroups:
         for number, group in enumerate(groups):
             _check_merged_group(group, seed_base=20000 + number * 1000)
 
+    def test_buses_and_crossbars_share_one_engine(self):
+        """A shared bus is a one-column crossbar, so bus and crossbar
+        points of one processor count run in one engine."""
+        groups = [group for group in _grouped_by_processors(
+            _random_cases(8, master_seed=37)
+            + _random_bus_cases(8, master_seed=41))
+            if {config.network_type for config, _ in group}
+            == {"XBAR", "SBUS"}]
+        assert groups
+        for number, group in enumerate(groups):
+            _check_merged_group(group, seed_base=25000 + number * 1000)
+
     def test_multistage_group_shares_one_wiring(self):
         """Multistage points may differ in resources per port only."""
         cases = [(SystemConfig.parse(f"8/2x4x4 CUBE/{r}"),
@@ -460,7 +472,7 @@ class TestMergedGroups:
                 (0.0, "cell", (0, (0, 0)), "down"))))
         mismatches = [
             (("8/1x8x8 XBAR/2", "16/1x16x16 XBAR/2"), "processor counts"),
-            (("16/1x16x16 XBAR/2", "16/4x1x1 SBUS/2"), "dispatch kernels"),
+            (("16/1x16x16 XBAR/2", "16/1x16x16 OMEGA/2"), "dispatch kernels"),
             (("16/1x16x16 OMEGA/2", "16/4x4x4 OMEGA/2"),
              "multistage wirings"),
             (("16/4x4x4 OMEGA/2", "16/4x4x4 CUBE/2"), "multistage wirings"),
@@ -600,26 +612,29 @@ class TestVariateCrossover:
         assert default.mean_delays == forced_scalar.mean_delays
 
 
+def _sweep_point(triplet, intensity, seed, horizon):
+    """One simulated sweep point: a one-point curve of ``simulated_curves``."""
+    from repro.analysis.sweep import SimulatedCurve, simulated_curves
+
+    [[point]] = simulated_curves([SimulatedCurve(
+        triplet, 0.1, [intensity], [seed], horizon)])
+    return point
+
+
 class TestSweepPointEngine:
-    """A sweep point is a one-point curve of ``simulated_points``."""
+    """A sweep point is a one-point curve of ``simulated_curves``."""
 
     def test_batched_point_reports_replication_interval(self):
-        from repro.analysis.sweep import simulated_points
-
-        [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [0.4], [5],
-                                   horizon=2_000.0)
+        point = _sweep_point("16/1x16x8 XBAR/2", 0.4, 5, horizon=2_000.0)
         assert point.normalized_delay is not None
         assert point.ci_halfwidth is not None and point.ci_halfwidth > 0
 
     def test_batched_point_runs_new_fabrics(self):
         """Omega and single-bus points run batched, matching scalar seeds
         replication for replication (same spawned seed names)."""
-        from repro.analysis.sweep import simulated_points
-
         for triplet, intensity in (("8/1x8x8 OMEGA/2", 0.4),
                                    ("16/4x1x1 SBUS/2", 0.2)):
-            [point] = simulated_points(triplet, 0.1, [intensity], [5],
-                                       horizon=1_500.0)
+            point = _sweep_point(triplet, intensity, 5, horizon=1_500.0)
             assert point.normalized_delay is not None
             assert point.ci_halfwidth is not None and point.ci_halfwidth > 0
 
@@ -633,13 +648,11 @@ class TestSweepPointEngine:
             POINT_REPLICATIONS,
             SimulatedCurve,
             simulated_curves,
-            simulated_points,
             workload_at,
         )
         from repro.sim.stats import confidence_interval
 
-        curves = [SimulatedCurve(triplet, 0.1, [0.2, 0.4], [5, 6],
-                                 horizon=800.0)
+        curves = [SimulatedCurve(triplet, 0.1, [0.2, 0.4], [5, 6], 800.0)
                   for triplet in ("16/1x16x8 XBAR/2", "8/1x8x8 OMEGA/2")]
         lockstep = simulated_curves(curves)
         assert all(point.normalized_delay is not None
@@ -659,14 +672,12 @@ class TestSweepPointEngine:
                      seed=spawn_seed(5, "batched-replication", replication)
                      ).mean_queueing_delay
             for replication in range(POINT_REPLICATIONS)])
-        [point] = simulated_points(refused, 0.1, [0.4], [5], horizon=800.0)
+        point = _sweep_point(refused, 0.4, 5, horizon=800.0)
         assert point.normalized_delay == mean * workload.service_rate
         assert point.ci_halfwidth == halfwidth * workload.service_rate
 
     def test_saturated_point_short_circuits(self):
-        from repro.analysis.sweep import simulated_points
-
-        [point] = simulated_points("16/1x16x8 XBAR/2", 0.1, [5.0], [1])
+        point = _sweep_point("16/1x16x8 XBAR/2", 5.0, 1, horizon=30_000.0)
         assert point.normalized_delay is None
 
 
