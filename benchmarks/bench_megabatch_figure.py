@@ -26,16 +26,24 @@ scalar engine, one ``simulate()`` run per (point, replication) row —
 the same rows on both engines.  Bit-identity is asserted on both
 comparisons and the speedups are recorded, again without a floor.
 
+A memory test runs the whole-figure engine once more under
+:mod:`tracemalloc`, apart from the timed runs, and records the traced
+peak per row; at full size it asserts a ceiling on it, so engine memory
+that grows with rows times the longest queue, or stream state kept idle
+between refills, shows.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid and horizon so CI can execute
 the benchmark end to end in seconds, and times the scalar engine on a
-fixed sample of the rows; the speedup floor is asserted only at full
-size (tiny runs are dominated by fixed setup costs).
+fixed sample of the rows; the speedup floor and the memory ceiling are
+asserted only at full size (tiny runs are dominated by fixed setup
+costs).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from time import perf_counter
 
 from repro.analysis.approximations import saturation_intensity
@@ -67,6 +75,11 @@ SPEEDUP_FLOOR = 2.0
 #: Smoke runs time every this-many-th row of the figure on the scalar
 #: engine; full runs time every row.
 SCALAR_SMOKE_STRIDE = 8
+#: Traced peak bytes per row of the full-size whole-figure engine:
+#: measured 39.4 KiB (704 rows), ceiling with margin.  Queue rings sized
+#: to the longest queue and a Mersenne Twister state per idle scalar
+#: stream took 107.7 KiB.
+MEMORY_CEILING_PER_ROW = 56 * 1024
 
 
 def _curve(triplet=CONFIG):
@@ -260,3 +273,35 @@ def test_megabatch_whole_figure(benchmark):
     assert scalar_mismatches == 0, (
         "the whole-figure engine diverged from the scalar engine — the "
         "lockstep invariant is broken")
+
+
+def _traced_peak(curves):
+    """Peak bytes ``tracemalloc`` traces while the whole figure runs as
+    one engine."""
+    tracemalloc.start()
+    try:
+        _run_curves(curves, merged=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_megabatch_whole_figure_memory(benchmark):
+    """The whole-figure engine's traced peak per row stays under a
+    ceiling (asserted at full size only)."""
+    curves = [_curve(triplet) for triplet in FIGURE_CONFIGS]
+    rows = sum(len(seeds) for _, points in curves
+               for _, _, seeds in points)
+    peak = benchmark.pedantic(_traced_peak, args=(curves,), rounds=1,
+                              iterations=1)
+    per_row = peak / rows
+    benchmark.extra_info["rows"] = rows
+    benchmark.extra_info["traced_peak_bytes"] = peak
+    benchmark.extra_info["traced_peak_bytes_per_row"] = round(per_row)
+    benchmark.extra_info["smoke"] = SMOKE
+    print(f"\nfig7, {rows} rows in one engine: traced peak "
+          f"{peak / 2 ** 20:.1f} MiB, {per_row / 1024:.1f} KiB per row")
+    if not SMOKE:
+        assert per_row <= MEMORY_CEILING_PER_ROW, (
+            f"whole-figure engine memory regressed: {per_row:.0f} traced "
+            f"bytes per row (ceiling {MEMORY_CEILING_PER_ROW})")

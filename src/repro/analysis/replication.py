@@ -49,8 +49,7 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
                     target_relative_halfwidth: float = 0.05,
                     confidence: float = 0.95,
                     min_replications: int = 5, max_replications: int = 50,
-                    base_seed: int = 100,
-                    arbitration: str = "priority") -> ReplicationEstimate:
+                    base_seed: int = 100) -> ReplicationEstimate:
     """Replicate until the delay CI is tight enough.
 
     Each replication uses an independent seed (``base_seed + i``); the
@@ -83,7 +82,7 @@ def replicate_delay(config: Union[SystemConfig, str], workload: Workload,
         seeds = [base_seed + index
                  for index in range(len(values), len(values) + count)]
         values.extend(replication_delays(config, workload, horizon, warmup,
-                                         seeds, arbitration))
+                                         seeds))
         for stop in range(max(len(values) - count + 1, min_replications),
                           len(values) + 1):
             prefix = values[:stop]

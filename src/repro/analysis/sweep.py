@@ -246,8 +246,7 @@ def replication_delays(config: Union[SystemConfig, str], workload: Workload,
 
     if batched_unsupported_reason(config, workload, arbitration) is None:
         return batched_delays(config, [workload], horizon=horizon,
-                              warmup=warmup, seed_groups=[list(seeds)],
-                              arbitration=arbitration)[0]
+                              warmup=warmup, seed_groups=[list(seeds)])[0]
     return [simulate(config, workload, horizon=horizon, warmup=warmup,
                      seed=seed, arbitration=arbitration).mean_queueing_delay
             for seed in seeds]

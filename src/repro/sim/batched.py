@@ -20,8 +20,9 @@ live row by exactly one event** with vectorized NumPy updates:
   whole event batch with one fancy index, with each stream's first block
   sized from its expected draws (see the class docstring for how block
   refills preserve bit-identity);
-* FIFO queues are ring buffers of task creation times in one
-  ``(K, P, capacity)`` array, doubled in place when one fills;
+* FIFO queues are linked lists of task creation times in one slot pool
+  per engine, which doubles when its free stack runs short, so queue
+  storage follows the peak number of waiting tasks over all rows;
 * dispatch is one call per step of a per-fabric batched kernel (see
   ``FABRIC_DISPATCH``): the priority matcher of
   :mod:`repro.networks.batched_crossbar` — the closed form of the
@@ -109,9 +110,6 @@ from repro.sim.rng import BATCH_BLOCK, spawn_seed, uniform_block_source
 
 if TYPE_CHECKING:  # pragma: no cover - circular at runtime (arrivals uses rng)
     from repro.workload.arrivals import Workload
-
-#: Initial per-processor queue ring-buffer capacity (power of two; doubles).
-_INITIAL_QUEUE_CAPACITY = 32
 
 #: Distributions whose holding times are continuous (ties measure-zero).
 _CONTINUOUS_DISTRIBUTIONS = ("exponential", "hyperexponential")
@@ -388,10 +386,9 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
     return None
 
 
-def _require_batchable(config: SystemConfig, workload: Workload,
-                       arbitration: str) -> None:
+def _require_batchable(config: SystemConfig, workload: Workload) -> None:
     """Reject models whose scalar event order lockstep cannot reproduce."""
-    reason = batched_unsupported_reason(config, workload, arbitration)
+    reason = batched_unsupported_reason(config, workload)
     if reason is not None:
         raise ConfigurationError(
             f"batched engine does not support {reason}; "
@@ -485,8 +482,7 @@ class MegaBatchEngine:
     def __init__(self, config: Union[SystemConfig, str,
                                      Sequence[Union[SystemConfig, str]]],
                  workloads: Sequence[Workload],
-                 seed_groups: Sequence[Sequence[int]],
-                 arbitration: str = "priority"):
+                 seed_groups: Sequence[Sequence[int]]):
         workload_list = list(workloads)
         if not workload_list:
             raise ConfigurationError(
@@ -500,7 +496,7 @@ class MegaBatchEngine:
         if any(not group for group in group_list):
             raise ConfigurationError("batched engine needs at least one seed")
         for point_config, workload in zip(configs, workload_list):
-            _require_batchable(point_config, workload, arbitration)
+            _require_batchable(point_config, workload)
         first = workload_list[0]
         for workload in workload_list[1:]:
             if (workload.interarrival_distribution,
@@ -605,11 +601,19 @@ class MegaBatchEngine:
         self._bus_windows = _windows(bus_busy, widest_ports)
         self._resource_windows = _windows(busy_resources, widest_ports)
 
-        self._queue_capacity = _INITIAL_QUEUE_CAPACITY
-        self._queue_created: _FloatArray = np.zeros(
-            (rows, processors, self._queue_capacity), dtype=np.float64)
-        self._queue_start: _IntArray = np.zeros(
-            (rows, processors), dtype=np.int64)
+        # FIFO queues of task creation times: linked lists in one pool of
+        # slots.  Slot ``q = k * P + p`` is queue ``(k, p)``'s sentinel,
+        # whose ``_slot_next`` is the queue's head; the slots past the
+        # sentinels hold waiting tasks, start free (one per queue) and
+        # double when the free stack runs short.  A tail is read only
+        # while its queue holds tasks.
+        queues = rows * processors
+        self._slot_time: _FloatArray = np.zeros(2 * queues, dtype=np.float64)
+        self._slot_next: _IntArray = np.zeros(2 * queues, dtype=np.int64)
+        self._free_slots: _IntArray = np.arange(queues, 2 * queues,
+                                                dtype=np.int64)
+        self._free_count = queues
+        self._queue_tail: _IntArray = np.zeros(queues, dtype=np.int64)
         # Welford accumulators, matching TallyStat.record exactly.
         self._delay_count: _IntArray = np.zeros(rows, dtype=np.int64)
         self._delay_mean: _FloatArray = np.zeros(rows, dtype=np.float64)
@@ -673,18 +677,26 @@ class MegaBatchEngine:
             vectorized=stream_flags, expected=stream_expected)
         return arrival_table, transmission_table, service_table
 
-    # -- queue ring buffers -----------------------------------------------
-    def _grow_queues(self) -> None:
-        """Double the ring capacity, keeping every ring's start.
+    # -- the queue-slot pool -----------------------------------------------
+    def _grow_pool(self) -> None:
+        """Double the task slots; the new ones go on the free stack.
 
-        The old ring goes into both halves of the new one.  Live slot
-        ``i`` of a ring is ``(start + i) mod 2C``; since ``start + i <
-        2C`` that is ``start + i`` itself, and either half holds the old
-        ``(start + i) mod C`` value there.
+        The stack is as long as the task slots, so every freed slot fits.
+        Slots never move, so every queue's links stay valid.
         """
-        self._queue_created = np.concatenate(
-            (self._queue_created, self._queue_created), axis=2)
-        self._queue_capacity *= 2
+        size = self._slot_time.shape[0]
+        added = self._free_slots.shape[0]
+        self._slot_time = np.concatenate(
+            (self._slot_time, np.empty(added, dtype=np.float64)))
+        self._slot_next = np.concatenate(
+            (self._slot_next, np.empty(added, dtype=np.int64)))
+        free = np.empty(2 * added, dtype=np.int64)
+        count = self._free_count
+        free[:count] = self._free_slots[:count]
+        free[count:count + added] = np.arange(size, size + added,
+                                              dtype=np.int64)
+        self._free_slots = free
+        self._free_count = count + added
 
     # -- the lockstep loop -------------------------------------------------
     def run(self, horizon: float, warmup: float = 0.0) -> MegaBatchResult:
@@ -821,13 +833,22 @@ class MegaBatchEngine:
                 ar_reps = reps[sub]
                 rows = slots[sub]
                 lengths = self._queue_length[ar_reps, rows]
-                if (lengths >= self._queue_capacity).any():
-                    self._grow_queues()
-                position = ((self._queue_start[ar_reps, rows] + lengths)
-                            & (self._queue_capacity - 1))
-                self._queue_created[ar_reps, rows, position] = now[sub]
+                queues = ar_reps * processors + rows
+                if self._free_count < queues.shape[0]:
+                    self._grow_pool()
+                top = self._free_count - queues.shape[0]
+                # A view of the stack: used up before any grant pushes.
+                taken = self._free_slots[top:self._free_count]
+                self._free_count = top
+                self._slot_time[taken] = now[sub]
+                # Link behind the tail, or behind the sentinel (as the
+                # head) when the queue is empty.
+                self._slot_next[np.where(lengths > 0,
+                                         self._queue_tail[queues],
+                                         queues)] = taken
+                self._queue_tail[queues] = taken
                 self._queue_length[ar_reps, rows] = lengths + 1
-                durations = arrival_table.draw(ar_reps * processors + rows)
+                durations = arrival_table.draw(queues)
                 calendar[ar_reps, rows] = now[sub] + durations
                 per_partition = per_partition_of[ar_reps]
                 parts[sub] = rows // per_partition
@@ -894,12 +915,16 @@ class MegaBatchEngine:
         rows = parts * self._per_partition_of[grant_reps] + grant_rows
         port_index = parts * self._ports_of[grant_reps] + grant_cols
         table_rows = self._stream_offset[grant_reps] + parts
-        capacity = self._queue_capacity
+        queues = grant_reps * self._processors + rows
+        slot_next = self._slot_next
         if grant_reps.size == 1 or (grant_reps[1:] != grant_reps[:-1]).all():
             moments = times[grant_reps]
-            starts = self._queue_start[grant_reps, rows]
-            created = self._queue_created[grant_reps, rows, starts]
-            self._queue_start[grant_reps, rows] = (starts + 1) & (capacity - 1)
+            heads = slot_next[queues]
+            created = self._slot_time[heads]
+            slot_next[queues] = slot_next[heads]
+            count = self._free_count
+            self._free_slots[count:count + heads.shape[0]] = heads
+            self._free_count = count + heads.shape[0]
             self._queue_length[grant_reps, rows] -= 1
             measured = moments > warmup
             if measured.any():
@@ -917,9 +942,12 @@ class MegaBatchEngine:
         for index in range(grant_reps.shape[0]):
             k = int(grant_reps[index])
             row = int(rows[index])
-            start = int(self._queue_start[k, row])
-            created_one = float(self._queue_created[k, row, start])
-            self._queue_start[k, row] = (start + 1) & (capacity - 1)
+            queue = int(queues[index])
+            head = int(slot_next[queue])
+            created_one = float(self._slot_time[head])
+            slot_next[queue] = slot_next[head]
+            self._free_slots[self._free_count] = head
+            self._free_count += 1
             self._queue_length[k, row] -= 1
             moment = float(times[k])
             if moment > warmup:
@@ -936,8 +964,8 @@ class MegaBatchEngine:
 def batched_delays(config: Union[SystemConfig, str,
                                   Sequence[Union[SystemConfig, str]]],
                    workloads: Sequence[Workload], horizon: float,
-                   warmup: float, seed_groups: Sequence[Sequence[int]],
-                   arbitration: str = "priority") -> List[List[float]]:
+                   warmup: float, seed_groups: Sequence[Sequence[int]]
+                   ) -> List[List[float]]:
     """Front door: mean queueing delay of every (point, replication) row.
 
     ``config`` is one configuration, or one per point (see
@@ -948,7 +976,6 @@ def batched_delays(config: Union[SystemConfig, str,
     share one call or run one at a time; the replications of a single
     point are ``batched_delays(c, [w], h, u, [seeds])[0]``.
     """
-    engine = MegaBatchEngine(config, workloads, seed_groups,
-                             arbitration=arbitration)
+    engine = MegaBatchEngine(config, workloads, seed_groups)
     result = engine.run(horizon=horizon, warmup=warmup)
     return [list(delays) for delays in result.mean_delays]

@@ -171,6 +171,13 @@ def uniform_block_source(seed: int, vectorized: bool = True
     each block costs a Python comprehension).  Both emit the identical
     bit-exact sequence — callers pick by expected consumption: the numpy
     construction only pays for itself after a few thousand draws.
+
+    A scalar source keeps only its seed and the count of doubles handed
+    out, not a Mersenne Twister state (about 3 KiB), because most of its
+    life is spent idle between refills.  Each block re-seeds
+    ``random.Random(seed)`` and skips what was consumed with one
+    ``getrandbits(64 * consumed)``: a double takes two 32-bit words and
+    ``getrandbits(k)`` takes ``ceil(k / 32)``.
     """
     if vectorized:
         generator = mt19937_generator(seed)
@@ -180,9 +187,14 @@ def uniform_block_source(seed: int, vectorized: bool = True
             return values
 
         return vector_block
-    twister = random.Random(seed)
+    consumed = 0
 
     def scalar_block(count: int) -> List[float]:
+        nonlocal consumed
+        twister = random.Random(seed)
+        if consumed:
+            twister.getrandbits(64 * consumed)
+        consumed += count
         draw = twister.random
         return [draw() for _ in range(count)]
 

@@ -15,10 +15,33 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
+import numpy as np
+
+#: ``scipy.special.stdtrit(df, 0.975)`` for df 1..19: the two-sided 95%
+#: quantiles that every simulated figure point (16 replications) and a
+#: default :class:`BatchMeans` (20 batches) ask for, so the simulated
+#: path never imports scipy.
+_T_975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087,
+)
+
 
 def _t_quantile(probability: float, df: int) -> float:
     """Student-t quantile, equal to ``scipy.stats.t.ppf(probability, df)``
-    bit for bit without the cost of importing ``scipy.stats``."""
+    bit for bit without the cost of importing ``scipy.stats``.
+
+    Tabulated quantiles come back as ``numpy.float64``, the type
+    ``stdtrit`` returns, so a half-width's ``repr`` does not depend on
+    which branch produced it.
+    """
+    if probability == 0.975 and 1 <= df <= len(_T_975):
+        return np.float64(_T_975[df - 1])
     from scipy.special import stdtrit
 
     quantile: float = stdtrit(df, probability)

@@ -488,29 +488,49 @@ class TestMergedGroups:
             MegaBatchEngine(["16/1x16x16 XBAR/2"], [workload, workload],
                             seed_groups=[[1], [2]])
 
-    def test_wrapped_queues_survive_doubling(self, monkeypatch):
-        """Overloaded rows grow their queue rings while wrapped around;
-        doubling in place must keep FIFO order (so the delays still equal
-        the scalar engine)."""
-        wrapped = []
-        grow = MegaBatchEngine._grow_queues
+    def test_pool_grows_while_queues_hold_tasks(self, monkeypatch):
+        """Overloaded rows outgrow the queue-slot pool while many queues
+        hold tasks; growing it must keep every queue's FIFO links (so the
+        delays still equal the scalar engine)."""
+        waiting = []
+        grow = MegaBatchEngine._grow_pool
 
         def spy(engine):
-            ends = engine._queue_start + engine._queue_length
-            wrapped.append(int((ends > engine._queue_capacity).sum()))
+            waiting.append(int((engine._queue_length > 0).sum()))
             grow(engine)
 
-        monkeypatch.setattr(MegaBatchEngine, "_grow_queues", spy)
-        # Private 1x1 partitions: every processor pops, so rings wrap.
+        monkeypatch.setattr(MegaBatchEngine, "_grow_pool", spy)
+        # Private 1x1 partitions: every processor pops its own queue.
         config = SystemConfig.parse("4/4x1x1 XBAR/1")
         workload = Workload(0.8, 1.0, 1.0)
         seeds = list(range(41, 57))
         batched = _point_delays(config, workload, seeds, 300.0, 30.0)
-        assert len(wrapped) >= 2 and wrapped[0] >= 16
+        assert len(waiting) >= 2 and waiting[0] >= 16
         for k, seed in enumerate(seeds):
             scalar = simulate(config, workload, horizon=300.0, warmup=30.0,
                               seed=seed).mean_queueing_delay
             _assert_same_delay(scalar, batched[k], f"replication {k}")
+
+    def test_queue_storage_follows_waiting_tasks(self):
+        """One overloaded row beside many light ones: queue storage
+        follows the tasks waiting over all rows, not rows x the longest
+        queue."""
+        config = SystemConfig.parse("4/4x1x1 XBAR/1")
+        light, heavy = Workload(0.05, 1.0, 1.0), Workload(0.8, 1.0, 1.0)
+        engine = MegaBatchEngine(config, [heavy, light],
+                                 seed_groups=[[3], list(range(100, 163))])
+        engine.run(horizon=2000.0, warmup=200.0)
+        # The arrays that own queue state (queue lengths live in a view).
+        storage = sum(value.nbytes for name, value in vars(engine).items()
+                      if name.startswith(("_queue", "_slot", "_free"))
+                      and isinstance(value, np.ndarray) and value.base is None)
+        queues = engine._queue_length.size
+        longest = int(engine._queue_length.max())
+        waiting = int(engine._queue_length.sum())
+        assert longest >= 256
+        assert storage <= 96 * (queues + waiting)
+        # Rings of float64s as long as the longest queue take 8x more.
+        assert storage <= queues * longest
 
 
 class TestVariateStreams:
@@ -520,6 +540,23 @@ class TestVariateStreams:
         reference = random.Random(1234)
         drawn = source(100) + source(37) + source(256)
         assert drawn == [reference.random() for _ in range(393)]
+
+    def test_scalar_sources_keep_no_twister_state(self):
+        """A scalar source holds its seed and a count between blocks, not
+        a ~3 KiB Mersenne Twister state."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sources = [uniform_block_source(spawn_seed(5, index), False)
+                       for index in range(4096)]
+            for source in sources:
+                source(16)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(sources) < 1024
 
     @pytest.mark.parametrize("distribution", ["exponential",
                                               "hyperexponential"])
@@ -675,6 +712,26 @@ class TestSweepPointEngine:
         point = _sweep_point(refused, 0.4, 5, horizon=800.0)
         assert point.normalized_delay == mean * workload.service_rate
         assert point.ci_halfwidth == halfwidth * workload.service_rate
+
+    def test_simulated_curve_imports_no_scipy(self):
+        """The simulated path reads its Student-t quantiles from a table:
+        a fresh interpreter that runs one small curve never loads
+        scipy."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from repro.analysis.sweep import SimulatedCurve, "
+            "simulated_curves\n"
+            "[[point]] = simulated_curves([SimulatedCurve("
+            "'8/1x8x8 XBAR/2', 0.1, [0.3], [1], 400.0)])\n"
+            "assert point.ci_halfwidth is not None\n"
+            "print('scipy' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_saturated_point_short_circuits(self):
         point = _sweep_point("16/1x16x8 XBAR/2", 5.0, 1, horizon=30_000.0)

@@ -142,3 +142,18 @@ class TestConfidenceInterval:
         from scipy import stats
         expected = stats.t.ppf(0.975, 4) * np.std(values, ddof=1) / np.sqrt(5)
         assert half == pytest.approx(expected)
+
+    def test_tabulated_quantiles_equal_stdtrit(self):
+        """The table the simulated path reads holds scipy's own values,
+        with scipy's type (a half-width's repr reaches result digests)."""
+        from scipy.special import stdtrit
+
+        from repro.sim.stats import _T_975, _t_quantile
+
+        assert len(_T_975) == 19
+        for df in range(1, 20):
+            quantile = _t_quantile(0.5 + 0.95 / 2.0, df)
+            assert type(quantile) is np.float64
+            assert quantile == stdtrit(df, 0.975) == _T_975[df - 1]
+        for probability, df in ((0.975, 20), (0.95, 4), (0.995, 15)):
+            assert _t_quantile(probability, df) == stdtrit(df, probability)
