@@ -23,8 +23,12 @@ partition per row; it records its speedup without a floor.  A third case
 takes the whole figure: Figure 7's four crossbar curves as one engine
 (per-point configurations) against one engine per curve and against the
 scalar engine, one ``simulate()`` run per (point, replication) row —
-the same rows on both engines.  Bit-identity is asserted on both
-comparisons and the speedups are recorded, again without a floor.
+the same rows on both engines.  A fourth does the same for the three
+Omega curves of Figure 12 (``16/1x16x16``, ``16/8x2x2`` and
+``16/4x4x4``), one router with a wiring per row against one engine per
+wiring, with the scalar engine on every eighth row.  Bit-identity is
+asserted on every comparison and the speedups are recorded, again
+without a floor.
 
 A memory test runs the whole-figure engine once more under
 :mod:`tracemalloc`, apart from the timed runs, and records the traced
@@ -63,6 +67,9 @@ PARTITIONED_CONFIG = "16/4x4x8 XBAR/1"
 #: Every curve of Figure 7: one processor count, one crossbar kernel.
 FIGURE_CONFIGS = ("16/1x16x32 XBAR/1", "16/1x16x16 XBAR/2",
                   "16/4x4x8 XBAR/1", "16/4x4x4 XBAR/2")
+#: The Omega curves of Figure 12: one processor count, three wirings.
+OMEGA_FIGURE_CONFIGS = ("16/1x16x16 OMEGA/2", "16/8x2x2 OMEGA/2",
+                        "16/4x4x4 OMEGA/2")
 MU_RATIO = 0.1
 MASTER_SEED = 1
 SATURATION_GUARD = 0.98
@@ -73,13 +80,14 @@ INTENSITY_STEP = 0.3 if SMOKE else 0.1
 HORIZON = 800.0 if SMOKE else 8_000.0
 SPEEDUP_FLOOR = 2.0
 #: Smoke runs time every this-many-th row of the figure on the scalar
-#: engine; full runs time every row.
+#: engine; full runs time every row of fig7 and this sample of fig12.
 SCALAR_SMOKE_STRIDE = 8
 #: Traced peak bytes per row of the full-size whole-figure engine:
-#: measured 39.4 KiB (704 rows), ceiling with margin.  Queue rings sized
-#: to the longest queue and a Mersenne Twister state per idle scalar
-#: stream took 107.7 KiB.
-MEMORY_CEILING_PER_ROW = 56 * 1024
+#: measured 20.9 KiB (704 rows) with ragged variate tables, ceiling with
+#: margin.  Tables padded to the widest stream took 39.4 KiB; queue
+#: rings sized to the longest queue and a Mersenne Twister state per
+#: idle scalar stream took 107.7 KiB.
+MEMORY_CEILING_PER_ROW = 30 * 1024
 
 
 def _curve(triplet=CONFIG):
@@ -232,25 +240,25 @@ def _run_scalar(rows):
     return delays, perf_counter() - start
 
 
-def test_megabatch_whole_figure(benchmark):
-    """Figure 7's four curves in one engine against one engine each and
-    against one scalar run per row."""
-    curves = [_curve(triplet) for triplet in FIGURE_CONFIGS]
+def _measure_figure(benchmark, figure, configs, stride):
+    """``configs``' curves in one engine against one engine each and
+    against one scalar run on every ``stride``-th row."""
+    curves = [_curve(triplet) for triplet in configs]
     per_curve_delays, per_curve_time = _run_curves(curves, merged=False)
     merged_delays, merged_time = benchmark.pedantic(
         lambda: _run_curves(curves, merged=True), rounds=1, iterations=1)
     rows = [(config, workload, seed) for config, points in curves
             for _, workload, seeds in points for seed in seeds]
-    sample = range(0, len(rows), SCALAR_SMOKE_STRIDE if SMOKE else 1)
+    sample = range(0, len(rows), stride)
     scalar_delays, scalar_time = _run_scalar([rows[i] for i in sample])
     merged_rows = [delay for group in merged_delays for delay in group]
     scalar_mismatches = _mismatches(
         [scalar_delays], [[merged_rows[i] for i in sample]])
     speedup = per_curve_time / merged_time
-    # Per-row rates, so a sampled smoke run compares like with like.
+    # Per-row rates, so a sampled run compares like with like.
     speedup_over_scalar = ((scalar_time / len(sample))
                            / (merged_time / len(rows)))
-    benchmark.extra_info["configs"] = list(FIGURE_CONFIGS)
+    benchmark.extra_info["configs"] = list(configs)
     benchmark.extra_info["rows"] = len(rows)
     benchmark.extra_info["horizon"] = HORIZON
     benchmark.extra_info["per_curve_s"] = round(per_curve_time, 6)
@@ -263,16 +271,30 @@ def test_megabatch_whole_figure(benchmark):
     benchmark.extra_info["agreement"] = _mismatches(
         merged_delays, per_curve_delays) == 0 and scalar_mismatches == 0
     benchmark.extra_info["smoke"] = SMOKE
-    print(f"\nfig7, {len(rows)} rows: one engine per curve "
+    print(f"\n{figure}, {len(rows)} rows: one engine per curve "
           f"{per_curve_time:.2f}s, one engine {merged_time:.2f}s, "
           f"speedup {speedup:.2f}x; scalar {scalar_time:.2f}s over "
           f"{len(sample)} rows, {speedup_over_scalar:.2f}x per row")
     assert _mismatches(merged_delays, per_curve_delays) == 0, (
-        "the whole-figure engine diverged from the per-curve engines — "
-        "the lockstep invariant is broken")
+        f"the whole-{figure} engine diverged from the per-curve engines "
+        "— the lockstep invariant is broken")
     assert scalar_mismatches == 0, (
-        "the whole-figure engine diverged from the scalar engine — the "
+        f"the whole-{figure} engine diverged from the scalar engine — the "
         "lockstep invariant is broken")
+
+
+def test_megabatch_whole_figure(benchmark):
+    """Figure 7's four curves in one engine against one engine each and
+    against one scalar run per row."""
+    _measure_figure(benchmark, "fig7", FIGURE_CONFIGS,
+                    SCALAR_SMOKE_STRIDE if SMOKE else 1)
+
+
+def test_megabatch_omega_figure(benchmark):
+    """Figure 12's three Omega curves in one engine against one engine
+    per wiring and against a scalar sample."""
+    _measure_figure(benchmark, "fig12", OMEGA_FIGURE_CONFIGS,
+                    SCALAR_SMOKE_STRIDE)
 
 
 def _traced_peak(curves):

@@ -150,11 +150,12 @@ def simulated_curves(curves: Sequence[SimulatedCurve]
     engine.  Points it admits are grouped by
     :func:`repro.sim.batched.lockstep_mismatch` plus equal horizons, and
     each group advances as one lockstep batch: fig. 7's four crossbar
-    curves run as one engine.  Points it refuses (infinite resource pools,
-    fault configurations) run the same replications through
-    :func:`~repro.core.system.simulate`.  A lockstep row equals the scalar
-    run of its seed bit for bit, so a point's value never depends on which
-    engine computed it.
+    curves run as one engine, and figs. 12 and 13 run two, one for the
+    three Omega wirings and one for the crossbar reference curve.
+    Points it refuses (infinite resource pools, fault configurations) run
+    the same replications through :func:`~repro.core.system.simulate`.  A
+    lockstep row equals the scalar run of its seed bit for bit, so a
+    point's value never depends on which engine computed it.
     """
     from repro.sim.batched import (
         batched_delays,
@@ -233,9 +234,10 @@ def _replicated_point(intensity: float, workload: Workload,
 
 
 def replication_delays(config: Union[SystemConfig, str], workload: Workload,
-                       horizon: float, warmup: float, seeds: Sequence[int],
-                       arbitration: str = "priority") -> List[float]:
-    """Mean queueing delay of one replication per seed, in seed order.
+                       horizon: float, warmup: float,
+                       seeds: Sequence[int]) -> List[float]:
+    """Mean queueing delay of one replication per seed, in seed order,
+    under priority arbitration.
 
     One lockstep batch when the batchability gate admits the model, one
     :func:`~repro.core.system.simulate` run per seed otherwise.  A lockstep
@@ -244,11 +246,11 @@ def replication_delays(config: Union[SystemConfig, str], workload: Workload,
     """
     from repro.sim.batched import batched_delays, batched_unsupported_reason
 
-    if batched_unsupported_reason(config, workload, arbitration) is None:
+    if batched_unsupported_reason(config, workload) is None:
         return batched_delays(config, [workload], horizon=horizon,
                               warmup=warmup, seed_groups=[list(seeds)])[0]
     return [simulate(config, workload, horizon=horizon, warmup=warmup,
-                     seed=seed, arbitration=arbitration).mean_queueing_delay
+                     seed=seed).mean_queueing_delay
             for seed in seeds]
 
 

@@ -1,197 +1,202 @@
-"""Batched multistage routing: ``K`` settled fabrics as uint8 planes.
+"""Batched multistage routing: many rows' settled fabrics as one link plane.
 
 The scalar :class:`~repro.networks.omega.MultistageFabric` answers one
 connect attempt with two Python walks over the network — a backward
 availability labelling (from which links is some candidate port reachable
 without disturbing existing circuits?) and a forward claim walk that
 prefers the upper box output, as the interchange-box hardware does.  This
-module holds the same state for ``K`` independent replications side by
-side and answers the attempt for all of them with a handful of vectorized
-gathers per stage:
+module holds the same state for many independent rows side by side and
+answers the attempt for all of them with a handful of vectorized gathers
+per stage:
 
-* link occupancy is a ``(K, G, stages + 1, size)`` ``uint8`` plane
-  (column ``t`` holds the links entering stage ``t``; column ``stages``
-  is the output side), one ``G`` slot per partition;
-* box state is two ``(K, G, stages, boxes, 2)`` planes — ``engaged``
-  marks input ports holding a circuit, ``taken`` marks output ports
-  claimed by one — which together are exactly the scalar fabric's
-  ``_box_usage`` dict: an output is allowed from an input iff the input
-  is not engaged and the output not taken (a fully used box has both
-  planes saturated, so the ``len(usage) == 2`` refusal is implied);
-* established circuits remember their per-stage output choice in a
-  ``(K, G, size, stages)`` ``int8`` plane keyed by input port, so a
-  release replays the forward walk arithmetically instead of storing
-  link sets.
+* each row is one ``P``-link network: its ``G`` partitions of ``s``
+  links each sit side by side, partition ``g``'s link ``l`` at
+  ``g * s + l``, so a wiring is one pair of gather vectors per stage —
+  the column-``t + 1`` links behind each column-``t`` link's box, upper
+  and lower output;
+* rows may differ in wiring (network type, partition count): each row
+  names one of the router's wirings, and a wiring with fewer stages than
+  the deepest is padded with pass-through stages (upper = lower =
+  identity), which a circuit crosses on the link it arrived on;
+* link occupancy is one ``(stages + 1, rows, P)`` boolean plane (column
+  ``t`` holds the links entering stage ``t``; column ``stages`` is the
+  output side).  It is all the box state there is: every box input port
+  is fed by exactly one link of its column and every output port feeds
+  exactly one link of the next column, so "input engaged" is "its link
+  is busy" and "output taken" is "the next column's link is busy" — the
+  scalar fabric's ``_box_usage`` read off the plane (a fully used box has
+  both outputs busy, so the ``len(usage) == 2`` refusal is implied);
+* established circuits remember one path bit per (input, stage) —
+  whether the circuit left that stage by the lower output — so a release
+  replays the forward walk arithmetically instead of storing link sets.
 
-The wiring itself (``input_map`` / ``output_link``) is precomputed into
-per-stage index vectors, so the router is topology-generic — Omega, cube,
-and baseline wirings all batch through the same kernels.
+The labelling is ``avail_t = free_t & (avail_{t+1}[up_t] |
+avail_{t+1}[lo_t])``, with ``avail_stages`` the free, acceptable output
+links.  The wirings come from ``input_map`` / ``output_link``, so the
+router is topology-generic: Omega, cube and baseline wirings, and
+partitionings of them, batch through the same kernels and share one
+router.
 
 **Equivalence.**  Between task events the scalar fabric's status has
-settled, so a connect attempt is a pure function of (occupancy, box
-usage, candidates) — there is no tick-level racing to reproduce, unlike
+settled, so a connect attempt is a pure function of (occupancy,
+candidates) — there is no tick-level racing to reproduce, unlike
 :class:`~repro.networks.omega.ClockedMultistageScheduler` (which backs
 the Fig. 11 hop-count studies, not the queueing figures, and stays
 scalar).  The lockstep engine calls :meth:`route_broadcast` once per
 lockstep step with every offering row, each naming its own partition,
 and the router grants in the scalar broadcast's ascending input order,
 so grant order, blocking, and the resulting event streams match the
-scalar engine row for row.  :meth:`connect_batch` answers one connect
-attempt at a time — the reference form; randomized lockstep tests pin
-it against ``MultistageFabric`` through long connect/release
-interleavings.
+scalar engine row for row.  Randomized lockstep tests pin it against one
+``MultistageFabric`` per (row, partition) through long broadcast/release
+interleavings on rows of mixed wirings.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.errors import SchedulingError
-from repro.networks.interchange import UPPER
+from repro.errors import ConfigurationError, SchedulingError
+from repro.networks.interchange import LOWER, UPPER
 from repro.networks.topology import MultistageTopology
 
 _IntArray = NDArray[np.int64]
+_BoolArray = NDArray[np.bool_]
 
 
 class BatchedMultistageRouter:
-    """``K x G`` settled multistage fabrics advanced in lockstep.
+    """Settled multistage fabrics, one ``P``-link network per row.
 
-    ``rows`` is the batch axis (replications, or points x replications in
-    a mega-batch), ``partitions`` the number of independent fabrics per
-    row.  All state starts empty, matching freshly built fabrics.
+    ``wirings`` gives each row its ``(topology, partitions)``: the row
+    holds ``partitions`` independent copies of ``topology`` side by side.
+    Every row must have the same link count ``P = partitions *
+    topology.size``.  All state starts empty, matching freshly built
+    fabrics.
     """
 
-    def __init__(self, topology: MultistageTopology, rows: int,
-                 partitions: int = 1):
-        self.topology = topology
-        size = topology.size
-        stages = topology.stages
-        boxes = topology.boxes_per_stage
-        self._size = size
+    def __init__(self,
+                 wirings: Sequence[Tuple[MultistageTopology, int]]):
+        if not wirings:
+            raise ConfigurationError("router needs at least one row")
+        index: Dict[Tuple[str, int, int], int] = {}
+        distinct: List[Tuple[MultistageTopology, int]] = []
+        row_wiring: List[int] = []
+        for topology, partitions in wirings:
+            key = (type(topology).__name__, topology.size, int(partitions))
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append((topology, int(partitions)))
+            row_wiring.append(index[key])
+        links = {topology.size * partitions for topology, partitions
+                 in distinct}
+        if len(links) != 1:
+            raise ConfigurationError(
+                f"router rows must share one link count, got {sorted(links)}")
+        self._links = links.pop()
+        stages = max(topology.stages for topology, _ in distinct)
         self._stages = stages
-        # Wiring, flattened to per-stage gather vectors: link -> box,
-        # link -> input port, and link -> next-column link per output.
-        self._box_of: List[_IntArray] = []
-        self._inport_of: List[_IntArray] = []
-        self._up_link: List[_IntArray] = []
-        self._lo_link: List[_IntArray] = []
-        for stage in range(stages):
-            pairs = [topology.input_map(stage, link) for link in range(size)]
-            box_of = np.array([box for box, _ in pairs], dtype=np.int64)
-            inport_of = np.array([port for _, port in pairs], dtype=np.int64)
-            self._box_of.append(box_of)
-            self._inport_of.append(inport_of)
-            self._up_link.append(np.array(
-                [topology.output_link(stage, int(box), UPPER)
-                 for box in box_of], dtype=np.int64))
-            self._lo_link.append(np.array(
-                [topology.output_link(stage, int(box), 1 - UPPER)
-                 for box in box_of], dtype=np.int64))
-        self._busy = np.zeros((rows, partitions, stages + 1, size),
-                              dtype=np.uint8)
-        self._engaged = np.zeros((rows, partitions, stages, boxes, 2),
-                                 dtype=np.uint8)
-        self._taken = np.zeros((rows, partitions, stages, boxes, 2),
-                               dtype=np.uint8)
-        self._path_out = np.full((rows, partitions, size, stages), -1,
-                                 dtype=np.int8)
+        # Per wiring and stage, the next-column link behind each link's
+        # box, upper and lower output; pass-through padding past a
+        # wiring's own stages.
+        self._up: _IntArray = np.tile(np.arange(self._links, dtype=np.int64),
+                                      (len(distinct), stages, 1))
+        self._lo: _IntArray = self._up.copy()
+        for number, (topology, partitions) in enumerate(distinct):
+            size = topology.size
+            offsets = np.arange(partitions, dtype=np.int64)[:, None] * size
+            for stage in range(topology.stages):
+                boxes = [topology.input_map(stage, link)[0]
+                         for link in range(size)]
+                for table, port in ((self._up, UPPER), (self._lo, LOWER)):
+                    local = np.array([topology.output_link(stage, box, port)
+                                      for box in boxes], dtype=np.int64)
+                    table[number, stage] = (offsets + local).ravel()
+        #: Each row's wiring, and the links of one of its partitions.
+        self._wiring: _IntArray = np.asarray(row_wiring, dtype=np.int64)
+        self._partition_links: _IntArray = np.array(
+            [topology.size for topology, _ in distinct],
+            dtype=np.int64)[self._wiring]
+        rows = len(row_wiring)
+        self._busy: _BoolArray = np.zeros((stages + 1, rows, self._links),
+                                          dtype=bool)
+        #: Per (row, input link, stage): the circuit took the lower output.
+        self._lower: _BoolArray = np.zeros((rows, self._links, stages),
+                                           dtype=bool)
 
-    def _availability(self, reps: _IntArray, partitions: _IntArray,
-                      acceptable: np.ndarray) -> np.ndarray:
+    def _place(self, starts: _IntArray, local: np.ndarray) -> _BoolArray:
+        """Partition-local ``(n, width)`` masks laid onto ``P`` links.
+
+        Row ``i``'s column ``j`` lands on link ``starts[i] + j``; columns
+        past a narrower partition's width are False, so they may spill
+        into the next partition (or the trailing pad) harmlessly.
+        """
+        count, width = local.shape
+        stride = self._links + width
+        placed = np.zeros((count, stride), dtype=bool)
+        placed.ravel()[(np.arange(count) * stride + starts)[:, None]
+                       + np.arange(width)] = local != 0
+        return placed[:, :self._links]
+
+    def _availability(self, reps: _IntArray,
+                      acceptable: _BoolArray) -> _BoolArray:
         """Backward availability labelling for every row at once.
 
-        Row ``i`` labels partition ``partitions[i]`` of batch row
-        ``reps[i]``.  Returns a ``(len(reps), stages + 1, size)`` boolean
-        plane: link ``l`` entering stage ``t`` is available iff it is
-        free, its box input is unengaged, and some untaken output leads
-        to an available next-column link; column ``stages`` holds the
-        acceptable, free output links.  ``avail[:, 0, q]`` is therefore
-        "a conflict-free circuit exists from input ``q``" — exactly the
-        scalar fabric's labelling, row by row.
+        Returns a ``(stages + 1, len(reps), P)`` plane: link ``l`` of
+        column ``t`` is available iff it is free and the upper or lower
+        output of its box leads to an available next-column link; column
+        ``stages`` holds the acceptable, free output links.
+        ``avail[0, i, q]`` is therefore "a conflict-free circuit exists
+        from input ``q`` of row ``reps[i]``" — exactly the scalar
+        fabric's labelling, row by row.
         """
-        stages = self._stages
-        busy = self._busy[reps, partitions]
-        engaged = self._engaged[reps, partitions]
-        taken = self._taken[reps, partitions]
-        avail = np.empty((reps.shape[0], stages + 1, self._size), dtype=bool)
-        avail[:, stages] = (acceptable != 0) & (busy[:, stages] == 0)
+        stages, links = self._stages, self._links
+        count = reps.shape[0]
+        busy = self._busy[:, reps]
+        wiring = self._wiring[reps]
+        # Gathers index the flattened next column: row i's links start
+        # at i * P.
+        base = (np.arange(count, dtype=np.int64) * links)[:, None]
+        up = self._up[wiring]
+        lo = self._lo[wiring]
+        avail = np.empty((stages + 1, count, links), dtype=bool)
+        np.logical_and(acceptable, ~busy[stages], out=avail[stages])
         for stage in range(stages - 1, -1, -1):
-            box_of = self._box_of[stage]
-            onward = avail[:, stage + 1]
-            reach_up = ((taken[:, stage][:, box_of, UPPER] == 0)
-                        & onward[:, self._up_link[stage]])
-            reach_lo = ((taken[:, stage][:, box_of, 1 - UPPER] == 0)
-                        & onward[:, self._lo_link[stage]])
-            avail[:, stage] = (
-                (busy[:, stage] == 0)
-                & (engaged[:, stage][:, box_of, self._inport_of[stage]] == 0)
-                & (reach_up | reach_lo))
+            onward = avail[stage + 1].ravel()
+            reach = (onward[up[:, stage] + base]
+                     | onward[lo[:, stage] + base])
+            np.logical_and(reach, ~busy[stage], out=avail[stage])
         return avail
 
-    def _claim(self, g_reps: _IntArray, partitions: _IntArray,
-               input_ports: _IntArray, avail: np.ndarray) -> _IntArray:
-        """Forward claim walk for rows the labelling granted.
+    def _claim(self, reps: _IntArray, inputs: _IntArray, avail: _BoolArray,
+               positions: _IntArray) -> _IntArray:
+        """Forward claim walk from ``inputs`` (global links) of ``reps``.
 
-        ``avail`` rows correspond to ``(g_reps, partitions)`` rows.
-        Prefers the upper output as the box hardware does; the
-        availability labels guarantee one branch works at every stage.
-        Returns the connected output port per row.
+        ``avail[:, positions]`` is the labelling of those rows.  Prefers
+        the upper output as the box hardware does; the labels guarantee
+        one branch works at every stage.  Returns the output link each
+        circuit reached.
         """
         stages = self._stages
-        positions = np.arange(g_reps.shape[0])
-        link = input_ports
+        wiring = self._wiring[reps]
+        path = np.empty((stages + 1, reps.shape[0]), dtype=np.int64)
+        lower = np.empty((reps.shape[0], stages), dtype=bool)
+        link = path[0] = inputs
         for stage in range(stages):
-            box = self._box_of[stage][link]
-            in_port = self._inport_of[stage][link]
-            link_up = self._up_link[stage][link]
-            link_lo = self._lo_link[stage][link]
-            take_up = ((self._taken[g_reps, partitions, stage, box, UPPER]
-                        == 0)
-                       & avail[positions, stage + 1, link_up])
+            up = self._up[wiring, stage, link]
+            lo = self._lo[wiring, stage, link]
+            take_up = avail[stage + 1, positions, up]
             if not take_up.all():
-                lower = ~take_up
-                lo_ok = ((self._taken[g_reps[lower], partitions[lower],
-                                      stage, box[lower], 1 - UPPER] == 0)
-                         & avail[positions[lower], stage + 1,
-                                 link_lo[lower]])
-                if not lo_ok.all():
+                down = ~take_up
+                if not avail[stage + 1, positions[down], lo[down]].all():
                     raise SchedulingError(
                         "availability labelling inconsistent (router bug)")
-            out = np.where(take_up, UPPER, 1 - UPPER).astype(np.int8)
-            self._engaged[g_reps, partitions, stage, box, in_port] = 1
-            self._taken[g_reps, partitions, stage, box, out] = 1
-            self._busy[g_reps, partitions, stage, link] = 1
-            self._path_out[g_reps, partitions, input_ports, stage] = out
-            link = np.where(take_up, link_up, link_lo)
-        self._busy[g_reps, partitions, stages, link] = 1
+            lower[:, stage] = ~take_up
+            link = path[stage + 1] = np.where(take_up, up, lo)
+        self._busy[np.arange(stages + 1)[:, None], reps, path] = True
+        self._lower[reps, inputs] = lower
         return link
-
-    def connect_batch(self, reps: _IntArray, partition: int, input_port: int,
-                      acceptable: np.ndarray
-                      ) -> Tuple[NDArray[np.bool_], _IntArray]:
-        """One connect attempt from ``input_port``, for every row at once.
-
-        ``reps`` are distinct batch rows attempting the connect;
-        ``acceptable`` is their ``(len(reps), size)`` candidate-port mask
-        (bus free with a free resource).  Claims circuits for the rows
-        where a conflict-free path exists and returns ``(granted,
-        output_ports)``: a boolean mask over ``reps`` and the connected
-        output port of each granted row, in ``reps`` order.
-        """
-        partitions = np.full(reps.shape[0], partition, dtype=np.int64)
-        avail = self._availability(reps, partitions, acceptable)
-        granted = avail[:, 0, input_port]
-        indices = np.nonzero(granted)[0]
-        if indices.shape[0] == 0:
-            return granted, np.empty(0, dtype=np.int64)
-        ports = self._claim(
-            reps[indices], partitions[indices],
-            np.full(indices.shape[0], input_port, dtype=np.int64),
-            avail[indices])
-        return granted, ports
 
     def route_broadcast(self, reps: _IntArray, partitions: _IntArray,
                         requests: np.ndarray, acceptable: np.ndarray
@@ -200,66 +205,71 @@ class BatchedMultistageRouter:
         """Route one status broadcast per row, all rows and inputs at once.
 
         Row ``i`` broadcasts in partition ``partitions[i]`` of batch row
-        ``reps[i]``; the ``(reps, partitions)`` pairs must be distinct.
-        ``requests`` marks each row's waiting inputs, ``acceptable`` its
-        candidate output ports at broadcast time (bus free with a free
-        resource).  Yields ``(positions, input_ports, output_ports)``
-        grant waves — ``positions`` indexes into ``reps`` — claiming the
-        circuits as it goes; the caller applies its own per-grant
-        bookkeeping between waves.
+        ``reps[i]``; the rows must be distinct.  ``requests`` marks each
+        row's waiting inputs, ``acceptable`` its candidate output ports
+        at broadcast time (bus free with a free resource), both local to
+        the partition and zero-padded to a common width.  Yields
+        ``(positions, input_ports, output_ports)`` grant waves —
+        ``positions`` indexes into ``reps``, ports are partition-local —
+        claiming the circuits as it goes; the caller applies its own
+        per-grant bookkeeping between waves.
 
         Equivalence with the scalar engine's ascending retry loop rests
         on monotonicity: during a broadcast grants only *add* occupancy
-        (links, box ports, buses, resources), so an attempt that fails
-        under the current labelling fails under every later one.  Each
-        wave can therefore grant every row's lowest still-viable waiting
-        input in one vectorized pass — the same grants, in the same
-        per-row order, as attempting the inputs one by one — and drop
-        the inputs the labelling refused without ever retrying them.
-        A granted output port leaves the row's acceptable set (its bus
-        went busy), matching the engine's own bookkeeping.  A row with no
-        acceptable port left can grant nothing, so once every pending
-        input sits on such a row, no labelling runs.
+        (links, buses, resources), so an attempt that fails under the
+        current labelling fails under every later one.  Each wave can
+        therefore grant every row's lowest still-viable waiting input in
+        one vectorized pass — the same grants, in the same per-row order,
+        as attempting the inputs one by one — and drop the inputs the
+        labelling refused without ever retrying them.  A granted output
+        port leaves the row's acceptable set (its bus went busy),
+        matching the engine's own bookkeeping.  Only rows that still have
+        a waiting input and an acceptable port are labelled again.
         """
-        pending = requests != 0
-        acceptable = acceptable != 0
+        starts = partitions * self._partition_links[reps]
+        pending = self._place(starts, requests)
+        acceptable = self._place(starts, acceptable)
+        positions = np.arange(reps.shape[0], dtype=np.int64)
         while True:
-            pending &= acceptable.any(axis=1, keepdims=True)
-            if not pending.any():
+            positions = positions[pending[positions].any(axis=1)
+                                  & acceptable[positions].any(axis=1)]
+            if positions.shape[0] == 0:
                 return
-            avail = self._availability(reps, partitions, acceptable)
-            pending &= avail[:, 0]
-            rows = np.nonzero(pending.any(axis=1))[0]
-            if rows.shape[0] == 0:
+            avail = self._availability(reps[positions], acceptable[positions])
+            viable = pending[positions] & avail[0]
+            pending[positions] = viable
+            granted = viable.any(axis=1)
+            if not granted.any():
                 return
-            inputs = pending[rows].argmax(axis=1).astype(np.int64)
-            ports = self._claim(reps[rows], partitions[rows], inputs,
-                                avail[rows])
-            pending[rows, inputs] = False
-            acceptable[rows, ports] = False
-            yield rows, inputs, ports
+            labelled = np.nonzero(granted)[0]
+            positions = positions[labelled]
+            inputs = viable[labelled].argmax(axis=1).astype(np.int64)
+            outputs = self._claim(reps[positions], inputs, avail, labelled)
+            pending[positions, inputs] = False
+            acceptable[positions, outputs] = False
+            yield (positions, inputs - starts[positions],
+                   outputs - starts[positions])
 
     def release_batch(self, reps: _IntArray, partitions: _IntArray,
                       input_ports: _IntArray) -> None:
         """Tear down the circuits held by ``(rep, partition, input)`` rows.
 
         Rows must be distinct and must each hold a circuit from their
-        input port; the stored per-stage output choices replay the path.
+        (partition-local) input port; the stored path bits replay it.
         """
-        link = np.asarray(input_ports, dtype=np.int64).copy()
-        for stage in range(self._stages):
-            box = self._box_of[stage][link]
-            in_port = self._inport_of[stage][link]
-            out = self._path_out[reps, partitions, input_ports, stage]
-            if (out < 0).any() or (
-                    self._engaged[reps, partitions, stage, box, in_port]
-                    == 0).any():
-                raise SchedulingError(
-                    "released circuit missing from box planes")
-            self._engaged[reps, partitions, stage, box, in_port] = 0
-            self._taken[reps, partitions, stage, box, out] = 0
-            self._busy[reps, partitions, stage, link] = 0
-            link = np.where(out == UPPER, self._up_link[stage][link],
-                            self._lo_link[stage][link])
-        self._busy[reps, partitions, self._stages, link] = 0
-        self._path_out[reps, partitions, input_ports] = -1
+        inputs = (np.asarray(partitions, dtype=np.int64)
+                  * self._partition_links[reps] + input_ports)
+        if not self._busy[0, reps, inputs].all():
+            raise SchedulingError("released circuit missing from the link "
+                                  "plane (router bug)")
+        stages = self._stages
+        wiring = self._wiring[reps]
+        lower = self._lower[reps, inputs]
+        path = np.empty((stages + 1, reps.shape[0]), dtype=np.int64)
+        link = path[0] = inputs
+        for stage in range(stages):
+            link = path[stage + 1] = np.where(
+                lower[:, stage], self._lo[wiring, stage, link],
+                self._up[wiring, stage, link])
+        self._busy[np.arange(stages + 1)[:, None], reps, path] = False
+        self._lower[reps, inputs] = False

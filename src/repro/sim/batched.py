@@ -16,10 +16,10 @@ live row by exactly one event** with vectorized NumPy updates:
   *is* the event type; rows whose ``ports * r`` is narrower than the
   widest row's leave their trailing columns at ``+inf``;
 * holding times come from :class:`VariateTable`\\ s: per-``(row, stream)``
-  blocks of pre-transformed variates in one 2-D buffer, gathered for a
-  whole event batch with one fancy index, with each stream's first block
-  sized from its expected draws (see the class docstring for how block
-  refills preserve bit-identity);
+  blocks of pre-transformed variates in one flat, ragged buffer, each
+  stream's capacity sized from its expected draws, gathered for a whole
+  event batch with one fancy index (see the class docstring for how
+  block refills preserve bit-identity);
 * FIFO queues are linked lists of task creation times in one slot pool
   per engine, which doubles when its free stack runs short, so queue
   storage follows the peak number of waiting tasks over all rows;
@@ -27,13 +27,14 @@ live row by exactly one event** with vectorized NumPy updates:
   ``FABRIC_DISPATCH``): the priority matcher of
   :mod:`repro.networks.batched_crossbar` — the closed form of the
   crossbar cells' wavefront, which also serves the shared bus as a
-  one-column crossbar; and the plane router of
-  :mod:`repro.networks.batched_omega` for multistage fabrics, which
-  grants in the scalar broadcast's ascending input order.  A step
-  advances each row by one event, so each row re-offers exactly one
-  partition (the freed port's, the finished processor's, or the arriving
-  processor's); the kernel takes one request row per offering batch row,
-  gathered from that partition, with the partition as a per-row index;
+  one-column crossbar; and the link-plane router of
+  :mod:`repro.networks.batched_omega` for multistage fabrics, with a
+  wiring per row, which grants in the scalar broadcast's ascending input
+  order.  A step advances each row by one event, so each row re-offers
+  exactly one partition (the freed port's, the finished processor's, or
+  the arriving processor's); the kernel takes one request row per
+  offering batch row, gathered from that partition, with the partition
+  as a per-row index;
 * mean queueing delay accumulates by Welford's recurrence exactly as
   :class:`repro.sim.stats.TallyStat` does, vectorized when every granted
   row appears once and replayed sequentially when one row receives
@@ -51,8 +52,9 @@ are gathered zero-padded to the widest partition (padded cells never
 request or accept, so rank pairing grants what it grants unpadded), and
 per-partition stream rows are offset by a prefix sum of partition counts.
 :func:`lockstep_mismatch` states which configurations can share an engine
-— one processor count, one dispatch kernel, one multistage wiring — so
-fig. 7's four crossbar curves run as one batch.
+— one processor count and one dispatch kernel — so fig. 7's four
+crossbar curves run as one batch, and so do the three Omega wirings of
+figs. 12 and 13, each row routed on its own wiring.
 Because rows never interact, the merged run is the per-point runs
 interleaved — same draws, same float operations, same order within each
 row — while the outer Python loop runs ``max`` instead of ``sum`` of the
@@ -133,11 +135,11 @@ _IntArray = NDArray[np.int64]
 def first_block_size(expected: float, cap: int) -> int:
     """Variates in a stream's first refill, sized from its expected draws.
 
-    A Poisson-like count of mean ``e`` rarely exceeds ``e + 4 sqrt(e)``,
-    so the first block carries that plus a constant margin, capped at
-    ``cap``; a stream that outruns it simply refills again.
+    The expected count plus a constant margin, capped at ``cap``.  About
+    half the streams outrun it and refill once more, which costs less
+    than carrying a ``4 sqrt(expected)`` margin in every stream.
     """
-    return min(cap, math.ceil(expected + 4.0 * math.sqrt(expected)) + 8)
+    return min(cap, math.ceil(expected) + 8)
 
 
 def _per_row(value: Union[bool, float, Sequence[Any]], count: int,
@@ -174,22 +176,23 @@ class VariateTable:
     * ``deterministic`` — constant ``1 / rate`` blocks, no uniforms at
       all (``sample_time`` does not touch the stream either).
 
-    ``expected`` (the draws each stream will probably make) right-sizes
-    the refills: a row's first block holds
-    :func:`first_block_size` variates, and every later refill fills the
-    buffer, which is as wide as the widest first block.  A stream's
-    sequence does not depend on where its blocks break, so sizing changes
-    only how many variates are generated and never used.  Without it,
-    every refill is a full block.
+    Streams are stored ragged: one flat buffer in which stream ``s`` owns
+    its own capacity, starting at a per-stream offset.  ``expected`` (the
+    draws each stream will probably make) sets that capacity to
+    :func:`first_block_size`, and every refill fills it, so a table
+    holds the sum of its streams' capacities rather than rows times the
+    widest, and no refill is smaller than the stream's first block.  A
+    stream's sequence does not depend on where its blocks break, so
+    sizing changes only how many variates are generated and never used.
+    Without ``expected``, every refill is a full block.
 
     ``rate``, ``vectorized`` and ``expected`` accept either one value for
     every row or a per-row sequence — the mega-batch engine threads a
     different sweep point's rate through each row of one table.
     """
 
-    __slots__ = ("rate", "distribution", "_width", "_next_counts",
-                 "_sources", "_buffers", "_cursors", "_rates",
-                 "_probability", "_fast_rates", "_slow_rates")
+    __slots__ = ("distribution", "_sources", "_buffer", "_starts", "_ends",
+                 "_cursors", "_rates", "_probability")
 
     def __init__(self, seeds: Sequence[int],
                  rate: Union[float, Sequence[float]],
@@ -215,86 +218,82 @@ class VariateTable:
         draws_per_block = (block // 2 if distribution == "hyperexponential"
                            else block)
         if expected is None:
-            counts = [draws_per_block] * count
+            capacities = [draws_per_block] * count
         else:
-            counts = []
+            capacities = []
             for draws in _per_row(expected, count, "expected draw count"):
                 if not (math.isfinite(draws) and draws >= 0):
                     raise ConfigurationError(
                         "expected draw counts must be finite and "
                         f"non-negative, got {draws}")
-                counts.append(first_block_size(draws, draws_per_block))
-        self.rate = rate
+                capacities.append(first_block_size(draws, draws_per_block))
         self.distribution = distribution
-        self._rates = rates
-        self._width = max(counts, default=draws_per_block)
-        #: Variates each row's next refill generates.
-        self._next_counts = counts
+        self._rates: _FloatArray = np.array(rates, dtype=np.float64)
         # Deterministic rows never consume a uniform, so their sources
         # (and the generator construction behind them) are skipped.
         self._sources = (None if distribution == "deterministic" else
                          [uniform_block_source(int(seed), flag)
                           for seed, flag in zip(seeds, flags)])
-        self._buffers: _FloatArray = np.empty(
-            (count, self._width), dtype=np.float64)
+        #: Stream ``s`` owns ``_buffer[_starts[s]:_ends[s]]``.
+        sizes = np.array(capacities, dtype=np.int64)
+        self._ends: _IntArray = np.cumsum(sizes)
+        self._starts: _IntArray = self._ends - sizes
+        self._buffer: _FloatArray = np.empty(
+            int(self._ends[-1]) if count else 0, dtype=np.float64)
         # Cursors start exhausted: each row refills on first use.
-        self._cursors: _IntArray = np.full(
-            count, self._width, dtype=np.int64)
-        # The balanced-means two-phase constants of sample_time; rates are
-        # precomputed with its exact expressions (2.0 * p * rate order).
+        self._cursors: _IntArray = self._ends.copy()
+        # The balanced-means two-phase branch probability of sample_time.
         from repro.workload.arrivals import _HYPER_CV2
 
-        probability = 0.5 * (1.0 + math.sqrt(
+        self._probability = 0.5 * (1.0 + math.sqrt(
             (_HYPER_CV2 - 1.0) / (_HYPER_CV2 + 1.0)))
-        self._probability = probability
-        self._fast_rates = [2.0 * probability * value for value in rates]
-        self._slow_rates = [2.0 * (1.0 - probability) * value
-                            for value in rates]
 
     def _refill(self, row: int) -> None:
-        """Fill the tail of ``row``'s buffer with its next block."""
-        count = self._next_counts[row]
-        self._next_counts[row] = self._width
-        start = self._width - count
+        """Refill ``row``'s whole capacity with its next block."""
+        start = int(self._starts[row])
+        end = int(self._ends[row])
         self._cursors[row] = start
+        rate = float(self._rates[row])
         if self._sources is None:
-            self._buffers[row, start:] = 1.0 / self._rates[row]
+            self._buffer[start:end] = 1.0 / rate
             return
         log = math.log
         if self.distribution == "exponential":
-            uniforms = self._sources[row](count)
-            rate = self._rates[row]
+            uniforms = self._sources[row](end - start)
             values = [-log(1.0 - u) / rate for u in uniforms]
         else:
-            uniforms = self._sources[row](2 * count)
+            # The phase rates with sample_time's exact expressions
+            # (2.0 * p * rate order).
+            uniforms = self._sources[row](2 * (end - start))
             probability = self._probability
-            fast = self._fast_rates[row]
-            slow = self._slow_rates[row]
+            fast = 2.0 * probability * rate
+            slow = 2.0 * (1.0 - probability) * rate
             pairs = iter(uniforms)
             values = [-log(1.0 - v) / (fast if u < probability else slow)
                       for u, v in zip(pairs, pairs)]
-        self._buffers[row, start:] = values
+        self._buffer[start:end] = values
 
     def draw(self, rows: _IntArray) -> _FloatArray:
         """One variate from each stream in ``rows`` (must be distinct)."""
         cursors = self._cursors
         position = cursors[rows]
-        if int(position.max()) >= self._width:
-            for row in rows[position >= self._width].tolist():
+        exhausted = position >= self._ends[rows]
+        if exhausted.any():
+            for row in rows[exhausted].tolist():
                 self._refill(row)
             position = cursors[rows]
-        values: _FloatArray = self._buffers[rows, position]
+        values: _FloatArray = self._buffer[position]
         cursors[rows] = position + 1
         return values
 
     def draw_one(self, row: int) -> float:
         """Scalar :meth:`draw`, for grant bursts that repeat a stream."""
         cursor = int(self._cursors[row])
-        if cursor >= self._width:
+        if cursor >= self._ends[row]:
             self._refill(row)
             cursor = int(self._cursors[row])
         self._cursors[row] = cursor + 1
-        return float(self._buffers[row, cursor])
+        return float(self._buffer[cursor])
 
 
 @dataclass(frozen=True)
@@ -401,13 +400,13 @@ def lockstep_mismatch(config: SystemConfig,
 
     Both configurations must already pass the batchability gate.  The
     rows of one engine share the calendar's arrival and transmission
-    columns, one dispatch kernel and, on a multistage fabric, one router;
-    partitions, processors per partition, ports and resources per port
-    are per-row arrays.  So two configurations share an engine exactly
-    when they have the same processor count and dispatch kernel, and
-    multistage ones also the same wiring (network type, network size and
-    partition count).  The engine's validation and the sweep's grouping
-    both apply this rule.
+    columns and one dispatch kernel; partitions, processors per
+    partition, ports and resources per port are per-row arrays, and the
+    multistage router takes a wiring (network type, network size and
+    partition count) per row.  So two configurations share an engine
+    exactly when they have the same processor count and dispatch kernel.
+    The engine's validation and the sweep's grouping both apply this
+    rule.
     """
     if other == config:
         return None
@@ -421,13 +420,6 @@ def lockstep_mismatch(config: SystemConfig,
     if kind != other_kind:
         return (f"dispatch kernels differ ({config} dispatches by {kind}, "
                 f"{other} by {other_kind})")
-    if kind == "multistage" and (
-            (config.network_type, config.inputs_per_network,
-             config.num_networks)
-            != (other.network_type, other.inputs_per_network,
-                other.num_networks)):
-        return (f"multistage wirings differ ({config} and {other}); one "
-                "router serves every row")
     return None
 
 
@@ -565,9 +557,10 @@ class MegaBatchEngine:
 
         self._router: Optional[BatchedMultistageRouter] = None
         if FABRIC_DISPATCH[lead.network_type] == "multistage":
+            wirings = [(make_topology(c.network_type, c.inputs_per_network),
+                        c.num_networks) for c in configs]
             self._router = BatchedMultistageRouter(
-                make_topology(lead.network_type, lead.inputs_per_network),
-                rows=rows, partitions=lead.num_networks)
+                [wirings[point] for point in self._row_points])
 
         # The calendar: [0, P) next arrivals, [P, 2P) transmission ends,
         # then row k's service ends at 2P + port * r_k + slot; it is as

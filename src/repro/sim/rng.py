@@ -172,12 +172,12 @@ def uniform_block_source(seed: int, vectorized: bool = True
     bit-exact sequence — callers pick by expected consumption: the numpy
     construction only pays for itself after a few thousand draws.
 
-    A scalar source keeps only its seed and the count of doubles handed
-    out, not a Mersenne Twister state (about 3 KiB), because most of its
-    life is spent idle between refills.  Each block re-seeds
-    ``random.Random(seed)`` and skips what was consumed with one
-    ``getrandbits(64 * consumed)``: a double takes two 32-bit words and
-    ``getrandbits(k)`` takes ``ceil(k / 32)``.
+    A scalar source is a two-slot object holding only its seed and the
+    count of doubles handed out, not a Mersenne Twister state (about 3
+    KiB) or a closure, because most of its life is spent idle between
+    refills.  Each block re-seeds ``random.Random(seed)`` and skips what
+    was consumed with one ``getrandbits(64 * consumed)``: a double takes
+    two 32-bit words and ``getrandbits(k)`` takes ``ceil(k / 32)``.
     """
     if vectorized:
         generator = mt19937_generator(seed)
@@ -187,18 +187,26 @@ def uniform_block_source(seed: int, vectorized: bool = True
             return values
 
         return vector_block
-    consumed = 0
+    return _ScalarBlockSource(seed)
 
-    def scalar_block(count: int) -> List[float]:
-        nonlocal consumed
-        twister = random.Random(seed)
-        if consumed:
-            twister.getrandbits(64 * consumed)
-        consumed += count
+
+class _ScalarBlockSource:
+    """The scalar branch of :func:`uniform_block_source`: a seed and the
+    count of doubles handed out, re-seeded per block."""
+
+    __slots__ = ("_seed", "_consumed")
+
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._consumed = 0
+
+    def __call__(self, count: int) -> List[float]:
+        twister = random.Random(self._seed)
+        if self._consumed:
+            twister.getrandbits(64 * self._consumed)
+        self._consumed += count
         draw = twister.random
         return [draw() for _ in range(count)]
-
-    return scalar_block
 
 
 def mt19937_generator(seed: int) -> np_random.Generator:

@@ -3,8 +3,9 @@
 The batched router's single contract is equivalence with the scalar
 fabric it replaces: :class:`BatchedMultistageRouter` must grant, route,
 and release exactly like :class:`MultistageFabric` on every wiring the
-grammar admits.  The hypothesis tests below advance K scalar fabrics
-and one K-row router through long random connect/release interleavings
+grammar admits.  The hypothesis tests below advance one router whose
+rows mix wirings and partition counts, next to one scalar fabric per
+(row, partition), through long random broadcast/release interleavings
 and compare every grant and output port along the way.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.networks.batched_omega import BatchedMultistageRouter
 from repro.networks.omega import MultistageFabric
 from repro.networks.topology import make_topology
@@ -20,117 +21,178 @@ from repro.networks.topology import make_topology
 KINDS = ("OMEGA", "CUBE", "BASELINE")
 
 
-def _connect_rows(data, router, fabrics, held, q, step):
-    """One connect attempt from input ``q`` on a random subset of rows."""
-    size = router.topology.size
-    reps, masks = [], []
-    for k in range(len(fabrics)):
-        if q in held[k]:
-            continue  # the scalar fabric forbids double connects
+def _broadcast(router, reps, partitions, requests, acceptable):
+    """Every grant of one broadcast, in wave order:
+    ``{position: [(input, output), ...]}``."""
+    grants = {}
+    for positions, inputs, outputs in router.route_broadcast(
+            np.asarray(reps, dtype=np.int64),
+            np.asarray(partitions, dtype=np.int64),
+            np.asarray(requests, dtype=np.uint8),
+            np.asarray(acceptable, dtype=np.uint8)):
+        assert len(set(positions.tolist())) == positions.shape[0], (
+            "two grants to one row in one wave")
+        for position, q, port in zip(positions.tolist(), inputs.tolist(),
+                                     outputs.tolist()):
+            grants.setdefault(position, []).append((q, port))
+    return grants
+
+
+def _broadcast_rows(data, router, fabrics, held, step):
+    """One status broadcast in a random partition of a random subset of
+    rows, against the scalar ascending retry loop."""
+    width = max(fabric.topology.size for row in fabrics for fabric in row)
+    reps, parts, requests, masks = [], [], [], []
+    for k, row in enumerate(fabrics):
         if not data.draw(st.booleans(), label=f"try{step}-{k}"):
             continue
-        mask = np.array([data.draw(st.integers(0, 1),
-                                   label=f"acc{step}-{k}-{port}")
-                         for port in range(size)], dtype=np.uint8)
+        g = data.draw(st.integers(0, len(row) - 1), label=f"g{step}-{k}")
+        size = row[g].topology.size
+        # The scalar fabric forbids double connects, so an input
+        # holding a circuit does not wait.
+        request = [int(q not in held[k][g]
+                       and data.draw(st.booleans(),
+                                     label=f"req{step}-{k}-{q}"))
+                   for q in range(size)]
+        mask = [data.draw(st.integers(0, 1), label=f"acc{step}-{k}-{port}")
+                for port in range(size)]
         reps.append(k)
-        masks.append(mask)
+        parts.append(g)
+        requests.append(request + [0] * (width - size))
+        masks.append(mask + [0] * (width - size))
     if not reps:
         return
-    reps_array = np.array(reps, dtype=np.int64)
-    granted, out_ports = router.connect_batch(reps_array, 0, q,
-                                              np.stack(masks))
-    cursor = 0
-    for position, k in enumerate(reps):
-        candidates = [port for port in range(size) if masks[position][port]]
-        connection = fabrics[k].connect(q, candidates)
-        if connection is None:
-            assert not granted[position], f"row {k} over-granted at {q}"
-        else:
-            assert granted[position], f"row {k} under-granted at {q}"
-            assert int(out_ports[cursor]) == connection.output_port
-            held[k][q] = connection
-        cursor += granted[position]
+    grants = _broadcast(router, reps, parts, requests, masks)
+    for position, (k, g) in enumerate(zip(reps, parts)):
+        fabric = fabrics[k][g]
+        candidates = [port for port, ok in enumerate(masks[position]) if ok]
+        expected = []
+        for q, waiting in enumerate(requests[position]):
+            if not waiting or not candidates:
+                continue
+            connection = fabric.connect(q, candidates)
+            if connection is not None:
+                held[k][g][q] = connection
+                candidates.remove(connection.output_port)
+                expected.append((q, connection.output_port))
+        assert grants.get(position, []) == expected, (
+            f"row {k} partition {g} diverged at step {step}")
 
 
 def _release_rows(data, router, fabrics, held, step):
     """Release one held circuit per row, for a random subset of rows."""
-    reps, inputs = [], []
-    for k in range(len(fabrics)):
-        if not held[k] or not data.draw(st.booleans(),
+    reps, parts, inputs = [], [], []
+    for k, row in enumerate(held):
+        holding = [g for g, circuits in enumerate(row) if circuits]
+        if not holding or not data.draw(st.booleans(),
                                         label=f"rel{step}-{k}"):
             continue
-        q = data.draw(st.sampled_from(sorted(held[k])),
+        g = data.draw(st.sampled_from(holding), label=f"relg{step}-{k}")
+        q = data.draw(st.sampled_from(sorted(row[g])),
                       label=f"relq{step}-{k}")
-        fabrics[k].release(held[k].pop(q))
+        fabrics[k][g].release(row[g].pop(q))
         reps.append(k)
+        parts.append(g)
         inputs.append(q)
     if reps:
-        zeros = np.zeros(len(reps), dtype=np.int64)
-        router.release_batch(np.array(reps, dtype=np.int64), zeros,
+        router.release_batch(np.array(reps, dtype=np.int64),
+                             np.array(parts, dtype=np.int64),
                              np.array(inputs, dtype=np.int64))
+
+
+def _connect(router, rep, partition, q, acceptable):
+    """One connect attempt from input ``q``: the output port or None."""
+    grants = _broadcast(router, [rep], [partition],
+                        [[int(port == q) for port in range(len(acceptable))]],
+                        [acceptable])
+    return grants[0][0][1] if grants else None
 
 
 class TestBatchedMultistageRouter:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_interleavings_match_scalar_fabric(self, data):
-        """Random connect/release walks: every grant equals the scalar
-        fabric's, on every wiring, with per-row divergent occupancy."""
-        kind = data.draw(st.sampled_from(KINDS), label="kind")
-        size = data.draw(st.sampled_from([2, 4, 8]), label="size")
+        """Random broadcast/release walks: every grant equals the scalar
+        fabric's, on rows of different wirings and partition counts,
+        with per-row divergent occupancy."""
+        links = data.draw(st.sampled_from([4, 8, 16]), label="links")
         rows = data.draw(st.integers(1, 4), label="rows")
-        router = BatchedMultistageRouter(make_topology(kind, size),
-                                         rows=rows)
-        fabrics = [MultistageFabric(make_topology(kind, size))
-                   for _ in range(rows)]
-        held = [dict() for _ in range(rows)]
+        wirings = []
+        for k in range(rows):
+            kind = data.draw(st.sampled_from(KINDS), label=f"kind{k}")
+            size = data.draw(st.sampled_from(
+                [size for size in (2, 4, 8, 16) if size <= links]),
+                label=f"size{k}")
+            wirings.append((kind, size, links // size))
+        router = BatchedMultistageRouter(
+            [(make_topology(kind, size), partitions)
+             for kind, size, partitions in wirings])
+        fabrics = [[MultistageFabric(make_topology(kind, size))
+                    for _ in range(partitions)]
+                   for kind, size, partitions in wirings]
+        held = [[dict() for _ in row] for row in fabrics]
         steps = data.draw(st.integers(4, 20), label="steps")
         for step in range(steps):
             _release_rows(data, router, fabrics, held, step)
-            q = data.draw(st.integers(0, size - 1), label=f"q{step}")
-            _connect_rows(data, router, fabrics, held, q, step)
+            _broadcast_rows(data, router, fabrics, held, step)
         # Drain everything: the planes must return to an empty fabric.
-        for k, circuits in enumerate(held):
-            for q, connection in sorted(circuits.items()):
-                fabrics[k].release(connection)
-                router.release_batch(np.array([k], dtype=np.int64),
-                                     np.zeros(1, dtype=np.int64),
-                                     np.array([q], dtype=np.int64))
-        assert router._busy.sum() == 0
-        assert router._engaged.sum() == 0
-        assert router._taken.sum() == 0
-        assert (router._path_out == -1).all()
+        for k, row in enumerate(held):
+            for g, circuits in enumerate(row):
+                for q, connection in sorted(circuits.items()):
+                    fabrics[k][g].release(connection)
+                    router.release_batch(np.array([k], dtype=np.int64),
+                                         np.array([g], dtype=np.int64),
+                                         np.array([q], dtype=np.int64))
+        assert not router._busy.any()
+        assert not router._lower.any()
 
     def test_partitions_are_independent(self):
         """A circuit in one partition never blocks another partition."""
         topology = make_topology("OMEGA", 4)
-        router = BatchedMultistageRouter(topology, rows=2, partitions=2)
-        reps = np.array([0, 1], dtype=np.int64)
-        everything = np.ones((2, 4), dtype=np.uint8)
-        granted, first = router.connect_batch(reps, 0, 0, everything)
-        assert granted.all()
-        granted, second = router.connect_batch(reps, 1, 0, everything)
-        assert granted.all()
-        assert first.tolist() == second.tolist()
-        router.release_batch(reps, np.zeros(2, dtype=np.int64),
+        router = BatchedMultistageRouter([(topology, 2)] * 2)
+        everything = [1] * 4
+        first = [_connect(router, k, 0, 0, everything) for k in (0, 1)]
+        second = [_connect(router, k, 1, 0, everything) for k in (0, 1)]
+        assert None not in first and None not in second
+        assert first == second
+        router.release_batch(np.array([0, 1], dtype=np.int64),
+                             np.zeros(2, dtype=np.int64),
                              np.zeros(2, dtype=np.int64))
-        assert router._busy[:, 0].sum() == 0
-        assert router._busy[:, 1].sum() == 2 * (topology.stages + 1)
+        # Partition 1's links are 4..7 of each row's link plane.
+        assert router._busy[:, :, :4].sum() == 0
+        assert router._busy[:, :, 4:].sum() == 2 * (topology.stages + 1)
 
     def test_upper_output_preferred_like_the_box_hardware(self):
         """On an empty fabric the route mirrors the scalar preference for
         the upper interchange output (port 0 reaches output 0)."""
         for kind in KINDS:
-            router = BatchedMultistageRouter(make_topology(kind, 8), rows=1)
+            router = BatchedMultistageRouter([(make_topology(kind, 8), 1)])
             fabric = MultistageFabric(make_topology(kind, 8))
-            granted, ports = router.connect_batch(
-                np.array([0], dtype=np.int64), 0, 0,
-                np.ones((1, 8), dtype=np.uint8))
+            port = _connect(router, 0, 0, 0, [1] * 8)
             connection = fabric.connect(0, range(8))
-            assert granted[0] and int(ports[0]) == connection.output_port
+            assert port is not None and port == connection.output_port
+
+    def test_shallow_wirings_pass_through_padding(self):
+        """A 2x2-partitioned row beside a 16x16 row crosses the padded
+        stages on the link it arrived on, and lands on its own port."""
+        router = BatchedMultistageRouter([(make_topology("OMEGA", 16), 1),
+                                          (make_topology("OMEGA", 2), 8)])
+        assert router._busy.shape == (5, 2, 16)
+        port = _connect(router, 1, 5, 1, [0, 1] + [0] * 14)
+        assert port == 1
+        # Input 1 of partition 5 is link 11; the one real stage keeps it
+        # on link 11, and so does every padded stage after it.
+        assert router._busy[:, 1].sum() == 5
+        assert router._busy[:, 1, 11].all()
+        assert not router._busy[:, 0].any()
+
+    def test_rows_must_share_a_link_count(self):
+        with pytest.raises(ConfigurationError, match="link count"):
+            BatchedMultistageRouter([(make_topology("OMEGA", 4), 1),
+                                     (make_topology("OMEGA", 4), 2)])
 
     def test_release_of_missing_circuit_is_a_router_bug(self):
-        router = BatchedMultistageRouter(make_topology("OMEGA", 4), rows=1)
+        router = BatchedMultistageRouter([(make_topology("OMEGA", 4), 1)])
         with pytest.raises(SchedulingError):
             router.release_batch(np.zeros(1, dtype=np.int64),
                                  np.zeros(1, dtype=np.int64),

@@ -404,6 +404,11 @@ FIG7_CONFIGS = ("16/1x16x32 XBAR/1", "16/1x16x16 XBAR/2",
                 "16/4x4x8 XBAR/1", "16/4x4x4 XBAR/2")
 
 
+#: The Omega curves of Figs. 12/13: three wirings of one processor count.
+FIG12_OMEGA_CONFIGS = ("16/1x16x16 OMEGA/2", "16/8x2x2 OMEGA/2",
+                       "16/4x4x4 OMEGA/2")
+
+
 class TestMergedGroups:
     """Points of different configurations sharing one lockstep engine."""
 
@@ -433,10 +438,19 @@ class TestMergedGroups:
             _check_merged_group(group, seed_base=25000 + number * 1000)
 
     def test_multistage_group_shares_one_wiring(self):
-        """Multistage points may differ in resources per port only."""
+        """Multistage points of one wiring that differ in resources per
+        port share one engine."""
         cases = [(SystemConfig.parse(f"8/2x4x4 CUBE/{r}"),
                   Workload(0.08, 1.0, 0.1)) for r in (1, 2, 3)]
         _check_merged_group(cases, seed_base=30000)
+
+    def test_mixed_multistage_wirings_share_one_engine(self):
+        """Omega, cube and baseline wirings of one processor count, with
+        different partition counts and resources, run as one engine."""
+        cases = [(SystemConfig.parse(text), Workload(0.06, 1.0, 0.1))
+                 for text in ("16/4x4x4 OMEGA/1", "16/2x8x8 CUBE/2",
+                              "16/1x16x16 BASELINE/3", "16/8x2x2 CUBE/2")]
+        _check_merged_group(cases, seed_base=31000)
 
     def test_fig7_curves_in_one_engine_match_four_engines(self):
         from repro.analysis.sweep import workload_at
@@ -465,6 +479,64 @@ class TestMergedGroups:
             for index, delays in zip(indices, alone):
                 assert list(merged[index]) == delays, config
 
+    def test_fig12_omega_curves_in_one_engine_match_three_engines(self):
+        """The three Omega wirings of figs. 12/13 as one engine equal one
+        engine per wiring bit for bit, and the scalar engine on a sample
+        of rows."""
+        from repro.analysis.sweep import workload_at
+
+        configs = [SystemConfig.parse(text) for text in FIG12_OMEGA_CONFIGS]
+        workloads = [workload_at(intensity, 0.1)
+                     for intensity in (0.4, 0.7)]
+        points = [(config, workload) for config in configs
+                  for workload in workloads]
+        groups = [[spawn_seed(2, str(config), index, k) for k in range(4)]
+                  for index, (config, _) in enumerate(points)]
+        horizon, warmup = 500.0, 50.0
+        engine = MegaBatchEngine([config for config, _ in points],
+                                 [workload for _, workload in points],
+                                 seed_groups=groups)
+        merged = engine.run(horizon=horizon, warmup=warmup).mean_delays
+        for config in configs:
+            indices = [index for index, (point_config, _)
+                       in enumerate(points) if point_config == config]
+            alone = batched_delays(config,
+                                   [points[index][1] for index in indices],
+                                   horizon=horizon, warmup=warmup,
+                                   seed_groups=[groups[index]
+                                                for index in indices])
+            for index, delays in zip(indices, alone):
+                assert list(merged[index]) == delays, config
+        for index, k in ((0, 0), (3, 1), (5, 3)):
+            config, workload = points[index]
+            scalar = simulate(config, workload, horizon=horizon,
+                              warmup=warmup,
+                              seed=groups[index][k]).mean_queueing_delay
+            _assert_same_delay(scalar, merged[index][k],
+                               f"{config} replication {k}")
+
+    def test_fig12_curves_build_two_engines(self, monkeypatch):
+        """``simulated_curves`` runs fig. 12's three Omega curves as one
+        engine and the crossbar reference curve as another."""
+        import repro.sim.batched as batched
+        from repro.analysis.sweep import SimulatedCurve, simulated_curves
+
+        engines = []
+        front_door = batched.batched_delays
+
+        def spy(config, *args, **kwargs):
+            engines.append(sorted({str(item) for item in config}))
+            return front_door(config, *args, **kwargs)
+
+        monkeypatch.setattr(batched, "batched_delays", spy)
+        curves = [SimulatedCurve(triplet, 0.1, [0.3, 0.6], [4, 5], 800.0)
+                  for triplet in FIG12_OMEGA_CONFIGS + ("16/1x16x16 XBAR/2",)]
+        points = simulated_curves(curves)
+        assert all(point.normalized_delay is not None
+                   for curve in points for point in curve)
+        assert sorted(engines) == [sorted(FIG12_OMEGA_CONFIGS),
+                                   ["16/1x16x16 XBAR/2"]]
+
     def test_mismatched_points_name_the_reason(self):
         workload = Workload(0.05, 1.0, 0.1)
         faulted = SystemConfig.parse("16/4x4x4 XBAR/2").with_faults(
@@ -472,10 +544,8 @@ class TestMergedGroups:
                 (0.0, "cell", (0, (0, 0)), "down"))))
         mismatches = [
             (("8/1x8x8 XBAR/2", "16/1x16x16 XBAR/2"), "processor counts"),
+            (("8/1x8x8 OMEGA/2", "16/1x16x16 OMEGA/2"), "processor counts"),
             (("16/1x16x16 XBAR/2", "16/1x16x16 OMEGA/2"), "dispatch kernels"),
-            (("16/1x16x16 OMEGA/2", "16/4x4x4 OMEGA/2"),
-             "multistage wirings"),
-            (("16/4x4x4 OMEGA/2", "16/4x4x4 CUBE/2"), "multistage wirings"),
             (("16/4x4x4 XBAR/2", faulted), "fault configuration"),
             # A faulted configuration builds no engine, not even with itself.
             ((faulted, faulted), "fault configuration"),
@@ -484,6 +554,13 @@ class TestMergedGroups:
             with pytest.raises(ConfigurationError, match=needle):
                 MegaBatchEngine(list(configs), [workload, workload],
                                 seed_groups=[[1], [2]])
+        # Different multistage wirings of one processor count share one
+        # engine: the router takes a wiring per row.
+        for configs in (("16/1x16x16 OMEGA/2", "16/4x4x4 OMEGA/2"),
+                        ("16/4x4x4 OMEGA/2", "16/4x4x4 CUBE/2")):
+            engine = MegaBatchEngine(list(configs), [workload, workload],
+                                     seed_groups=[[1], [2]])
+            assert engine.point_of_row.tolist() == [0, 1]
         with pytest.raises(ConfigurationError, match="one configuration"):
             MegaBatchEngine(["16/1x16x16 XBAR/2"], [workload, workload],
                             seed_groups=[[1], [2]])
@@ -583,6 +660,60 @@ class TestVariateStreams:
                       [sized.draw_one(row) for row in range(len(seeds))])
             for row, stream in enumerate(streams):
                 assert values[row] == sample_time(stream, 0.4, distribution)
+
+    def test_ragged_streams_allocate_their_own_capacities(self):
+        """Streams expecting very different draw counts hold the sum of
+        their capacities, not rows times the widest."""
+        from repro.sim.batched import first_block_size
+
+        expected = [0.0, 10.0, 5000.0, 3.0, 40.0, 1.5]
+        table = VariateTable(list(range(len(expected))), rate=1.0,
+                             distribution="exponential", block=256,
+                             vectorized=False, expected=expected)
+        capacities = [first_block_size(draws, 256) for draws in expected]
+        assert capacities == [8, 18, 256, 11, 48, 10]
+        assert table._buffer.size == sum(capacities)
+        assert table._buffer.size < len(expected) * max(capacities) // 2
+
+    @pytest.mark.parametrize("distribution", ["exponential",
+                                              "hyperexponential"])
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_outrun_stream_refills_bit_identically(
+            self, monkeypatch, distribution, vectorized):
+        """A stream that outruns its first block several times still
+        draws ``sample_time``'s exact sequence, and no refill is smaller
+        than its first block."""
+        import repro.sim.batched as batched
+
+        requests = {}
+        make_source = batched.uniform_block_source
+
+        def recording(seed, flag=True):
+            source = make_source(seed, flag)
+
+            def block(count):
+                requests.setdefault(seed, []).append(count)
+                return source(count)
+            return block
+
+        monkeypatch.setattr(batched, "uniform_block_source", recording)
+        seeds = [spawn_seed(4, "transmission-0"), spawn_seed(4, "service-2")]
+        table = VariateTable(seeds, rate=[0.7, 2.5],
+                             distribution=distribution,
+                             vectorized=vectorized, expected=[2.0, 9.0])
+        streams = [RngStream(seed) for seed in seeds]
+        for step in range(80):
+            rows = np.arange(len(seeds)) if step % 3 else None
+            values = (table.draw(rows) if rows is not None else
+                      [table.draw_one(row) for row in range(len(seeds))])
+            for row, (stream, rate) in enumerate(zip(streams, (0.7, 2.5))):
+                assert values[row] == sample_time(stream, rate, distribution)
+        per_variate = 2 if distribution == "hyperexponential" else 1
+        for seed, first in zip(seeds, (10, 17)):
+            counts = requests[seed]
+            assert len(counts) > 2, "the stream must refill more than once"
+            assert counts[0] == first * per_variate
+            assert min(counts) >= counts[0]
 
     def test_variate_table_validation(self):
         with pytest.raises(ConfigurationError):
