@@ -29,9 +29,11 @@ def solve_rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     which converges monotonically from R = 0 for irreducible positive-
     recurrent QBDs.  ``A1`` is LU-factored once and each step solves
     against the factors (``X A1^{-1}`` as a transposed solve) instead of
-    forming the explicit inverse.
+    forming the explicit inverse, calling LAPACK ``getrs`` directly: the
+    blocks are a few dozen states wide at most, so ``lu_solve``'s per-call
+    input checks would cost more than the solve.
     """
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import get_lapack_funcs, lu_factor
 
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -40,16 +42,25 @@ def solve_rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     for matrix, name in ((a0, "A0"), (a1, "A1"), (a2, "A2")):
         if matrix.shape != (size, size):
             raise AnalysisError(f"{name} has shape {matrix.shape}, expected {(size, size)}")
-    a1_factors = lu_factor(a1.T)
+        if not np.isfinite(matrix).all():
+            raise AnalysisError(f"{name} has non-finite entries")
+    factors, pivots = lu_factor(a1.T, check_finite=False)
+    (getrs,) = get_lapack_funcs(("getrs",), (factors,))
     rate_matrix = np.zeros_like(a0)
-    for _ in range(max_iterations):
+    for iteration in range(1, max_iterations + 1):
         # X A1^{-1} = (A1^T \ X^T)^T on the cached factors.
-        updated = -lu_solve(a1_factors,
-                            (a0 + rate_matrix @ rate_matrix @ a2).T).T
-        if np.max(np.abs(updated - rate_matrix)) < tolerance:
-            rate_matrix = updated
-            break
+        solved, info = getrs(factors, pivots,
+                             (a0 + rate_matrix @ rate_matrix @ a2).T,
+                             overwrite_b=True)
+        if info:
+            raise AnalysisError(f"getrs failed (info {info}) at iteration {iteration}")
+        updated = -solved.T
+        change = np.max(np.abs(updated - rate_matrix))
         rate_matrix = updated
+        if change < tolerance:
+            break
+        if not np.isfinite(change):
+            raise AnalysisError(f"rate-matrix iterate {iteration} is not finite")
     else:
         raise AnalysisError("rate-matrix iteration did not converge")
     spectral_radius = max(abs(np.linalg.eigvals(rate_matrix)))

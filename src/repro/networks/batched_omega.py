@@ -28,7 +28,10 @@ per stage:
   both outputs busy, so the ``len(usage) == 2`` refusal is implied);
 * established circuits remember one path bit per (input, stage) —
   whether the circuit left that stage by the lower output — so a release
-  replays the forward walk arithmetically instead of storing link sets.
+  replays the forward walk arithmetically instead of storing link sets;
+* requests and candidate ports arrive as the engine's words (bit ``l``
+  is link ``l``; the networks are square, so output link ``l`` is port
+  ``l``), and grants leave as global input and output links.
 
 The labelling is ``avail_t = free_t & (avail_{t+1}[up_t] |
 avail_{t+1}[lo_t])``, with ``avail_stages`` the free, acceptable output
@@ -43,12 +46,13 @@ candidates) — there is no tick-level racing to reproduce, unlike
 :class:`~repro.networks.omega.ClockedMultistageScheduler` (which backs
 the Fig. 11 hop-count studies, not the queueing figures, and stays
 scalar).  The lockstep engine calls :meth:`route_broadcast` once per
-lockstep step with every offering row, each naming its own partition,
-and the router grants in the scalar broadcast's ascending input order,
-so grant order, blocking, and the resulting event streams match the
-scalar engine row for row.  Randomized lockstep tests pin it against one
-``MultistageFabric`` per (row, partition) through long broadcast/release
-interleavings on rows of mixed wirings.
+lockstep step with every offering row's request and status words,
+masked to the partition that row re-offers, and the router grants in
+the scalar broadcast's ascending input order, so grant order, blocking,
+and the resulting event streams match the scalar engine row for row.
+Randomized lockstep tests pin it against one ``MultistageFabric`` per
+(row, partition) through long broadcast/release interleavings on rows of
+mixed wirings.
 """
 
 from __future__ import annotations
@@ -59,11 +63,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.errors import ConfigurationError, SchedulingError
+from repro.networks.batched_crossbar import WORD_BITS
 from repro.networks.interchange import LOWER, UPPER
 from repro.networks.topology import MultistageTopology
 
 _IntArray = NDArray[np.int64]
 _BoolArray = NDArray[np.bool_]
+_Words = NDArray[np.uint64]
+
+_ONE = np.uint64(1)
 
 
 class BatchedMultistageRouter:
@@ -95,6 +103,10 @@ class BatchedMultistageRouter:
             raise ConfigurationError(
                 f"router rows must share one link count, got {sorted(links)}")
         self._links = links.pop()
+        if self._links > WORD_BITS:
+            raise ConfigurationError(
+                f"router rows have {self._links} links; a request or "
+                f"status word holds {WORD_BITS}")
         stages = max(topology.stages for topology, _ in distinct)
         self._stages = stages
         # Per wiring and stage, the next-column link behind each link's
@@ -113,31 +125,16 @@ class BatchedMultistageRouter:
                     local = np.array([topology.output_link(stage, box, port)
                                       for box in boxes], dtype=np.int64)
                     table[number, stage] = (offsets + local).ravel()
-        #: Each row's wiring, and the links of one of its partitions.
+        #: Each row's wiring.
         self._wiring: _IntArray = np.asarray(row_wiring, dtype=np.int64)
-        self._partition_links: _IntArray = np.array(
-            [topology.size for topology, _ in distinct],
-            dtype=np.int64)[self._wiring]
+        #: Bit ``l`` of a request or status word is link ``l``.
+        self._shifts: _Words = np.arange(self._links, dtype=np.uint64)
         rows = len(row_wiring)
         self._busy: _BoolArray = np.zeros((stages + 1, rows, self._links),
                                           dtype=bool)
         #: Per (row, input link, stage): the circuit took the lower output.
         self._lower: _BoolArray = np.zeros((rows, self._links, stages),
                                            dtype=bool)
-
-    def _place(self, starts: _IntArray, local: np.ndarray) -> _BoolArray:
-        """Partition-local ``(n, width)`` masks laid onto ``P`` links.
-
-        Row ``i``'s column ``j`` lands on link ``starts[i] + j``; columns
-        past a narrower partition's width are False, so they may spill
-        into the next partition (or the trailing pad) harmlessly.
-        """
-        count, width = local.shape
-        stride = self._links + width
-        placed = np.zeros((count, stride), dtype=bool)
-        placed.ravel()[(np.arange(count) * stride + starts)[:, None]
-                       + np.arange(width)] = local != 0
-        return placed[:, :self._links]
 
     def _availability(self, reps: _IntArray,
                       acceptable: _BoolArray) -> _BoolArray:
@@ -198,21 +195,20 @@ class BatchedMultistageRouter:
         self._lower[reps, inputs] = lower
         return link
 
-    def route_broadcast(self, reps: _IntArray, partitions: _IntArray,
-                        requests: np.ndarray, acceptable: np.ndarray
+    def route_broadcast(self, reps: _IntArray, requests: _Words,
+                        status: _Words
                         ) -> Iterator[Tuple[_IntArray, _IntArray,
                                             _IntArray]]:
         """Route one status broadcast per row, all rows and inputs at once.
 
-        Row ``i`` broadcasts in partition ``partitions[i]`` of batch row
-        ``reps[i]``; the rows must be distinct.  ``requests`` marks each
-        row's waiting inputs, ``acceptable`` its candidate output ports
-        at broadcast time (bus free with a free resource), both local to
-        the partition and zero-padded to a common width.  Yields
-        ``(positions, input_ports, output_ports)`` grant waves —
-        ``positions`` indexes into ``reps``, ports are partition-local —
-        claiming the circuits as it goes; the caller applies its own
-        per-grant bookkeeping between waves.
+        Row ``i`` broadcasts in batch row ``reps[i]``; the rows must be
+        distinct.  Bit ``l`` of ``requests[i]`` marks a waiting input
+        link, bit ``l`` of ``status[i]`` an acceptable output port (bus
+        free with a free resource), both masked to the broadcasting
+        partition.  Yields ``(positions, inputs, outputs)`` grant waves —
+        ``positions`` indexes into ``reps``, inputs and outputs are global
+        links — claiming the circuits as it goes; the caller applies its
+        own per-grant bookkeeping between waves.
 
         Equivalence with the scalar engine's ascending retry loop rests
         on monotonicity: during a broadcast grants only *add* occupancy
@@ -226,9 +222,9 @@ class BatchedMultistageRouter:
         matching the engine's own bookkeeping.  Only rows that still have
         a waiting input and an acceptable port are labelled again.
         """
-        starts = partitions * self._partition_links[reps]
-        pending = self._place(starts, requests)
-        acceptable = self._place(starts, acceptable)
+        shifts = self._shifts
+        pending = ((requests[:, None] >> shifts) & _ONE).astype(bool)
+        acceptable = ((status[:, None] >> shifts) & _ONE).astype(bool)
         positions = np.arange(reps.shape[0], dtype=np.int64)
         while True:
             positions = positions[pending[positions].any(axis=1)
@@ -247,18 +243,15 @@ class BatchedMultistageRouter:
             outputs = self._claim(reps[positions], inputs, avail, labelled)
             pending[positions, inputs] = False
             acceptable[positions, outputs] = False
-            yield (positions, inputs - starts[positions],
-                   outputs - starts[positions])
+            yield positions, inputs, outputs
 
-    def release_batch(self, reps: _IntArray, partitions: _IntArray,
-                      input_ports: _IntArray) -> None:
-        """Tear down the circuits held by ``(rep, partition, input)`` rows.
+    def release_batch(self, reps: _IntArray, inputs: _IntArray) -> None:
+        """Tear down the circuits held from input link ``inputs[i]`` of
+        batch row ``reps[i]``.
 
-        Rows must be distinct and must each hold a circuit from their
-        (partition-local) input port; the stored path bits replay it.
+        Rows must be distinct and must each hold a circuit from that
+        (global) input link; the stored path bits replay it.
         """
-        inputs = (np.asarray(partitions, dtype=np.int64)
-                  * self._partition_links[reps] + input_ports)
         if not self._busy[0, reps, inputs].all():
             raise SchedulingError("released circuit missing from the link "
                                   "plane (router bug)")

@@ -23,22 +23,24 @@ live row by exactly one event** with vectorized NumPy updates:
 * FIFO queues are linked lists of task creation times in one slot pool
   per engine, which doubles when its free stack runs short, so queue
   storage follows the peak number of waiting tasks over all rows;
+* each row keeps Wah's request and status lines as two 64-bit words,
+  updated in place by the events that change them: bit ``p`` of the
+  *request word* while processor ``p`` has a queued task and no circuit,
+  bit ``j`` of the *status word* while port ``j``'s bus is free and it
+  has a free resource;
 * dispatch is one call per step of a per-fabric batched kernel (see
-  ``FABRIC_DISPATCH``): the priority matcher of
-  :mod:`repro.networks.batched_crossbar` — the closed form of the
-  crossbar cells' wavefront, which also serves the shared bus as a
-  one-column crossbar; and the link-plane router of
-  :mod:`repro.networks.batched_omega` for multistage fabrics, with a
-  wiring per row, which grants in the scalar broadcast's ascending input
-  order.  A step advances each row by one event, so each row re-offers
-  exactly one partition (the freed port's, the finished processor's, or
-  the arriving processor's); the kernel takes one request row per
-  offering batch row, gathered from that partition, with the partition
-  as a per-row index;
+  ``FABRIC_DISPATCH``) on those words, masked to the one partition each
+  row re-offers (the freed port's, the finished processor's, or only
+  the arriving processor): the priority matcher of
+  :mod:`repro.networks.batched_crossbar`, which also serves the shared
+  bus as a one-column crossbar, or the link-plane router of
+  :mod:`repro.networks.batched_omega`, with a wiring per row.  Each
+  status broadcast grants until its partition is *settled* (no waiting
+  processor can reach an acceptable port), so one event leaves at most
+  one grantable crossbar pair and every grant batch holds a row once;
 * mean queueing delay accumulates by Welford's recurrence exactly as
-  :class:`repro.sim.stats.TallyStat` does, vectorized when every granted
-  row appears once and replayed sequentially when one row receives
-  several grants in a single status broadcast.
+  :class:`repro.sim.stats.TallyStat` does, vectorized over the granted
+  rows.
 
 **The 2-D mega-batch.**  :class:`MegaBatchEngine` generalizes the row
 axis from "R replications of one sweep point" to ``K = sum of
@@ -48,9 +50,8 @@ per-row arrival/transmission/service rates replace the single-point
 scalars in the variate tables.  Points may carry their own
 configurations: partitions, processors per partition, ports and
 resources per port are per-row arrays, a partition's processors and ports
-are gathered zero-padded to the widest partition (padded cells never
-request or accept, so rank pairing grants what it grants unpadded), and
-per-partition stream rows are offset by a prefix sum of partition counts.
+are a per-row mask of word bits, and per-partition stream rows are offset
+by a prefix sum of partition counts.
 :func:`lockstep_mismatch` states which configurations can share an engine
 — one processor count and one dispatch kernel — so fig. 7's four
 crossbar curves run as one batch, and so do the three Omega wirings of
@@ -82,8 +83,9 @@ randomized ``(p, m, r, rho)`` grid.
 Scope (see :func:`batched_unsupported_reason` for the precise gate):
 every fabric family in the ``FABRIC_DISPATCH`` table — ``XBAR``,
 ``SBUS``, and the multistage wirings (``OMEGA``, ``CUBE``,
-``BASELINE``) — healthy, under ``"priority"`` arbitration, with a finite
-resource count per port and continuous interarrival and transmission
+``BASELINE``) — healthy, with at most 64 processors and 64 ports (one
+word each), under ``"priority"`` arbitration, with a finite resource
+count per port and continuous interarrival and transmission
 distributions.  The service distribution may additionally be
 ``"deterministic"``: service ends inherit continuous transmission-end
 timestamps plus a constant, so their ties stay measure-zero, whereas a
@@ -105,7 +107,7 @@ from numpy.typing import NDArray
 
 from repro.config import SystemConfig, check_window
 from repro.errors import ConfigurationError
-from repro.networks.batched_crossbar import match_pairs_batch
+from repro.networks.batched_crossbar import WORD_BITS, match_pairs_batch
 from repro.networks.batched_omega import BatchedMultistageRouter
 from repro.networks.topology import make_topology
 from repro.sim.rng import BATCH_BLOCK, spawn_seed, uniform_block_source
@@ -130,6 +132,11 @@ _INF = math.inf
 
 _FloatArray = NDArray[np.float64]
 _IntArray = NDArray[np.int64]
+_Words = NDArray[np.uint64]
+
+#: ``_BIT[i]`` is the word with bit ``i`` alone.
+_BIT: _Words = np.left_shift(np.uint64(1),
+                             np.arange(WORD_BITS, dtype=np.uint64))
 
 
 def first_block_size(expected: float, cap: int) -> int:
@@ -287,7 +294,7 @@ class VariateTable:
         return values
 
     def draw_one(self, row: int) -> float:
-        """Scalar :meth:`draw`, for grant bursts that repeat a stream."""
+        """Scalar :meth:`draw`: the next variate of stream ``row`` alone."""
         cursor = int(self._cursors[row])
         if cursor >= self._ends[row]:
             self._refill(row)
@@ -317,7 +324,7 @@ class MegaBatchResult:
 
 
 #: The batched dispatch kernel serving each network type: ``"crossbar"``
-#: (the rank-paired priority matcher of
+#: (the word priority matcher of
 #: :func:`~repro.networks.batched_crossbar.match_pairs_batch`; a shared
 #: bus is its one-column case: the lowest requesting processor wins when
 #: the bus can accept) or ``"multistage"`` (the plane router of
@@ -343,6 +350,8 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
 
     * a fabric family with a dispatch kernel in ``FABRIC_DISPATCH``
       (all five grammar network types have one);
+    * at most 64 processors and 64 ports (``WORD_BITS``: the kernels
+      read one request word and one status word per row);
     * ``"priority"`` arbitration only (random arbitration draws
       per-dispatch randomness the dispatch kernels do not model);
     * a finite resource count per port (the calendar needs a fixed
@@ -362,6 +371,10 @@ def batched_unsupported_reason(config: Union[SystemConfig, str],
     if config.network_type not in FABRIC_DISPATCH:
         return (f"{config.network_type} fabrics (no batched dispatch "
                 "kernel in the dispatch table)")
+    if max(config.processors, config.total_ports) > WORD_BITS:
+        return (f"more than {WORD_BITS} processors or ports (the dispatch "
+                f"kernels read one {WORD_BITS}-bit request word and one "
+                "status word per row)")
     if arbitration != "priority":
         return (f"{arbitration!r} arbitration (per-dispatch randomness "
                 "the lockstep dispatch kernels do not model)")
@@ -423,13 +436,16 @@ def lockstep_mismatch(config: SystemConfig,
     return None
 
 
-def _windows(storage: np.ndarray, width: int) -> np.ndarray:
-    """Read-only ``width``-wide windows over the last axis of ``storage``.
-
-    ``windows[k, s]`` is ``storage[k, s:s + width]``, so gathering one
-    partition of each batch row is one fancy index by (row, first column).
-    """
-    return np.lib.stride_tricks.sliding_window_view(storage, width, axis=1)
+def _partition_masks(partitions: _IntArray, width: _IntArray) -> _Words:
+    """``masks[k, g]``: the word bits ``[g * width[k], (g + 1) * width[k])``
+    of row ``k``'s partition ``g`` (none for partitions a row lacks)."""
+    masks: _Words = np.zeros((partitions.shape[0], int(partitions.max())),
+                             dtype=np.uint64)
+    for k, (count, size) in enumerate(zip(partitions.tolist(),
+                                          width.tolist())):
+        masks[k, :count] = [((1 << size) - 1) << (g * size)
+                            for g in range(count)]
+    return masks
 
 
 def _point_configs(config: Union[SystemConfig, str,
@@ -541,17 +557,10 @@ class MegaBatchEngine:
         #: First transmission/service table row of each batch row: row
         #: ``k``'s partition ``g`` streams sit at ``offset[k] + g``.
         self._stream_offset: _IntArray = np.cumsum(partitions) - partitions
-        # Partition gathers are zero-padded to the widest partition; the
-        # validity masks are only needed when widths differ.
-        widest = int(per_partition.max())
-        widest_ports = int(ports.max())
-        self._processor_valid: Optional[NDArray[np.bool_]] = None
-        if int(per_partition.min()) != widest:
-            self._processor_valid = (np.arange(widest)
-                                     < per_partition[:, None])
-        self._port_valid: Optional[NDArray[np.bool_]] = None
-        if int(ports.min()) != widest_ports:
-            self._port_valid = np.arange(widest_ports) < ports[:, None]
+        #: Row ``k``'s partition ``g`` owns the processor bits
+        #: ``_processor_masks[k, g]`` and the port bits ``_port_masks[k, g]``.
+        self._processor_masks = _partition_masks(partitions, per_partition)
+        self._port_masks = _partition_masks(partitions, ports)
         self._max_resources = int(resources.max())
         self._mixed_resources = int(resources.min()) != self._max_resources
 
@@ -573,26 +582,22 @@ class MegaBatchEngine:
         self._next_arrival = self._calendar[:, :processors]
         self._transmission_end = self._calendar[:, processors:2 * processors]
 
-        # Per-processor and per-port state, each with enough trailing
-        # padding that a widest-partition window from any partition start
-        # stays in bounds (none when all rows share the width).
-        processor_pad = widest - int(per_partition.min())
-        port_pad = widest_ports - int(ports.min())
-        queue_length = np.zeros((rows, processors + processor_pad),
-                                dtype=np.int64)
-        connected = np.full((rows, processors + processor_pad), -1,
-                            dtype=np.int64)
-        bus_busy = np.zeros((rows, total_ports + port_pad), dtype=np.uint8)
-        busy_resources = np.zeros((rows, total_ports + port_pad),
-                                  dtype=np.int64)
-        self._queue_length: _IntArray = queue_length[:, :processors]
-        self._connected_port: _IntArray = connected[:, :processors]
-        self._bus_busy: NDArray[np.uint8] = bus_busy[:, :total_ports]
-        self._busy_resources: _IntArray = busy_resources[:, :total_ports]
-        self._queue_windows = _windows(queue_length, widest)
-        self._connected_windows = _windows(connected, widest)
-        self._bus_windows = _windows(bus_busy, widest_ports)
-        self._resource_windows = _windows(busy_resources, widest_ports)
+        # Per-processor and per-port state; ports are numbered across
+        # partitions, partition g's port j at g * ports + j.
+        self._queue_length: _IntArray = np.zeros((rows, processors),
+                                                 dtype=np.int64)
+        self._connected_port: _IntArray = np.full((rows, processors), -1,
+                                                  dtype=np.int64)
+        self._bus_busy: NDArray[np.uint8] = np.zeros((rows, total_ports),
+                                                     dtype=np.uint8)
+        self._busy_resources: _IntArray = np.zeros((rows, total_ports),
+                                                   dtype=np.int64)
+        # The dispatch words, kept equal to that state: bit p of
+        # ``_requests[k]`` while processor p has a queued task and no
+        # circuit, bit j of ``_status[k]`` while port j's bus is free and
+        # it has a free resource (every port, at the start).
+        self._requests: _Words = np.zeros(rows, dtype=np.uint64)
+        self._status: _Words = np.bitwise_or.reduce(self._port_masks, axis=1)
 
         # FIFO queues of task creation times: linked lists in one pool of
         # slots.  Slot ``q = k * P + p`` is queue ``(k, p)``'s sentinel,
@@ -729,24 +734,17 @@ class MegaBatchEngine:
         per_partition_of = self._per_partition_of
         ports_of = self._ports_of
         resources_of = self._resources_of
-        processor_valid = self._processor_valid
-        port_valid = self._port_valid
         mixed_resources = self._mixed_resources
         service_base = 2 * processors
         last_column = self._width - 1
         slot_range = np.arange(self._max_resources, dtype=np.int64)
         calendar = self._calendar
         router = self._router
+        requests = self._requests
+        status = self._status
         arrival_table, transmission_table, service_table = (
             self._build_tables(horizon))
         self._transmission_table = transmission_table
-        # Partition windows: indexing ``[reps, first column]`` gathers each
-        # row's processors (or ports) of one partition, zero-padded to the
-        # widest partition.
-        queue_windows = self._queue_windows
-        connected_windows = self._connected_windows
-        bus_windows = self._bus_windows
-        resource_windows = self._resource_windows
 
         # Initial arrival per processor (draw order across streams is
         # immaterial: streams are independent per name).
@@ -782,6 +780,9 @@ class MegaBatchEngine:
                 calendar[sv_reps, slots[sub]] = _INF
                 self._busy_resources[sv_reps, port_index] -= 1
                 self._completed[sv_reps[now[sub] > warmup]] += 1
+                # The port accepts again unless its bus is transmitting.
+                status[sv_reps] |= _BIT[port_index] * (
+                    self._bus_busy[sv_reps, port_index] == 0)
                 parts[sub] = port_index // ports_of[sv_reps]
 
             # --- transmission completions ------------------------------
@@ -789,10 +790,7 @@ class MegaBatchEngine:
                 sub = np.nonzero(is_transmission)[0]
                 tr_reps = reps[sub]
                 rows = slots[sub] - processors
-                per_partition = per_partition_of[tr_reps]
-                partition = rows // per_partition
-                port_index = partition * ports_of[tr_reps] + (
-                    self._connected_port[tr_reps, rows])
+                port_index = self._connected_port[tr_reps, rows]
                 calendar[tr_reps, slots[sub]] = _INF
                 self._connected_port[tr_reps, rows] = -1
                 self._bus_busy[tr_reps, port_index] = 0
@@ -800,11 +798,16 @@ class MegaBatchEngine:
                     # Tear down the multistage circuits (no draws happen
                     # here, so ordering against the service draw below is
                     # immaterial — only the broadcast must see freed links).
-                    router.release_batch(tr_reps, partition,
-                                         rows - partition * per_partition)
-                self._busy_resources[tr_reps, port_index] += 1
-                # The port's first free service slot.
+                    router.release_batch(tr_reps, rows)
+                busy = self._busy_resources[tr_reps, port_index] + 1
+                self._busy_resources[tr_reps, port_index] = busy
                 row_resources = resources_of[tr_reps]
+                # The processor waits again if it has queued tasks; the
+                # port, bus now free, accepts while a resource is free.
+                requests[tr_reps] |= _BIT[rows] * (
+                    self._queue_length[tr_reps, rows] > 0)
+                status[tr_reps] |= _BIT[port_index] * (busy < row_resources)
+                # The port's first free service slot.
                 base = service_base + port_index * row_resources
                 window = base[:, None] + slot_range
                 if mixed_resources:
@@ -813,6 +816,7 @@ class MegaBatchEngine:
                             & (slot_range < row_resources[:, None]))
                 else:
                     free = calendar[tr_reps[:, None], window] == _INF
+                partition = rows // per_partition_of[tr_reps]
                 durations = service_table.draw(
                     self._stream_offset[tr_reps] + partition)
                 calendar[tr_reps, base + free.argmax(axis=1)] = (
@@ -820,7 +824,7 @@ class MegaBatchEngine:
                 parts[sub] = partition
 
             # --- arrivals ----------------------------------------------
-            arrived: Optional[Tuple[_IntArray, _IntArray]] = None
+            arrived: Optional[Tuple[_IntArray, _Words]] = None
             if is_arrival.any():
                 sub = np.nonzero(is_arrival)[0]
                 ar_reps = reps[sub]
@@ -843,115 +847,80 @@ class MegaBatchEngine:
                 self._queue_length[ar_reps, rows] = lengths + 1
                 durations = arrival_table.draw(queues)
                 calendar[ar_reps, rows] = now[sub] + durations
-                per_partition = per_partition_of[ar_reps]
-                parts[sub] = rows // per_partition
-                arrived = sub, rows - parts[sub] * per_partition
+                bits = _BIT[rows]
+                requests[ar_reps] |= bits * (
+                    self._connected_port[ar_reps, rows] < 0)
+                parts[sub] = rows // per_partition_of[ar_reps]
+                arrived = sub, bits
 
             # --- status broadcasts → one batched dispatch ---------------
-            # Every waiting processor of each row's partition, ascending.
-            starts = parts * per_partition_of[reps]
-            requests = ((queue_windows[reps, starts] > 0)
-                        & (connected_windows[reps, starts] < 0))
-            if processor_valid is not None:
-                requests &= processor_valid[reps]
+            # Every waiting processor of each row's partition, and the
+            # partition's acceptable ports.
+            offers = requests[reps] & self._processor_masks[reps, parts]
             if arrived is not None:
                 # An arrival redispatches only the arriving processor, if
                 # idle (nothing else changed for its partition).
-                sub, local = arrived
-                offer = requests[sub, local]
-                requests[sub] = False
-                requests[sub, local] = offer
-            offered = np.nonzero(requests.any(axis=1))[0]
+                sub, bits = arrived
+                offers[sub] &= bits
+            accepts = status[reps] & self._port_masks[reps, parts]
+            offered = np.nonzero((offers != 0) & (accepts != 0))[0]
             if offered.size == 0:
                 continue
             reps = reps[offered]
-            parts = parts[offered]
-            requests = requests[offered]
-            starts = parts * ports_of[reps]
-            acceptable = ((bus_windows[reps, starts] == 0)
-                          & (resource_windows[reps, starts]
-                             < (resources_of[reps][:, None]
-                                if mixed_resources
-                                else self._max_resources)))
-            if port_valid is not None:
-                acceptable &= port_valid[reps]
+            offers = offers[offered]
+            accepts = accepts[offered]
             if router is not None:
                 # The router yields grant waves; each wave's bookkeeping
                 # must land before the next wave is labelled.
                 for positions, inputs, outputs in router.route_broadcast(
-                        reps, parts, requests, acceptable):
-                    self._apply_grants(parts[positions], reps[positions],
-                                       inputs, outputs, times, warmup)
+                        reps, offers, accepts):
+                    self._apply_grants(reps[positions], inputs, outputs,
+                                       times, warmup)
                 continue
-            # Row i of requests/acceptable is one partition of one batch
-            # row, zero-padded to the widest partition; padded cells are
-            # False, so rank pairing grants what it grants unpadded.
-            positions, grant_rows, grant_cols = match_pairs_batch(
-                requests, acceptable)
-            if positions.size:
-                self._apply_grants(parts[positions], reps[positions],
-                                   grant_rows, grant_cols, times, warmup)
+            positions, grant_rows, grant_ports = match_pairs_batch(
+                offers, accepts)
+            self._apply_grants(reps[positions], grant_rows, grant_ports,
+                               times, warmup)
 
-    def _apply_grants(self, parts: _IntArray, grant_reps: _IntArray,
-                      grant_rows: _IntArray, grant_cols: _IntArray,
-                      times: _FloatArray, warmup: float) -> None:
+    def _apply_grants(self, grant_reps: _IntArray, grant_rows: _IntArray,
+                      grant_ports: _IntArray, times: _FloatArray,
+                      warmup: float) -> None:
         """Dispatch the matched grants.
 
-        Grant ``i`` connects processor ``grant_rows[i]`` to column
-        ``grant_cols[i]``, both local to partition ``parts[i]`` of batch
-        row ``grant_reps[i]``.  The kernels return grants row-major and
-        processor-ascending — the scalar broadcast's dispatch order — so
-        when every batch row appears once the queue pops, Welford updates
-        and transmission draws all vectorize; a row granted several
-        connections in one broadcast replays them sequentially instead.
+        Grant ``i`` connects processor ``grant_rows[i]`` to port
+        ``grant_ports[i]`` of batch row ``grant_reps[i]``.  A crossbar
+        step grants at most one pair per row and a router wave one input
+        per row, so the rows are distinct, and the queue pops, Welford
+        updates, word updates and transmission draws all vectorize in the
+        scalar broadcast's dispatch order.
         """
-        rows = parts * self._per_partition_of[grant_reps] + grant_rows
-        port_index = parts * self._ports_of[grant_reps] + grant_cols
-        table_rows = self._stream_offset[grant_reps] + parts
-        queues = grant_reps * self._processors + rows
+        table_rows = (self._stream_offset[grant_reps]
+                      + grant_rows // self._per_partition_of[grant_reps])
+        queues = grant_reps * self._processors + grant_rows
         slot_next = self._slot_next
-        if grant_reps.size == 1 or (grant_reps[1:] != grant_reps[:-1]).all():
-            moments = times[grant_reps]
-            heads = slot_next[queues]
-            created = self._slot_time[heads]
-            slot_next[queues] = slot_next[heads]
-            count = self._free_count
-            self._free_slots[count:count + heads.shape[0]] = heads
-            self._free_count = count + heads.shape[0]
-            self._queue_length[grant_reps, rows] -= 1
-            measured = moments > warmup
-            if measured.any():
-                m_reps = grant_reps[measured]
-                counts = self._delay_count[m_reps] + 1
-                self._delay_count[m_reps] = counts
-                delta = (moments[measured] - created[measured]
-                         ) - self._delay_mean[m_reps]
-                self._delay_mean[m_reps] += delta / counts
-            durations = self._transmission_table.draw(table_rows)
-            self._transmission_end[grant_reps, rows] = moments + durations
-            self._connected_port[grant_reps, rows] = grant_cols
-            self._bus_busy[grant_reps, port_index] = 1
-            return
-        for index in range(grant_reps.shape[0]):
-            k = int(grant_reps[index])
-            row = int(rows[index])
-            queue = int(queues[index])
-            head = int(slot_next[queue])
-            created_one = float(self._slot_time[head])
-            slot_next[queue] = slot_next[head]
-            self._free_slots[self._free_count] = head
-            self._free_count += 1
-            self._queue_length[k, row] -= 1
-            moment = float(times[k])
-            if moment > warmup:
-                count = int(self._delay_count[k]) + 1
-                self._delay_count[k] = count
-                delta_one = (moment - created_one) - float(self._delay_mean[k])
-                self._delay_mean[k] += delta_one / count
-            duration = self._transmission_table.draw_one(int(table_rows[index]))
-            self._transmission_end[k, row] = moment + duration
-            self._connected_port[k, row] = int(grant_cols[index])
-            self._bus_busy[k, int(port_index[index])] = 1
+        moments = times[grant_reps]
+        heads = slot_next[queues]
+        created = self._slot_time[heads]
+        slot_next[queues] = slot_next[heads]
+        count = self._free_count
+        self._free_slots[count:count + heads.shape[0]] = heads
+        self._free_count = count + heads.shape[0]
+        self._queue_length[grant_reps, grant_rows] -= 1
+        measured = moments > warmup
+        if measured.any():
+            m_reps = grant_reps[measured]
+            counts = self._delay_count[m_reps] + 1
+            self._delay_count[m_reps] = counts
+            delta = (moments[measured] - created[measured]
+                     ) - self._delay_mean[m_reps]
+            self._delay_mean[m_reps] += delta / counts
+        durations = self._transmission_table.draw(table_rows)
+        self._transmission_end[grant_reps, grant_rows] = moments + durations
+        self._connected_port[grant_reps, grant_rows] = grant_ports
+        self._bus_busy[grant_reps, grant_ports] = 1
+        # The processor holds a circuit and the port's bus is busy.
+        self._requests[grant_reps] &= ~_BIT[grant_rows]
+        self._status[grant_reps] &= ~_BIT[grant_ports]
 
 
 def batched_delays(config: Union[SystemConfig, str,

@@ -59,6 +59,18 @@ class TestRateMatrix:
         with pytest.raises(AnalysisError):
             solve_rate_matrix(np.eye(2), np.eye(3), np.eye(2))
 
+    def test_non_finite_block_rejected_by_name(self):
+        a0, a1, a2 = mm1_blocks(0.5, 1.0)
+        a0[0, 0] = np.nan
+        with pytest.raises(AnalysisError, match="A0"):
+            solve_rate_matrix(a0, a1, a2)
+
+    def test_overflowing_iterate_named(self):
+        """Finite blocks whose first iterate overflows stop at once."""
+        with pytest.raises(AnalysisError, match="iterate 1 "):
+            solve_rate_matrix(np.array([[1e300]]), np.array([[-1e-300]]),
+                              np.array([[1e300]]))
+
 
 class TestDrift:
     def test_mm1_drift(self):

@@ -21,15 +21,19 @@ from repro.networks.topology import make_topology
 KINDS = ("OMEGA", "CUBE", "BASELINE")
 
 
-def _broadcast(router, reps, partitions, requests, acceptable):
+def _word(bits, offset=0):
+    """The word with bit ``offset + i`` set for every true ``bits[i]``."""
+    return sum(1 << (offset + i) for i, bit in enumerate(bits) if bit)
+
+
+def _broadcast(router, reps, requests, status):
     """Every grant of one broadcast, in wave order:
-    ``{position: [(input, output), ...]}``."""
+    ``{position: [(input link, output link), ...]}``."""
     grants = {}
     for positions, inputs, outputs in router.route_broadcast(
             np.asarray(reps, dtype=np.int64),
-            np.asarray(partitions, dtype=np.int64),
-            np.asarray(requests, dtype=np.uint8),
-            np.asarray(acceptable, dtype=np.uint8)):
+            np.array(requests, dtype=np.uint64),
+            np.array(status, dtype=np.uint64)):
         assert len(set(positions.tolist())) == positions.shape[0], (
             "two grants to one row in one wave")
         for position, q, port in zip(positions.tolist(), inputs.tolist(),
@@ -41,7 +45,6 @@ def _broadcast(router, reps, partitions, requests, acceptable):
 def _broadcast_rows(data, router, fabrics, held, step):
     """One status broadcast in a random partition of a random subset of
     rows, against the scalar ascending retry loop."""
-    width = max(fabric.topology.size for row in fabrics for fabric in row)
     reps, parts, requests, masks = [], [], [], []
     for k, row in enumerate(fabrics):
         if not data.draw(st.booleans(), label=f"try{step}-{k}"):
@@ -58,13 +61,19 @@ def _broadcast_rows(data, router, fabrics, held, step):
                 for port in range(size)]
         reps.append(k)
         parts.append(g)
-        requests.append(request + [0] * (width - size))
-        masks.append(mask + [0] * (width - size))
+        requests.append(request)
+        masks.append(mask)
     if not reps:
         return
-    grants = _broadcast(router, reps, parts, requests, masks)
+    # Partition g of a row with s-link partitions owns bits g*s .. g*s+s-1.
+    grants = _broadcast(
+        router, reps,
+        [_word(request, g * len(request))
+         for g, request in zip(parts, requests)],
+        [_word(mask, g * len(mask)) for g, mask in zip(parts, masks)])
     for position, (k, g) in enumerate(zip(reps, parts)):
         fabric = fabrics[k][g]
+        offset = g * fabric.topology.size
         candidates = [port for port, ok in enumerate(masks[position]) if ok]
         expected = []
         for q, waiting in enumerate(requests[position]):
@@ -74,14 +83,15 @@ def _broadcast_rows(data, router, fabrics, held, step):
             if connection is not None:
                 held[k][g][q] = connection
                 candidates.remove(connection.output_port)
-                expected.append((q, connection.output_port))
+                expected.append((offset + q,
+                                 offset + connection.output_port))
         assert grants.get(position, []) == expected, (
             f"row {k} partition {g} diverged at step {step}")
 
 
 def _release_rows(data, router, fabrics, held, step):
     """Release one held circuit per row, for a random subset of rows."""
-    reps, parts, inputs = [], [], []
+    reps, inputs = [], []
     for k, row in enumerate(held):
         holding = [g for g, circuits in enumerate(row) if circuits]
         if not holding or not data.draw(st.booleans(),
@@ -92,20 +102,19 @@ def _release_rows(data, router, fabrics, held, step):
                       label=f"relq{step}-{k}")
         fabrics[k][g].release(row[g].pop(q))
         reps.append(k)
-        parts.append(g)
-        inputs.append(q)
+        inputs.append(g * fabrics[k][g].topology.size + q)
     if reps:
         router.release_batch(np.array(reps, dtype=np.int64),
-                             np.array(parts, dtype=np.int64),
                              np.array(inputs, dtype=np.int64))
 
 
 def _connect(router, rep, partition, q, acceptable):
-    """One connect attempt from input ``q``: the output port or None."""
-    grants = _broadcast(router, [rep], [partition],
-                        [[int(port == q) for port in range(len(acceptable))]],
-                        [acceptable])
-    return grants[0][0][1] if grants else None
+    """One connect attempt from input ``q`` of a partition as wide as
+    ``acceptable``: the partition-local output port or None."""
+    offset = partition * len(acceptable)
+    grants = _broadcast(router, [rep], [1 << (offset + q)],
+                        [_word(acceptable, offset)])
+    return grants[0][0][1] - offset if grants else None
 
 
 class TestBatchedMultistageRouter:
@@ -140,9 +149,10 @@ class TestBatchedMultistageRouter:
             for g, circuits in enumerate(row):
                 for q, connection in sorted(circuits.items()):
                     fabrics[k][g].release(connection)
-                    router.release_batch(np.array([k], dtype=np.int64),
-                                         np.array([g], dtype=np.int64),
-                                         np.array([q], dtype=np.int64))
+                    size = fabrics[k][g].topology.size
+                    router.release_batch(
+                        np.array([k], dtype=np.int64),
+                        np.array([g * size + q], dtype=np.int64))
         assert not router._busy.any()
         assert not router._lower.any()
 
@@ -156,7 +166,6 @@ class TestBatchedMultistageRouter:
         assert None not in first and None not in second
         assert first == second
         router.release_batch(np.array([0, 1], dtype=np.int64),
-                             np.zeros(2, dtype=np.int64),
                              np.zeros(2, dtype=np.int64))
         # Partition 1's links are 4..7 of each row's link plane.
         assert router._busy[:, :, :4].sum() == 0
@@ -178,7 +187,7 @@ class TestBatchedMultistageRouter:
         router = BatchedMultistageRouter([(make_topology("OMEGA", 16), 1),
                                           (make_topology("OMEGA", 2), 8)])
         assert router._busy.shape == (5, 2, 16)
-        port = _connect(router, 1, 5, 1, [0, 1] + [0] * 14)
+        port = _connect(router, 1, 5, 1, [0, 1])
         assert port == 1
         # Input 1 of partition 5 is link 11; the one real stage keeps it
         # on link 11, and so does every padded stage after it.
@@ -195,5 +204,4 @@ class TestBatchedMultistageRouter:
         router = BatchedMultistageRouter([(make_topology("OMEGA", 4), 1)])
         with pytest.raises(SchedulingError):
             router.release_batch(np.zeros(1, dtype=np.int64),
-                                 np.zeros(1, dtype=np.int64),
                                  np.zeros(1, dtype=np.int64))

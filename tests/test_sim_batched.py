@@ -610,6 +610,143 @@ class TestMergedGroups:
         assert storage <= queues * longest
 
 
+def _words_from_state(engine):
+    """Both dispatch words of every row, recomputed from the engine's
+    queue, circuit, bus and resource arrays."""
+    bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    configs = [engine.configs[point] for point in engine.point_of_row]
+    waiting = (engine._queue_length > 0) & (engine._connected_port < 0)
+    requests = (waiting * bits[:waiting.shape[1]]).sum(axis=1,
+                                                       dtype=np.uint64)
+    ports = engine._bus_busy.shape[1]
+    resources = np.array([config.resources_per_port for config in configs])
+    owned = np.arange(ports) < np.array(
+        [config.total_ports for config in configs])[:, None]
+    accepting = (owned & (engine._bus_busy == 0)
+                 & (engine._busy_resources < resources[:, None]))
+    status = (accepting * bits[:ports]).sum(axis=1, dtype=np.uint64)
+    return requests.tolist(), status.tolist()
+
+
+def _busy_cases(cases):
+    """``cases`` at three times their load, so ports and buses run out."""
+    return [(config, Workload(workload.arrival_rate * 3, 1.0, 0.1,
+                              service_distribution=
+                              workload.service_distribution))
+            for config, workload in cases]
+
+
+def _run_groups(groups, seed_base):
+    for number, group in enumerate(groups):
+        batched_delays([config for config, _ in group],
+                       [workload for _, workload in group], horizon=300.0,
+                       warmup=30.0,
+                       seed_groups=[[seed_base + number * 100 + index * 10 + k
+                                     for k in range(3)]
+                                    for index in range(len(group))])
+
+
+class TestStatusWords:
+    """The request and status words the dispatch kernels read."""
+
+    def test_words_follow_the_engine_state(self, monkeypatch):
+        """After every dispatch, each row's words equal the ones its
+        queue, circuit, bus and resource arrays spell out."""
+        checks = []
+        apply = MegaBatchEngine._apply_grants
+
+        def spy(engine, *args):
+            apply(engine, *args)
+            assert (engine._requests.tolist(), engine._status.tolist()) == (
+                _words_from_state(engine))
+            checks.append(engine.configs[0].network_type)
+
+        monkeypatch.setattr(MegaBatchEngine, "_apply_grants", spy)
+        groups = (_grouped_by_processors(_busy_cases(
+                      _random_cases(12, master_seed=43)))
+                  + _grouped_by_processors(_busy_cases(
+                      _random_bus_cases(12, master_seed=47)))
+                  + _grouped_by_processors(_busy_cases(
+                      _random_multistage_cases(12, master_seed=53))))
+        _run_groups(groups, seed_base=40000)
+        assert {"XBAR", "SBUS"} <= set(checks)
+        assert {"OMEGA", "CUBE", "BASELINE"} & set(checks)
+
+    def test_crossbar_rows_get_one_grant_per_match(self, monkeypatch):
+        """A partition is settled after each step, so an event leaves at
+        most one grantable pair: no row is granted twice in one call."""
+        import repro.sim.batched as batched
+
+        calls = []
+        match = batched.match_pairs_batch
+
+        def spy(requests, status):
+            rows, processors, ports = match(requests, status)
+            assert len(set(rows.tolist())) == rows.shape[0]
+            assert rows.shape[0] == requests.shape[0]
+            calls.append(rows.shape[0])
+            return rows, processors, ports
+
+        monkeypatch.setattr(batched, "match_pairs_batch", spy)
+        cases = _busy_cases(_random_cases(12, master_seed=59)
+                            + _random_bus_cases(12, master_seed=61))
+        _run_groups(_grouped_by_processors(cases), seed_base=50000)
+        assert calls and max(calls) > 1
+
+    def test_a_full_word_batches_and_a_wider_row_runs_scalar(self,
+                                                             monkeypatch):
+        """64 processors and 64 ports fill the words and still equal the
+        scalar engine; one more processor or port is refused by name, and
+        ``simulated_curves`` gives that point its scalar value."""
+        from repro.analysis.sweep import (
+            POINT_REPLICATIONS,
+            SimulatedCurve,
+            simulated_curves,
+            workload_at,
+        )
+        from repro.sim.stats import confidence_interval
+
+        granted = []
+        apply = MegaBatchEngine._apply_grants
+
+        def spy(engine, grant_reps, grant_rows, grant_ports, *args):
+            granted.append((int(grant_rows.max()), int(grant_ports.max())))
+            apply(engine, grant_reps, grant_rows, grant_ports, *args)
+
+        monkeypatch.setattr(MegaBatchEngine, "_apply_grants", spy)
+        full = SystemConfig.parse("64/1x64x64 XBAR/1")
+        workload = Workload(0.08, 1.0, 0.1)
+        assert _supported(full, workload)
+        seeds = [71, 72, 73]
+        batched = _point_delays(full, workload, seeds, 400.0, 40.0)
+        for k, seed in enumerate(seeds):
+            scalar = simulate(full, workload, horizon=400.0, warmup=40.0,
+                              seed=seed).mean_queueing_delay
+            _assert_same_delay(scalar, batched[k], f"replication {k}")
+        # Bit 63 was granted as a processor and as a port.
+        assert max(row for row, _ in granted) == 63
+        assert max(port for _, port in granted) == 63
+
+        for triplet in ("65/1x65x64 XBAR/1", "4/1x4x65 XBAR/1"):
+            config = SystemConfig.parse(triplet)
+            workload = workload_at(0.3, 0.1, processors=config.processors)
+            reason = batched_unsupported_reason(config, workload)
+            assert reason is not None and "more than 64" in reason, triplet
+            with pytest.raises(ConfigurationError, match="more than 64"):
+                MegaBatchEngine(config, [workload], seed_groups=[[1]])
+            per_replication = 400.0 / POINT_REPLICATIONS
+            mean, halfwidth = confidence_interval([
+                simulate(config, workload, horizon=per_replication,
+                         warmup=per_replication * 0.1,
+                         seed=spawn_seed(5, "batched-replication",
+                                         replication)).mean_queueing_delay
+                for replication in range(POINT_REPLICATIONS)])
+            [[point]] = simulated_curves([SimulatedCurve(
+                config, 0.1, [0.3], [5], 400.0)])
+            assert point.normalized_delay == mean * workload.service_rate
+            assert point.ci_halfwidth == halfwidth * workload.service_rate
+
+
 class TestVariateStreams:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_uniform_block_sources_agree_with_random_random(self, vectorized):
